@@ -13,9 +13,9 @@ import numpy as np
 
 from .config import (
     COMPLETENESS_TOL,
+    HERMITICITY_TOL,
     PROBABILITY_TOL,
     STATE_POSITIVITY_FLOOR,
-    TOLERANCES,
     UNITARITY_TOL,
 )
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     NonSquare,
     UnsupportedDimension,
 )
-from .linalg import dagger, is_hermitian, is_unitary, mat_to_biket
+from .linalg import dagger, is_hermitian, is_unitary, mat_to_biket, require_finite
 
 PAULI_MATRICES: tuple[np.ndarray, ...] = (
     np.eye(2, dtype=complex),
@@ -38,12 +38,12 @@ PAULI_MATRICES: tuple[np.ndarray, ...] = (
 
 def check_probability_vector(q, length: int | None = None) -> np.ndarray:
     """Validate nonnegative entries summing to 1; returns the vector as floats."""
-    q = np.asarray(q, dtype=float).reshape(-1)
+    q = require_finite(np.asarray(q, dtype=float).reshape(-1), "probability vector")
     if length is not None and q.size != length:
         raise InvalidProbabilityVector(f"expected {length} entries, got {q.size}")
-    if np.min(q) < -PROBABILITY_TOL:
+    if not np.min(q) >= -PROBABILITY_TOL:
         raise InvalidProbabilityVector(f"negative entry {float(np.min(q)):.3e}")
-    if abs(float(np.sum(q)) - 1.0) > PROBABILITY_TOL:
+    if not abs(float(np.sum(q)) - 1.0) <= PROBABILITY_TOL:
         raise InvalidProbabilityVector(f"entries sum to {float(np.sum(q))!r}, not 1")
     return q
 
@@ -64,7 +64,8 @@ class QuantumOperation:
         if not kraus:
             raise CompletenessViolation("an operation needs at least one Kraus operator")
         d = int(self.dim)
-        for k in kraus:
+        for i, k in enumerate(kraus):
+            require_finite(k, f"Kraus operator {i}")
             if k.ndim != 2 or k.shape[0] != k.shape[1]:
                 raise NonSquare(f"Kraus operator of shape {k.shape} is not square")
             if k.shape != (d, d):
@@ -73,7 +74,7 @@ class QuantumOperation:
                 )
         total = sum(dagger(k) @ k for k in kraus)
         deviation = float(np.max(np.abs(total - np.eye(d))))
-        if deviation > COMPLETENESS_TOL:
+        if not deviation <= COMPLETENESS_TOL:
             raise CompletenessViolation(
                 f"sum K^dag K deviates from identity by {deviation:.3e}"
             )
@@ -89,23 +90,6 @@ def make_operation(kraus) -> QuantumOperation:
     if kraus[0].ndim != 2 or kraus[0].shape[0] != kraus[0].shape[1]:
         raise NonSquare(f"Kraus operator of shape {kraus[0].shape} is not square")
     return QuantumOperation(dim=kraus[0].shape[0], kraus=kraus)
-
-
-@dataclass(frozen=True)
-class PauliChannel:
-    """rho -> sum_a q[a] sigma_a rho sigma_a over {I, sigma_x, sigma_y, sigma_z}."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", check_probability_vector(self.q, 4))
-
-    def as_operation(self) -> QuantumOperation:
-        """Kraus form, keeping only the strictly positive weights."""
-        kraus = tuple(
-            np.sqrt(w) * s for w, s in zip(self.q, PAULI_MATRICES) if w > 0
-        )
-        return QuantumOperation(dim=2, kraus=kraus)
 
 
 @dataclass(frozen=True)
@@ -125,7 +109,8 @@ class RandomUnitaryChannel:
         unitaries = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
         if not unitaries:
             raise CompletenessViolation("a random-unitary channel needs at least one unitary")
-        for u in unitaries:
+        for i, u in enumerate(unitaries):
+            require_finite(u, f"unitary {i}")
             if u.shape != (d, d):
                 raise DimensionMismatch(f"unitary of shape {u.shape} in a {d}-dimensional channel")
             if not is_unitary(u, UNITARITY_TOL):
@@ -148,8 +133,14 @@ class RandomUnitaryChannel:
 
 
 def pauli_channel(q) -> QuantumOperation:
-    """Kraus form of the qubit Pauli channel with weights q over {I, x, y, z}."""
-    return PauliChannel(q=np.asarray(q, dtype=float)).as_operation()
+    """Kraus form of the qubit Pauli channel with weights q over {I, x, y, z}.
+
+    rho -> sum_a q[a] sigma_a rho sigma_a; only the strictly positive weights
+    become Kraus operators.
+    """
+    q = check_probability_vector(q, 4)
+    kraus = tuple(np.sqrt(w) * s for w, s in zip(q, PAULI_MATRICES) if w > 0)
+    return QuantumOperation(dim=2, kraus=kraus)
 
 
 def weyl_unitaries(d: int) -> tuple[np.ndarray, ...]:
@@ -180,25 +171,17 @@ def weyl_channel(d: int, q) -> RandomUnitaryChannel:
 
 def check_density_matrix(rho, d: int) -> np.ndarray:
     """Validate a d x d density matrix (Hermitian, unit trace, positive within tolerance)."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = require_finite(np.asarray(rho, dtype=complex), "state")
     if rho.shape != (d, d):
         raise DimensionMismatch(f"state of shape {rho.shape} for a {d}-dimensional operation")
-    if not is_hermitian(rho, TOLERANCES.hermiticity):
+    if not is_hermitian(rho, HERMITICITY_TOL):
         raise InvalidState("state is not Hermitian within tolerance")
-    if abs(float(np.trace(rho).real) - 1.0) > 1e-9 or abs(float(np.trace(rho).imag)) > 1e-9:
+    trace = complex(np.trace(rho))
+    if not (abs(trace.real - 1.0) <= 1e-9 and abs(trace.imag) <= 1e-9):
         raise InvalidState(f"state trace is {complex(np.trace(rho))}, not 1")
-    if float(np.min(np.linalg.eigvalsh(rho))) < -STATE_POSITIVITY_FLOOR:
+    if not float(np.min(np.linalg.eigvalsh(rho))) >= -STATE_POSITIVITY_FLOOR:
         raise InvalidState("state has an eigenvalue below the positivity floor")
     return rho
-
-
-def apply(op: QuantumOperation, rho) -> np.ndarray:
-    """Apply the operation to a density matrix: sum_n K_n rho K_n^dag."""
-    rho = check_density_matrix(rho, op.dim)
-    out = np.zeros((op.dim, op.dim), dtype=complex)
-    for k in op.kraus:
-        out += k @ rho @ dagger(k)
-    return out
 
 
 def unnormalized_choi(op: QuantumOperation) -> np.ndarray:
@@ -221,12 +204,12 @@ def apply_extended(op: QuantumOperation, xi) -> np.ndarray:
     Computed as (I x xi^T) sum_n |K_n>><<K_n| (I x xi^*), which agrees with
     applying the extended Kraus operators K_n x I directly.
     """
-    xi = np.asarray(xi, dtype=complex)
+    xi = require_finite(np.asarray(xi, dtype=complex), "input operator")
     d = op.dim
     if xi.shape != (d, d):
         raise DimensionMismatch(f"input operator of shape {xi.shape} for dimension {d}")
     norm2 = float(np.trace(dagger(xi) @ xi).real)
-    if abs(norm2 - 1.0) > 1e-9:
+    if not abs(norm2 - 1.0) <= 1e-9:
         raise InvalidState(f"Tr[xi^dag xi] is {norm2!r}, not 1")
     eye = np.eye(d)
     left = np.kron(eye, xi.T)

@@ -39,7 +39,7 @@ from .channels import (
     pauli_channel,
     weyl_channel,
 )
-from .config import TOLERANCES
+from .config import HERMITICITY_TOL
 from .discrimination import (
     DiscriminationProblem,
     bound_max_entangled,
@@ -49,7 +49,7 @@ from .discrimination import (
     pe_unentangled,
 )
 from .errors import OpdiscError, OptimizerFailure
-from .linalg import is_unitary
+from .linalg import is_unitary, require_finite
 from .optimizer import OptimizerConfig
 from .oracle import brute_force_entangled, brute_force_unentangled
 
@@ -80,13 +80,13 @@ class ParsedChannel:
 
 
 def _normalize_weights(q, length: int, what: str) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(-1)
+    q = require_finite(np.asarray(q, dtype=float).reshape(-1), what)
     if q.size != length:
         raise ValueError(f"{what}: expected {length} entries, got {q.size}")
-    if np.min(q) < 0.0:
+    if not np.min(q) >= 0.0:
         raise ValueError(f"{what}: negative entry {float(np.min(q))!r}")
     total = float(np.sum(q))
-    if abs(total - 1.0) > _CLI_SUM_TOL:
+    if not abs(total - 1.0) <= _CLI_SUM_TOL:
         raise ValueError(f"{what}: entries sum to {total!r}, not 1")
     return q / total
 
@@ -127,7 +127,7 @@ def _parse_matrix(entries, what: str) -> np.ndarray:
                 raise ValueError(f"{what}: entries must be [re, im] pairs")
             parsed.append(complex(entry[0], entry[1]))
         rows.append(parsed)
-    return np.array(rows, dtype=complex)
+    return require_finite(np.array(rows, dtype=complex), what)
 
 
 def parse_channel_file(path: str) -> ParsedChannel:
@@ -206,12 +206,12 @@ def operation_to_spec(op: QuantumOperation) -> dict:
     }
 
 
-def _tolerances_doc() -> dict:
-    return {
-        "hermiticity": _fmt(TOLERANCES.hermiticity),
-        "reconstruction": _fmt(TOLERANCES.reconstruction),
-        "optimizer": _fmt(TOLERANCES.optimizer),
-    }
+def _tolerances_doc(config: OptimizerConfig | None = None) -> dict:
+    """The tolerances in force: hermiticity always, the optimizer's ftol when it ran."""
+    doc = {"hermiticity": _fmt(HERMITICITY_TOL)}
+    if config is not None:
+        doc["optimizer"] = _fmt(config.ftol)
+    return doc
 
 
 def cmd_pauli(args: argparse.Namespace) -> dict:
@@ -284,7 +284,7 @@ def cmd_general(args: argparse.Namespace) -> dict:
                 "seed": int(args.seed),
                 "converged": bool(converged),
             },
-            "tolerances": _tolerances_doc(),
+            "tolerances": _tolerances_doc(None if method == "closed-form-pauli" else config),
         }
     )
     if args.dump_spec:

@@ -2,25 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The three tolerances that gate most numerical decisions.
-
-    hermiticity:    max-entry deviation allowed in ||A - A^dag|| checks.
-    reconstruction: max-entry deviation allowed when rebuilding A from its
-                    eigendecomposition.
-    optimizer:      value spread at which a simplex search is converged.
-    """
-
-    hermiticity: float = 1e-9
-    reconstruction: float = 1e-10
-    optimizer: float = 1e-9
-
-
-TOLERANCES = Tolerances()
+# Hermiticity checks allow this much max-entry deviation in ||A - A^dag||.
+HERMITICITY_TOL = 1e-9
 
 # Probability vectors must sum to 1 this tightly.
 PROBABILITY_TOL = 1e-12

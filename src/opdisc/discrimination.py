@@ -32,12 +32,19 @@ from .channels import (
 )
 from .config import ENTANGLEMENT_GAP, ORTHOGONALITY_TOL
 from .errors import DimensionMismatch, FamilyMismatch, NotOrthogonal
-from .linalg import dagger, eig_hermitian, mat_to_biket, trace_norm
+from .linalg import biket_to_mat, dagger, eig_hermitian, mat_to_biket, require_finite, trace_norm
 from .optimizer import MaximizeSummary, OptimizerConfig, decode_p, decode_pure_state, maximize
 from .oracle import TwoOutcomePovm
 
 # Unitary lists count as "the same family" only when equal entry by entry.
 _FAMILY_MATCH_TOL = 1e-12
+
+
+def _check_prior(p1) -> float:
+    p1 = float(require_finite(p1, "p1"))
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    return p1
 
 
 @dataclass(frozen=True)
@@ -51,9 +58,7 @@ class DiscriminationProblem:
     def __post_init__(self):
         if self.op1.dim != self.op2.dim:
             raise DimensionMismatch(f"dimension mismatch: {self.op1.dim} vs {self.op2.dim}")
-        if not 0.0 <= self.p1 <= 1.0:
-            raise ValueError(f"p1 must lie in [0, 1], got {self.p1!r}")
-        object.__setattr__(self, "p1", float(self.p1))
+        object.__setattr__(self, "p1", _check_prior(self.p1))
 
     @property
     def p2(self) -> float:
@@ -121,8 +126,7 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     The returned POVM projects onto the positive and negative support of
     p1 rho1 - p2 rho2; the zero eigenspace is assigned to outcome 1.
     """
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    p1 = _check_prior(p1)
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
@@ -179,11 +183,38 @@ def _state_seed_points(d: int) -> list[np.ndarray]:
     return seeds
 
 
-def _apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in kraus:
-        out += k @ rho @ dagger(k)
-    return out
+def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
+    """The see-saw step for maximizing ||p1 (E1 x I)(x x^dag) - p2 (E2 x I)(x x^dag)||_1.
+
+    Inputs x are unit vectors on system x ancilla (ancilla = 1: no ancilla).
+    The output difference is sum_k w_k A_k x x^dag A_k^dag with A_k = K_k x I
+    over both Kraus lists, w_k = p1 or -p2. With its sign S fixed, the value
+    at x' is at least x'^dag M x' with M = sum_k w_k A_k^dag S A_k, and equal
+    at x' = x; so the top eigenvector of M does at least as well as x. The
+    step maps a stack of inputs to (their values, those eigenvectors). Every
+    product and eigensolver call works row by row, so a row's result does not
+    depend on the stack it comes in.
+    """
+    kraus = np.stack(prob.op1.kraus + prob.op2.kraus)
+    weights = np.array([prob.p1] * len(prob.op1.kraus) + [-prob.p2] * len(prob.op2.kraus))
+    n, d, _ = kraus.shape
+    e = int(ancilla)
+    # X -> sum_k w_k K_k^dag X K_k acting on row-major vec(X) from the right
+    adjoint = np.einsum("k,kip,kjq->ijpq", weights, kraus.conj(), kraus).reshape(d * d, d * d)
+
+    def step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        b = len(x)
+        y = (kraus @ x.reshape(b, 1, d, e)).reshape(b, n, d * e)  # A_k x, one row per k
+        out = (y.transpose(0, 2, 1) * weights) @ y.conj()
+        evals, evecs = np.linalg.eigh(out)
+        sign = (evecs * np.sign(evals)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+        # M applies the adjoint map to each ancilla block of S
+        blocks = sign.reshape(b, d, e, d, e).transpose(0, 2, 4, 1, 3).reshape(b, e * e, d * d)
+        m = (blocks @ adjoint).reshape(b, e, e, d, d).transpose(0, 3, 1, 4, 2).reshape(b, d * e, d * e)
+        _, top = np.linalg.eigh(m)
+        return np.sum(np.abs(evals), axis=-1), top[..., -1]
+
+    return step
 
 
 def _degenerate_prior(prob: DiscriminationProblem) -> bool:
@@ -192,11 +223,13 @@ def _degenerate_prior(prob: DiscriminationProblem) -> bool:
 
 
 def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = None) -> DiscriminationResult:
-    """Numerically minimal error with an entangled input, via the P parameterization.
+    """Numerically minimal error with an entangled input, by see-saw over |xi>>.
 
-    Maximizes ||(I x P) Delta (I x P)||_1 over positive P with Tr[P^2] = 1.
-    The optimizing input operator is reported as optimal_xi with xi^T = P
-    (local unitary freedom fixed to the identity).
+    Maximizes the output trace norm over inputs |xi>> with Tr[xi^dag xi] = 1,
+    stepping with A_k = K_k x I; starts are |xi>> with xi^T = P for the
+    decode_p directions. An ancilla unitary, which no output trace norm sees,
+    turns the best input into optimal_xi with xi^T = P >= 0, so the optimum
+    is max ||(I x P) Delta (I x P)||_1 over positive P with Tr[P^2] = 1.
     """
     config = config or OptimizerConfig()
     d = prob.op1.dim
@@ -207,15 +240,16 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
             upper_bound=bound_max_entangled(prob),
             optimal_xi=np.eye(d, dtype=complex) / np.sqrt(d),
         )
-    delta = delta_operator(prob)
-    eye = np.eye(d)
-
-    def objective(theta: np.ndarray) -> float:
-        sandwich = np.kron(eye, decode_p(theta, d))
-        return trace_norm(sandwich @ delta @ sandwich)
-
-    value, params, summary = maximize(objective, d * d, config, seed_points=_p_seed_points(d))
-    p_opt = decode_p(params, d)
+    value, x, summary = maximize(
+        _seesaw_step(prob, ancilla=d),
+        lambda theta: mat_to_biket(decode_p(theta, d).T),
+        d * d,
+        config,
+        _p_seed_points(d),
+    )
+    # polar decomposition xi^T = W P; dropping W leaves xi^T = P
+    _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
+    p_opt = (dagger(vh) * s) @ vh
     return DiscriminationResult(
         method="numeric",
         pe_entangled=max(0.0, 0.5 * (1.0 - value)),
@@ -228,8 +262,8 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
 def pe_unentangled(prob: DiscriminationProblem, config: OptimizerConfig | None = None) -> DiscriminationResult:
     """Numerically minimal error with a single pure input state (no ancilla).
 
-    Maximizes ||p1 E1(psi) - p2 E2(psi)||_1 over pure states; convexity makes
-    pure inputs sufficient.
+    Maximizes ||p1 E1(psi) - p2 E2(psi)||_1 over pure states by see-saw with
+    A_k = K_k; convexity makes pure inputs sufficient.
     """
     config = config or OptimizerConfig()
     d = prob.op1.dim
@@ -237,19 +271,17 @@ def pe_unentangled(prob: DiscriminationProblem, config: OptimizerConfig | None =
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
         return DiscriminationResult(method="numeric", pe_unentangled=0.0, optimal_pure_input=psi)
-    kraus1, kraus2 = prob.op1.kraus, prob.op2.kraus
-    p1, p2 = prob.p1, prob.p2
-
-    def objective(theta: np.ndarray) -> float:
-        psi = decode_pure_state(theta, d)
-        rho = np.outer(psi, psi.conj())
-        return trace_norm(p1 * _apply_kraus(kraus1, rho) - p2 * _apply_kraus(kraus2, rho))
-
-    value, params, summary = maximize(objective, 2 * d, config, seed_points=_state_seed_points(d))
+    value, psi, summary = maximize(
+        _seesaw_step(prob, ancilla=1),
+        lambda theta: decode_pure_state(theta, d),
+        2 * d,
+        config,
+        _state_seed_points(d),
+    )
     return DiscriminationResult(
         method="numeric",
         pe_unentangled=max(0.0, 0.5 * (1.0 - value)),
-        optimal_pure_input=decode_pure_state(params, d),
+        optimal_pure_input=psi,
         diagnostics=summary,
     )
 
@@ -269,7 +301,7 @@ def is_orthogonal_unitary_family(channel: RandomUnitaryChannel) -> bool:
         for n in range(m, len(us)):
             overlap = complex(np.trace(dagger(us[m]) @ us[n]))
             target = d if m == n else 0.0
-            if abs(overlap - target) > ORTHOGONALITY_TOL:
+            if not abs(overlap - target) <= ORTHOGONALITY_TOL:
                 return False
     return True
 
@@ -282,13 +314,12 @@ def _check_same_family(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel) -> 
             f"unitary lists of lengths {len(ch1.unitaries)} and {len(ch2.unitaries)}"
         )
     for n, (u1, u2) in enumerate(zip(ch1.unitaries, ch2.unitaries)):
-        if float(np.max(np.abs(u1 - u2))) > _FAMILY_MATCH_TOL:
+        if not float(np.max(np.abs(u1 - u2))) <= _FAMILY_MATCH_TOL:
             raise FamilyMismatch(f"unitary lists differ at index {n}")
 
 
 def _weight_differences(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel, p1: float) -> np.ndarray:
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    p1 = _check_prior(p1)
     return p1 * ch1.weights - (1.0 - p1) * ch2.weights
 
 
@@ -335,8 +366,7 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
     """
     q1 = check_probability_vector(q1, 4)
     q2 = check_probability_vector(q2, 4)
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    p1 = _check_prior(p1)
     r = p1 * q1 - (1.0 - p1) * q2
     a = float(r[0] + r[3])
     b = float(r[1] + r[2])

@@ -5,6 +5,10 @@ class OpdiscError(Exception):
     """Base class for every error this package raises on bad input or failure."""
 
 
+class NonFinite(OpdiscError, ValueError):
+    """An input holds NaN or an infinity; the message names the offending value."""
+
+
 class NonSquare(OpdiscError):
     """A matrix that must be square is not."""
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOLERANCES, STATE_POSITIVITY_FLOOR, UNITARITY_TOL
-from .errors import DimensionMismatch, NonHermitian, NonSquare
+from .config import HERMITICITY_TOL, STATE_POSITIVITY_FLOOR, UNITARITY_TOL
+from .errors import DimensionMismatch, NonFinite, NonHermitian, NonSquare
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -28,12 +28,21 @@ def _require_square(a) -> np.ndarray:
     return a
 
 
+def require_finite(a, what: str):
+    """Return `a` unchanged, or raise NonFinite naming its first NaN or infinite entry."""
+    values = np.asarray(a)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)].flat[0].item()
+        raise NonFinite(f"{what} has a non-finite entry {bad!r}")
+    return a
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a).conj().T
 
 
-def is_hermitian(a, tol: float = TOLERANCES.hermiticity) -> bool:
+def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
     """True when ||A - A^dag||_max <= tol."""
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -69,9 +78,7 @@ class EigDecomposition:
 def eig_hermitian(a) -> EigDecomposition:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Raises NonSquare / NonHermitian on bad input. The reconstruction
-    V diag(w) V^dag is guaranteed to match A within the reconstruction
-    tolerance for well-scaled input.
+    Raises NonSquare / NonHermitian on bad input.
     """
     a = _require_square(a)
     if not is_hermitian(a):
@@ -94,11 +101,6 @@ def trace_norm(a) -> float:
     if is_hermitian(a):
         return float(np.sum(np.abs(np.linalg.eigvalsh((a + dagger(a)) / 2))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, first factor on the slow (left) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def partial_trace(a, dims: tuple[int, int], which: int) -> np.ndarray:

@@ -1,9 +1,13 @@
-"""Multi-start derivative-free maximization with constraint-free parameterizations.
+"""Multi-start see-saw maximization, every start stepped in lockstep.
 
-Feasibility is enforced by the decoders, never by penalties: decode_p maps any
-real vector to a positive matrix with Tr[P^2] = 1, and decode_pure_state maps
-any real vector to a normalized state vector. Starts are deterministic, keyed
-by (seed, start index), so identical configurations reproduce identical runs.
+The caller supplies the step: it takes a stack of inputs (one per row) and
+returns their values and the next inputs. Starts are deterministic, keyed by
+(seed, start index). Each start stops on its own test, so with a step that
+works row by row a start's trajectory depends only on its start input, and
+adding starts never changes the ones already there. decode_p and
+decode_pure_state turn start vectors into start inputs: decode_p maps any real
+vector to a positive matrix with Tr[P^2] = 1, and decode_pure_state maps any
+real vector to a normalized state vector.
 """
 
 from __future__ import annotations
@@ -12,22 +16,24 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, OptimizerFailure
-
-# Simplex displacement tolerance; values near a smooth maximum are quadratically
-# flat, so 1e-8 in parameters is far below the 1e-9 value tolerance.
-_XATOL = 1e-8
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for maximize. Defaults suit the d <= 4 problems in this package."""
+    """Knobs for maximize. Defaults suit the d <= 4 problems in this package.
+
+    max_iters caps the see-saw steps of each start; ftol is the value gain of
+    one step below which a start has converged. See-saw values converge
+    linearly, with gains often shrinking by only ~0.8 per step, so the
+    distance to the limit can be several times the last gain; the default
+    keeps it far below 1e-9.
+    """
 
     num_starts: int = 32
     max_iters: int = 2000
-    ftol: float = 1e-9
+    ftol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -43,11 +49,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class MaximizeSummary:
-    """What happened across all starts of one maximize call."""
+    """What happened across all starts of one maximize call.
+
+    best_start is the start reported; converged is that start's own flag.
+    n_evaluations counts input evaluations over all starts and steps.
+    """
 
     n_starts: int
     best_start: int
-    best_value: float
     converged: bool
     n_evaluations: int
     start_values: tuple[float, ...]
@@ -56,7 +65,7 @@ class MaximizeSummary:
 
 class MaximizeResult(NamedTuple):
     value: float
-    params: np.ndarray
+    argmax: np.ndarray
     summary: MaximizeSummary
 
 
@@ -67,91 +76,64 @@ def _start_point(seed: int, index: int, dim_params: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=dim_params)
 
 
-class _EvaluationFailure(Exception):
-    pass
-
-
 def maximize(
-    objective: Callable[[np.ndarray], float],
+    step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    start_input: Callable[[np.ndarray], np.ndarray],
     dim_params: int,
     config: OptimizerConfig | None = None,
     seed_points: Sequence[np.ndarray] = (),
 ) -> MaximizeResult:
-    """Best value of `objective` over num_starts independent simplex searches.
+    """Best value over num_starts runs of `step`, all starts advanced together.
 
-    The first starts come from seed_points (clipped to num_starts); the rest
-    are uniform in [-1, 1]^dim_params from the per-start generator. Each local
-    search runs until its value spread drops below ftol or max_iters is hit,
-    then is restarted once from its own best point to polish. Raises
-    OptimizerFailure only if every start fails to produce a finite value.
+    step(x) takes a stack of inputs and returns (values at x, next inputs).
+    Start i begins at start_input(v), where v is seed_points[i] for the first
+    starts and uniform in [-1, 1]^dim_params from the per-start generator for
+    the rest. A start stops once a step gains no more than ftol (converged)
+    or after max_iters steps, and keeps the last input it has a value for.
+    The result is the lowest-index start within ftol of the best value, so a
+    rounding-level tie never moves it off a seed point. Raises
+    OptimizerFailure only if no start reaches a finite value.
     """
     config = config or OptimizerConfig()
-
-    def negated(theta: np.ndarray) -> float:
-        value = objective(theta)
-        if not np.isfinite(value):
-            raise _EvaluationFailure(f"objective returned {value!r}")
-        return -float(value)
-
-    options = {
-        "maxiter": config.max_iters,
-        "maxfev": 4 * config.max_iters,
-        "fatol": config.ftol,
-        "xatol": _XATOL,
-    }
-
-    best_value = -np.inf
-    best_params: np.ndarray | None = None
-    best_start = -1
-    best_converged = False
-    start_values: list[float] = []
-    failed: list[int] = []
-    n_evaluations = 0
-
+    vectors = []
     for index in range(config.num_starts):
         if index < len(seed_points):
-            x0 = np.asarray(seed_points[index], dtype=float).reshape(-1)
-            if x0.size != dim_params:
-                raise DimensionMismatch(
-                    f"seed point of length {x0.size}, expected {dim_params}"
-                )
+            v = np.asarray(seed_points[index], dtype=float).reshape(-1)
+            if v.size != dim_params:
+                raise DimensionMismatch(f"seed point of length {v.size}, expected {dim_params}")
         else:
-            x0 = _start_point(config.seed, index, dim_params)
-        try:
-            res = minimize(negated, x0, method="Nelder-Mead", options=options)
-            n_evaluations += res.nfev
-            # one polish pass from the found vertex; a fresh simplex often
-            # shaves the last few digits
-            res2 = minimize(negated, res.x, method="Nelder-Mead", options=options)
-            n_evaluations += res2.nfev
-        except _EvaluationFailure:
-            failed.append(index)
-            start_values.append(float("nan"))
-            continue
-        if res2.fun <= res.fun:
-            value, params, converged = -res2.fun, res2.x, bool(res2.success)
-        else:
-            value, params, converged = -res.fun, res.x, bool(res.success)
-        start_values.append(float(value))
-        if value > best_value:
-            best_value = float(value)
-            best_params = params
-            best_start = index
-            best_converged = converged
+            v = _start_point(config.seed, index, dim_params)
+        vectors.append(v)
+    x = np.stack([start_input(v) for v in vectors])
 
-    if best_params is None:
-        raise OptimizerFailure("every start failed to evaluate the objective")
+    values = np.full(config.num_starts, -np.inf)
+    converged = np.zeros(config.num_starts, dtype=bool)
+    active = np.arange(config.num_starts)
+    steps = n_evaluations = 0
+    while active.size and steps < config.max_iters:
+        new_values, moved = step(x[active])
+        steps += 1
+        n_evaluations += active.size
+        gained = np.asarray(new_values) - values[active] > config.ftol  # False for NaN
+        values[active] = new_values
+        converged[active] = ~gained
+        active = active[gained]
+        if steps < config.max_iters:
+            x[active] = moved[gained]
 
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise OptimizerFailure("no start reached a finite value")
+    best = int(np.flatnonzero(values >= np.max(values[finite]) - config.ftol)[0])
     summary = MaximizeSummary(
         n_starts=config.num_starts,
-        best_start=best_start,
-        best_value=best_value,
-        converged=best_converged,
+        best_start=best,
+        converged=bool(converged[best]),
         n_evaluations=n_evaluations,
-        start_values=tuple(start_values),
-        failed_starts=tuple(failed),
+        start_values=tuple(float(v) for v in values),
+        failed_starts=tuple(int(i) for i in np.flatnonzero(~finite)),
     )
-    return MaximizeResult(value=best_value, params=best_params, summary=summary)
+    return MaximizeResult(value=float(values[best]), argmax=x[best], summary=summary)
 
 
 def decode_p(theta, d: int) -> np.ndarray:

@@ -13,9 +13,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import POVM_TOL, TOLERANCES
+from .config import HERMITICITY_TOL, POVM_TOL
 from .errors import DimensionMismatch, InvalidPovm, InvalidState, UnsupportedDimension
-from .linalg import dagger, is_hermitian, trace_norm
+from .linalg import dagger, is_hermitian, require_finite, trace_norm
 
 if TYPE_CHECKING:  # only for annotations; keeps this module import-independent
     from .discrimination import DiscriminationProblem
@@ -32,8 +32,8 @@ class TwoOutcomePovm:
     pi2: np.ndarray
 
     def __post_init__(self):
-        pi1 = np.asarray(self.pi1, dtype=complex)
-        pi2 = np.asarray(self.pi2, dtype=complex)
+        pi1 = require_finite(np.asarray(self.pi1, dtype=complex), "pi1")
+        pi2 = require_finite(np.asarray(self.pi2, dtype=complex), "pi2")
         if pi1.shape != pi2.shape or pi1.ndim != 2 or pi1.shape[0] != pi1.shape[1]:
             raise DimensionMismatch(
                 f"POVM elements of shapes {pi1.shape} and {pi2.shape} do not form a pair"
@@ -50,10 +50,10 @@ def _check_povm(povm: TwoOutcomePovm, d: int) -> None:
     for name, pi in (("pi1", povm.pi1), ("pi2", povm.pi2)):
         if not is_hermitian(pi, POVM_TOL):
             raise InvalidPovm(f"{name} is not Hermitian within tolerance")
-        if float(np.min(np.linalg.eigvalsh(pi))) < -POVM_TOL:
+        if not float(np.min(np.linalg.eigvalsh(pi))) >= -POVM_TOL:
             raise InvalidPovm(f"{name} has an eigenvalue below -{POVM_TOL}")
     deviation = float(np.max(np.abs(povm.pi1 + povm.pi2 - np.eye(d))))
-    if deviation > POVM_TOL:
+    if not deviation <= POVM_TOL:
         raise InvalidPovm(f"pi1 + pi2 deviates from identity by {deviation:.3e}")
 
 
@@ -61,9 +61,9 @@ def _check_state(rho, d: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise DimensionMismatch(f"state of shape {rho.shape}, expected {d}x{d}")
-    if not is_hermitian(rho, TOLERANCES.hermiticity):
+    if not is_hermitian(rho, HERMITICITY_TOL):
         raise InvalidState("state is not Hermitian within tolerance")
-    if abs(complex(np.trace(rho)) - 1.0) > 1e-9:
+    if not abs(complex(np.trace(rho)) - 1.0) <= 1e-9:
         raise InvalidState(f"state trace is {complex(np.trace(rho))}, not 1")
     return rho
 

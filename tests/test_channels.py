@@ -19,8 +19,8 @@ from opdisc import (
     weyl_channel,
     weyl_unitaries,
 )
-from opdisc.channels import apply
-from opdisc.linalg import dagger, kron, mat_to_biket
+from opdisc.channels import check_density_matrix
+from opdisc.linalg import dagger, mat_to_biket, partial_trace
 
 from helpers import haar_unitary, random_density, random_kraus_operation, random_prob_vector, random_pure_state
 
@@ -161,7 +161,13 @@ def test_random_unitary_channel_rejects_count_mismatch():
         RandomUnitaryChannel(dim=2, unitaries=(SI, SX), weights=np.array([1.0]))
 
 
-# --- apply ---
+# --- the channel action, read off the Choi-type operator ---
+
+def apply(op, rho):
+    """E(rho) = Tr_2[(I x rho^T) sum |K>><<K|]: the action through the library's Choi route."""
+    d = op.dim
+    return partial_trace(np.kron(np.eye(d), rho.T) @ unnormalized_choi(op), (d, d), 1)
+
 
 def test_apply_identity_channel():
     rng = np.random.default_rng(23)
@@ -189,14 +195,13 @@ def test_apply_preserves_trace_and_hermiticity():
             assert np.max(np.abs(out - dagger(out))) < 1e-10
 
 
-def test_apply_rejects_invalid_states():
-    op = pauli_channel([1, 0, 0, 0])
+def test_check_density_matrix_rejects_invalid_states():
     with pytest.raises(InvalidState):
-        apply(op, np.eye(2))   # trace 2
+        check_density_matrix(np.eye(2), 2)   # trace 2
     with pytest.raises(InvalidState):
-        apply(op, np.diag([1.5, -0.5]))   # negative eigenvalue
+        check_density_matrix(np.diag([1.5, -0.5]), 2)   # negative eigenvalue
     with pytest.raises(DimensionMismatch):
-        apply(op, np.eye(3) / 3)
+        check_density_matrix(np.eye(3) / 3, 2)
 
 
 # --- apply_extended ---
@@ -222,7 +227,7 @@ def test_extended_rank_one_input_factorizes():
         b = random_pure_state(d, rng)
         xi = np.outer(a, b)
         got = apply_extended(op, xi)
-        want = kron(apply(op, np.outer(a, a.conj())), np.outer(b, b.conj()))
+        want = np.kron(apply(op, np.outer(a, a.conj())), np.outer(b, b.conj()))
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -237,7 +242,7 @@ def test_extended_matches_explicit_kraus_route():
             vec = mat_to_biket(xi)
             rho = np.outer(vec, vec.conj())
             eye = np.eye(d)
-            direct = sum(kron(k, eye) @ rho @ dagger(kron(k, eye)) for k in op.kraus)
+            direct = sum(np.kron(k, eye) @ rho @ dagger(np.kron(k, eye)) for k in op.kraus)
             assert np.max(np.abs(apply_extended(op, xi) - direct)) < 1e-10
             assert abs(np.trace(apply_extended(op, xi)).real - 1.0) < 1e-10
 

@@ -72,7 +72,8 @@ def test_pauli_worked_example():
     assert doc["entanglement_needed"] is True
     assert doc["optimal_unentangled_axis"] == "z"
     assert doc["method"] == "closed-form-pauli"
-    assert list(doc["tolerances"]) == ["hermiticity", "reconstruction", "optimizer"]
+    # no optimizer runs on a closed form, so only the hermiticity tolerance is in force
+    assert doc["tolerances"] == {"hermiticity": "1e-09"}
 
 
 def test_pauli_perfect_discrimination():
@@ -139,6 +140,17 @@ def test_general_numeric_on_kraus_files(tmp_path):
     assert float(doc["pe_entangled"]) < 1e-6
     assert abs(float(doc["pe_unentangled"]) - 1 / 6) < 1e-6
     assert doc["optimizer"] == {"starts": 8, "seed": 0, "converged": True}
+    assert doc["tolerances"] == {"hermiticity": "1e-09", "optimizer": "1e-12"}
+
+
+def test_general_numeric_qutrit_identity_vs_depolarizing_converges(tmp_path):
+    """The seed start is exact here; a later start one ulp above it must not hide its converged flag."""
+    f1 = write_spec(tmp_path / "id3.json", operation_to_spec(weyl_channel(3, [1.0] + [0.0] * 8).as_operation()))
+    f2 = write_spec(tmp_path / "dep3.json", operation_to_spec(weyl_channel(3, [1 / 9] * 9).as_operation()))
+    doc = run_json(["general", "--file1", f1, "--file2", f2, "--starts", "32"])
+    assert doc["method"] == "numeric"
+    assert doc["pe_entangled"] == "0.05555555556"
+    assert doc["optimizer"] == {"starts": 32, "seed": 0, "converged": True}
 
 
 def test_general_closed_form_orthogonal_qutrit(tmp_path):

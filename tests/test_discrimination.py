@@ -38,6 +38,7 @@ from opdisc import (
 from helpers import (
     haar_unitary,
     random_density,
+    random_kraus_operation,
     random_prob_vector,
     random_qubit_problem,
 )
@@ -238,6 +239,19 @@ def test_entanglement_needed_numeric():
     assert entanglement_needed_numeric(_identity_vs_depolarizing(), FAST)
     op = pauli_channel(Q_DEP)
     assert not entanglement_needed_numeric(DiscriminationProblem(op, op, 0.4), FAST)
+
+
+def test_pe_entangled_reaches_the_optimum_on_a_rank_4_vs_1_qudit_pair():
+    """A simplex search stopped at 0.0158488 on this pair; the optimum is 0.0158346014."""
+    rng = np.random.default_rng(2)
+    op1 = random_kraus_operation(4, 4, rng)
+    op2 = random_kraus_operation(4, 1, rng)
+    result = pe_entangled(DiscriminationProblem(op1, op2, 0.516))
+    assert result.pe_entangled <= 0.015835
+    # the reported input is rotated so that xi^T = P >= 0
+    p = result.optimal_xi.T
+    assert np.max(np.abs(p - p.conj().T)) < 1e-12
+    assert np.min(np.linalg.eigvalsh(p)) > -1e-12
 
 
 # --- random-unitary closed forms ---

@@ -23,7 +23,7 @@ from opdisc import (
     partial_trace,
     trace_norm,
 )
-from opdisc.linalg import dagger, kron
+from opdisc.linalg import dagger
 
 from helpers import haar_unitary, random_density
 
@@ -193,15 +193,15 @@ def test_trace_norm_convexity(seed, lam):
     assert mixed <= lam * trace_norm(a) + (1.0 - lam) * trace_norm(b) + 1e-9
 
 
-# --- kron ---
+# --- np.kron: the first factor sits on the slow (left) index ---
 
 def test_kron_identities():
-    np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4), atol=0)
-    np.testing.assert_allclose(kron(SZ, SZ), np.diag([1.0, -1.0, -1.0, 1.0]), atol=0)
+    np.testing.assert_allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4), atol=0)
+    np.testing.assert_allclose(np.kron(SZ, SZ), np.diag([1.0, -1.0, -1.0, 1.0]), atol=0)
 
 
 def test_kron_pauli_x_identity():
-    got = kron(SX, np.eye(2))
+    got = np.kron(SX, np.eye(2))
     want = np.zeros((4, 4), dtype=complex)
     want[0:2, 2:4] = np.eye(2)
     want[2:4, 0:2] = np.eye(2)
@@ -213,7 +213,7 @@ def test_kron_matches_index_loops():
     for sa, sb in (((2, 2), (3, 3)), ((2, 3), (3, 2)), ((1, 4), (2, 2))):
         a = rng.standard_normal(sa) + 1j * rng.standard_normal(sa)
         b = rng.standard_normal(sb) + 1j * rng.standard_normal(sb)
-        np.testing.assert_allclose(kron(a, b), kron_by_hand(a, b), atol=1e-14)
+        np.testing.assert_allclose(np.kron(a, b), kron_by_hand(a, b), atol=1e-14)
 
 
 # --- partial_trace ---
@@ -230,7 +230,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(14)
     rho = random_density(2, rng)
     sigma = random_hermitian(3, rng)
-    joint = kron(rho, sigma)
+    joint = np.kron(rho, sigma)
     np.testing.assert_allclose(
         partial_trace(joint, (2, 3), 1), rho * np.trace(sigma), atol=1e-12
     )
@@ -297,8 +297,8 @@ def test_biket_tensor_identities():
     for d in (2, 3):
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         eye_ket = mat_to_biket(np.eye(d))
-        np.testing.assert_allclose(kron(a, np.eye(d)) @ eye_ket, mat_to_biket(a), atol=1e-13)
-        np.testing.assert_allclose(kron(np.eye(d), a.T) @ eye_ket, mat_to_biket(a), atol=1e-13)
+        np.testing.assert_allclose(np.kron(a, np.eye(d)) @ eye_ket, mat_to_biket(a), atol=1e-13)
+        np.testing.assert_allclose(np.kron(np.eye(d), a.T) @ eye_ket, mat_to_biket(a), atol=1e-13)
 
 
 def test_biket_rejects_wrong_length():

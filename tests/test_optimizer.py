@@ -1,10 +1,16 @@
-"""Tests for the multi-start simplex maximizer and its parameterizations."""
+"""Tests for the multi-start see-saw maximizer and its start parameterizations."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opdisc
 from opdisc import (
     DimensionMismatch,
     DiscriminationProblem,
@@ -12,12 +18,16 @@ from opdisc import (
     OptimizerFailure,
     decode_p,
     decode_pure_state,
-    delta_operator,
+    mat_to_biket,
     maximize,
     pauli_channel,
-    trace_norm,
+    pe_entangled,
+    pe_unentangled,
 )
-from opdisc.linalg import dagger, is_positive_semidefinite, kron
+from opdisc.discrimination import _seesaw_step
+from opdisc.linalg import is_positive_semidefinite
+
+from helpers import random_qubit_problem
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -77,32 +87,38 @@ def test_decode_pure_state_rejects_wrong_length():
 
 # --- maximize ---
 
+def _halving(x):
+    # ascent step for -|x|^2: halve the input
+    return -np.sum(x * x, axis=1), x / 2
+
+
 def test_maximize_concave_bowl():
-    res = maximize(lambda t: -float(t @ t), 3, OptimizerConfig(num_starts=4))
+    res = maximize(_halving, lambda v: v, 3, OptimizerConfig(num_starts=4))
     assert abs(res.value) < 1e-8
-    assert np.max(np.abs(res.params)) < 1e-3
+    assert np.max(np.abs(res.argmax)) < 1e-3
     assert res.summary.converged
     assert len(res.summary.start_values) == 4
     assert res.summary.n_evaluations > 0
 
 
-def test_maximize_is_deterministic():
-    def bumpy(t):
-        return float(np.sin(3.0 * t[0]) - 0.1 * t[0] ** 2 + np.cos(2.0 * t[1]))
+def _gradient_step(x):
+    # a fixed-rate gradient ascent step on a bumpy landscape
+    values = np.sin(3.0 * x[:, 0]) - 0.1 * x[:, 0] ** 2 + np.cos(2.0 * x[:, 1])
+    grad = np.stack([3.0 * np.cos(3.0 * x[:, 0]) - 0.2 * x[:, 0], -2.0 * np.sin(2.0 * x[:, 1])], axis=1)
+    return values, x + 0.05 * grad
 
-    a = maximize(bumpy, 2, OptimizerConfig(num_starts=6, seed=3))
-    b = maximize(bumpy, 2, OptimizerConfig(num_starts=6, seed=3))
+
+def test_maximize_is_deterministic():
+    a = maximize(_gradient_step, lambda v: 2 * v, 2, OptimizerConfig(num_starts=6, seed=3))
+    b = maximize(_gradient_step, lambda v: 2 * v, 2, OptimizerConfig(num_starts=6, seed=3))
     assert a.value == b.value
-    assert np.array_equal(a.params, b.params)
+    assert np.array_equal(a.argmax, b.argmax)
     assert a.summary.best_start == b.summary.best_start
 
 
 def test_maximize_monotone_in_starts():
-    def bumpy(t):
-        return float(np.sin(5.0 * t[0]) + np.sin(3.0 * t[1]) - 0.05 * (t @ t))
-
     values = [
-        maximize(bumpy, 2, OptimizerConfig(num_starts=k, seed=9)).value
+        maximize(_gradient_step, lambda v: 3 * v, 2, OptimizerConfig(num_starts=k, seed=9)).value
         for k in (1, 2, 4, 8)
     ]
     assert all(values[i] <= values[i + 1] + 1e-15 for i in range(len(values) - 1))
@@ -110,31 +126,63 @@ def test_maximize_monotone_in_starts():
 
 def test_maximize_prefers_seed_point_on_tie():
     target = np.array([0.3, -0.7])
-    res = maximize(
-        lambda t: -float(np.sum((t - target) ** 2)),
-        2,
-        OptimizerConfig(num_starts=4),
-        seed_points=(target,),
-    )
+
+    def toward_target(x):
+        return -np.sum((x - target) ** 2, axis=1), (x + target) / 2
+
+    res = maximize(toward_target, lambda v: v, 2, OptimizerConfig(num_starts=4), seed_points=(target,))
     assert res.summary.best_start == 0
     assert abs(res.value) < 1e-12
 
 
+def test_maximize_reports_seed_start_when_a_later_one_edges_ahead_by_rounding():
+    """A later, unconverged start one ulp above the seed start must not be reported."""
+    best = 1 / 18
+
+    def step(x):
+        # column 0 marks random starts, column 1 counts steps; the seed start
+        # sits at `best` from its first step, random starts end one ulp above
+        # it after a jump too large to count as converged
+        values = np.where(x[:, 0] == 0, best, np.where(x[:, 1] == 0, best - 1, best + 1.1e-16))
+        return values, x + [0, 1]
+
+    res = maximize(
+        step,
+        lambda v: np.array([float(np.any(v != 0)), 0.0]),
+        2,
+        OptimizerConfig(num_starts=4, max_iters=2),
+        seed_points=(np.zeros(2),),
+    )
+    assert max(res.summary.start_values) > best
+    assert res.summary.best_start == 0
+    assert res.value == best
+    assert res.summary.converged
+
+
 def test_maximize_raises_when_every_start_fails():
     with pytest.raises(OptimizerFailure):
-        maximize(lambda t: float("nan"), 2, OptimizerConfig(num_starts=3))
+        maximize(lambda x: (np.full(len(x), np.nan), x), lambda v: v, 2, OptimizerConfig(num_starts=3))
 
 
 def test_maximize_records_partial_failures():
     # the seeded start sits in the broken region; random starts never get there
-    def broken_far_out(t):
-        return float("nan") if np.max(np.abs(t)) >= 2.0 else -float(t @ t)
+    def broken_far_out(x):
+        values, moved = _halving(x)
+        return np.where(np.max(np.abs(x), axis=1) >= 2.0, np.nan, values), moved
 
     res = maximize(
-        broken_far_out, 2, OptimizerConfig(num_starts=6, seed=1), seed_points=(np.array([5.0, 5.0]),)
+        broken_far_out, lambda v: v, 2, OptimizerConfig(num_starts=6, seed=1), seed_points=(np.array([5.0, 5.0]),)
     )
     assert res.summary.failed_starts == (0,)
     assert abs(res.value) < 1e-8
+
+
+def test_maximize_caps_steps_at_max_iters():
+    res = maximize(_halving, lambda v: v, 2, OptimizerConfig(num_starts=3, max_iters=2))
+    assert res.summary.n_evaluations == 6
+    assert not res.summary.converged
+    # the reported value is the value of the reported input
+    assert res.value == -float(np.sum(res.argmax**2))
 
 
 def test_optimizer_config_validates():
@@ -144,7 +192,7 @@ def test_optimizer_config_validates():
         OptimizerConfig(ftol=-1.0)
 
 
-# --- the two discrimination objectives on the known worked example ---
+# --- the two discrimination see-saw steps on the known worked example ---
 
 def _identity_vs_depolarizing():
     return DiscriminationProblem(
@@ -153,29 +201,39 @@ def _identity_vs_depolarizing():
 
 
 def test_maximize_entangled_objective_worked_example():
-    """Identity vs depolarizing: the ancilla objective peaks at 0.75, P = I/sqrt(2)."""
-    delta = delta_operator(_identity_vs_depolarizing())
-    eye = np.eye(2)
-
-    def objective(theta):
-        sandwich = kron(eye, decode_p(theta, 2))
-        return trace_norm(sandwich @ delta @ sandwich)
-
+    """Identity vs depolarizing: the ancilla objective peaks at 0.75, at the maximally entangled input."""
     res = maximize(
-        objective, 4, OptimizerConfig(num_starts=8), seed_points=(np.array([1.0, 1.0, 0.0, 0.0]),)
+        _seesaw_step(_identity_vs_depolarizing(), ancilla=2),
+        lambda theta: mat_to_biket(decode_p(theta, 2).T),
+        4,
+        OptimizerConfig(num_starts=8),
+        seed_points=(np.array([1.0, 1.0, 0.0, 0.0]),),
     )
     assert abs(res.value - 0.75) < 1e-8
-    assert np.max(np.abs(decode_p(res.params, 2) - eye / np.sqrt(2))) < 1e-3
+    assert abs(abs(np.vdot(mat_to_biket(np.eye(2)) / np.sqrt(2), res.argmax)) - 1.0) < 1e-6
 
 
 def test_maximize_unentangled_objective_worked_example():
-    prob = _identity_vs_depolarizing()
-
-    def objective(theta):
-        psi = decode_pure_state(theta, 2)
-        rho = np.outer(psi, psi.conj())
-        out2 = sum(k @ rho @ dagger(k) for k in prob.op2.kraus)
-        return trace_norm(prob.p1 * rho - prob.p2 * out2)
-
-    res = maximize(objective, 4, OptimizerConfig(num_starts=8))
+    res = maximize(
+        _seesaw_step(_identity_vs_depolarizing(), ancilla=1),
+        lambda theta: decode_pure_state(theta, 2),
+        4,
+        OptimizerConfig(num_starts=8),
+    )
     assert abs(res.value - 0.5) < 1e-8
+
+
+def test_maximize_start_trajectories_ignore_num_starts():
+    prob = random_qubit_problem(np.random.default_rng(11))
+    for solve in (pe_entangled, pe_unentangled):
+        few = solve(prob, OptimizerConfig(num_starts=4)).diagnostics.start_values
+        many = solve(prob, OptimizerConfig(num_starts=12)).diagnostics.start_values
+        assert few == many[:4]
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(opdisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, opdisc; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
