@@ -40,6 +40,7 @@ print("numeric optimizers")
 print(f"  pe (entangled)      {res_e.pe_entangled:.12f}")
 print(f"  pe (unentangled)    {res_u.pe_unentangled:.12f}")
 print(f"  upper bound         {bound_max_entangled(prob):.12f}   (max-entangled input)")
+print(f"  certified lower     {res_e.lower_bound:.12f}   (dual bound on the returned input)")
 print(f"  starts used         {res_e.diagnostics.n_starts}, converged: {res_e.diagnostics.converged}")
 
 # the optimizer lands on the maximally entangled input: xi proportional to I

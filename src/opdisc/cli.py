@@ -5,7 +5,8 @@ Three subcommands:
 * ``pauli``    closed forms for two qubit Pauli channels given as weight vectors.
 * ``general``  two channels from spec files; closed forms when both are
                recognized as mixtures of one orthogonal unitary family,
-               the multi-start optimizer otherwise.
+               the multi-start optimizer otherwise; lower_bound is the
+               closed form or pe_entangled's certified dual bound.
 * ``oracle``   naive brute-force reference values for two channels (d <= 4).
 
 Channel spec files are JSON documents:
@@ -39,7 +40,7 @@ from .channels import (
     pauli_channel,
     weyl_channel,
 )
-from .config import HERMITICITY_TOL
+from .config import CERTIFIED_GAP, HERMITICITY_TOL
 from .discrimination import (
     DiscriminationProblem,
     bound_max_entangled,
@@ -206,11 +207,14 @@ def operation_to_spec(op: QuantumOperation) -> dict:
     }
 
 
-def _tolerances_doc(config: OptimizerConfig | None = None) -> dict:
-    """The tolerances in force: hermiticity always, the optimizer's ftol when it ran."""
+def _tolerances_doc(config: OptimizerConfig | None = None, certified: bool = False) -> dict:
+    """The tolerances in force: hermiticity always, the optimizer's ftol when it
+    ran, and the certified gap when pe_entangled ran."""
     doc = {"hermiticity": _fmt(HERMITICITY_TOL)}
     if config is not None:
         doc["optimizer"] = _fmt(config.ftol)
+    if certified:
+        doc["certified_gap"] = _fmt(CERTIFIED_GAP)
     return doc
 
 
@@ -245,7 +249,6 @@ def cmd_general(args: argparse.Namespace) -> dict:
     config = OptimizerConfig(num_starts=args.starts, seed=args.seed)
     prob = DiscriminationProblem(ch1.operation, ch2.operation, p1)
 
-    lower = None
     if ch1.pauli_q is not None and ch2.pauli_q is not None:
         summary = pauli_delta_summary(ch1.pauli_q, ch2.pauli_q, p1)
         method = "closed-form-pauli"
@@ -265,6 +268,7 @@ def cmd_general(args: argparse.Namespace) -> dict:
         result_e = pe_entangled(prob, config)
         result_u = pe_unentangled(prob, config)
         ent, unent = result_e.pe_entangled, result_u.pe_unentangled
+        lower = result_e.lower_bound
         converged = all(
             r.diagnostics is None or r.diagnostics.converged for r in (result_e, result_u)
         )
@@ -273,20 +277,17 @@ def cmd_general(args: argparse.Namespace) -> dict:
         "pe_entangled": _fmt(ent),
         "pe_unentangled": _fmt(unent),
         "upper_bound": _fmt(bound_max_entangled(prob)),
+        "lower_bound": _fmt(lower),
+        "method": method,
+        "optimizer": {
+            "starts": int(args.starts),
+            "seed": int(args.seed),
+            "converged": bool(converged),
+        },
+        "tolerances": _tolerances_doc(
+            None if method == "closed-form-pauli" else config, certified=method == "numeric"
+        ),
     }
-    if lower is not None:
-        doc["lower_bound"] = _fmt(lower)
-    doc.update(
-        {
-            "method": method,
-            "optimizer": {
-                "starts": int(args.starts),
-                "seed": int(args.seed),
-                "converged": bool(converged),
-            },
-            "tolerances": _tolerances_doc(None if method == "closed-form-pauli" else config),
-        }
-    )
     if args.dump_spec:
         doc["channel1_spec"] = operation_to_spec(ch1.operation)
         doc["channel2_spec"] = operation_to_spec(ch2.operation)
@@ -329,7 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     general.add_argument("--file1", required=True, help="channel spec file for the first channel")
     general.add_argument("--file2", required=True, help="channel spec file for the second channel")
     general.add_argument("--p1", type=float, default=0.5, help="prior of the first channel")
-    general.add_argument("--starts", type=int, default=32, help="optimizer starts")
+    general.add_argument(
+        "--starts",
+        type=int,
+        default=32,
+        help="optimizer starts: pe_unentangled runs all of them, pe_entangled at most this many, "
+        "only its seed starts when the dual bound certifies them",
+    )
     general.add_argument("--seed", type=int, default=0, help="optimizer seed")
     general.add_argument("--dump-spec", action="store_true", help="embed Kraus spec documents in the output")
     general.set_defaults(handler=cmd_general)

@@ -26,3 +26,7 @@ POVM_TOL = 1e-9
 
 # Numeric entanglement advantage must exceed this gap to count.
 ENTANGLEMENT_GAP = 1e-7
+
+# pe_entangled returns its seed starts' best only when the dual certificate
+# brackets it this tightly; otherwise it runs every start.
+CERTIFIED_GAP = 1e-6

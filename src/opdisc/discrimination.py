@@ -15,11 +15,14 @@ optimum is 1/2 (1 - sum |r_n|), reached by any maximally entangled input.
 For qubit Pauli channels the unentangled optimum also closes, with the best
 product input an eigenstate of sigma_z, sigma_x or sigma_y; entanglement
 strictly helps exactly when r0 r1 r2 r3 < 0.
+
+pe_entangled also returns a certified lower bound from the dual of the
+diamond-norm SDP; pe_unentangled is an uncertified multi-start value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,14 +33,26 @@ from .channels import (
     check_probability_vector,
     unnormalized_choi,
 )
-from .config import ENTANGLEMENT_GAP, ORTHOGONALITY_TOL
+from .config import CERTIFIED_GAP, ENTANGLEMENT_GAP, ORTHOGONALITY_TOL
 from .errors import DimensionMismatch, FamilyMismatch, NotOrthogonal
-from .linalg import biket_to_mat, dagger, eig_hermitian, mat_to_biket, require_finite, trace_norm
+from .linalg import (
+    biket_to_mat,
+    dagger,
+    eig_hermitian,
+    mat_to_biket,
+    partial_trace,
+    require_finite,
+    trace_norm,
+)
 from .optimizer import MaximizeSummary, OptimizerConfig, decode_p, decode_pure_state, maximize
 from .oracle import TwoOutcomePovm
 
 # Unitary lists count as "the same family" only when equal entry by entry.
 _FAMILY_MATCH_TOL = 1e-12
+
+# Weight of I/d mixed into the input's reduced state before the dual
+# certificate inverts its square root.
+_CERTIFICATE_EPS = 1e-8
 
 
 def _check_prior(p1) -> float:
@@ -72,7 +87,9 @@ class DiscriminationResult:
     optimal_xi is the input operator xi (Tr[xi^dag xi] = 1) whose double-ket
     realizes pe_entangled; optimal_pure_input is the state vector realizing
     pe_unentangled. method names the route taken: "numeric",
-    "closed-form-pauli" or "closed-form-orthogonal".
+    "closed-form-pauli" or "closed-form-orthogonal". pe_entangled sets
+    lower_bound to a certified lower bound on the true optimum, and
+    upper_bound to the error at the maximally entangled input.
     """
 
     method: str
@@ -222,14 +239,48 @@ def _degenerate_prior(prob: DiscriminationProblem) -> bool:
     return prob.p1 == 0.0 or prob.p1 == 1.0
 
 
+def _dual_lower_bound(prob: DiscriminationProblem, sigma: np.ndarray) -> float:
+    """Certified lower bound on pe_entangled from a dual feasible Z built on sigma.
+
+    Any Z >= 0 with Z >= Delta gives pe_entangled >= 1/2 (1 - (2 lmax(Tr_out Z)
+    - (p1 - p2))), the dual of Watrous's simplified diamond-norm SDP. With s
+    the input's reduced state sigma mixed with eps I/d,
+    Z = (I x s^-1/2) [(I x s^1/2) Delta (I x s^1/2)]_+ (I x s^-1/2) is
+    feasible by construction and tight when sigma is optimal; t I with
+    t = max(0, -lmin(Z), -lmin(Z - Delta)) absorbs rounding.
+    """
+    d = prob.op1.dim
+    eps = _CERTIFICATE_EPS
+    delta = delta_operator(prob)
+    sigma = (sigma + dagger(sigma)) / 2
+    sigma = (1.0 - eps) * sigma / np.trace(sigma).real + eps * np.eye(d) / d
+    w, v = np.linalg.eigh(sigma)
+    w = np.clip(w, eps / d, None)
+    root = np.kron(np.eye(d), (v * np.sqrt(w)) @ dagger(v))
+    inv_root = np.kron(np.eye(d), (v / np.sqrt(w)) @ dagger(v))
+    lam, vecs = np.linalg.eigh(root @ delta @ root)
+    z = inv_root @ (vecs * np.clip(lam, 0.0, None)) @ dagger(vecs) @ inv_root
+    z = (z + dagger(z)) / 2
+    t = max(0.0, -np.linalg.eigvalsh(z)[0], -np.linalg.eigvalsh(z - delta)[0])
+    lmax = np.linalg.eigvalsh(partial_trace(z, (d, d), 0))[-1] + t * d
+    return 0.5 * (1.0 - (2.0 * float(lmax) - (prob.p1 - prob.p2)))
+
+
 def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = None) -> DiscriminationResult:
-    """Numerically minimal error with an entangled input, by see-saw over |xi>>.
+    """Numerically minimal error with an entangled input, by see-saw over |xi>>, certified.
 
     Maximizes the output trace norm over inputs |xi>> with Tr[xi^dag xi] = 1,
     stepping with A_k = K_k x I; starts are |xi>> with xi^T = P for the
     decode_p directions. An ancilla unitary, which no output trace norm sees,
     turns the best input into optimal_xi with xi^T = P >= 0, so the optimum
     is max ||(I x P) Delta (I x P)||_1 over positive P with Tr[P^2] = 1.
+
+    The value is concave in the reduced input state P^2, so the seed starts
+    alone (at most config.num_starts of them) run first. Their best is
+    returned when the dual bound built on its P^2 lies within CERTIFIED_GAP
+    of it; otherwise all config.num_starts starts run and their best is
+    returned. lower_bound is the dual bound of the input returned, and
+    diagnostics describe the run that found it.
     """
     config = config or OptimizerConfig()
     d = prob.op1.dim
@@ -238,22 +289,32 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
             method="numeric",
             pe_entangled=0.0,
             upper_bound=bound_max_entangled(prob),
+            lower_bound=0.0,
             optimal_xi=np.eye(d, dtype=complex) / np.sqrt(d),
         )
-    value, x, summary = maximize(
-        _seesaw_step(prob, ancilla=d),
-        lambda theta: mat_to_biket(decode_p(theta, d).T),
-        d * d,
-        config,
-        _p_seed_points(d),
-    )
-    # polar decomposition xi^T = W P; dropping W leaves xi^T = P
-    _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
-    p_opt = (dagger(vh) * s) @ vh
+    step = _seesaw_step(prob, ancilla=d)
+    seeds = _p_seed_points(d)
+
+    def solve(run: OptimizerConfig):
+        value, x, summary = maximize(
+            step, lambda theta: mat_to_biket(decode_p(theta, d).T), d * d, run, seeds
+        )
+        # polar decomposition xi^T = W P; dropping W leaves xi^T = P
+        _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
+        p_opt = (dagger(vh) * s) @ vh
+        pe = max(0.0, 0.5 * (1.0 - value))
+        # both bracket the same optimum, so the bound can pass the value only by rounding
+        return pe, min(_dual_lower_bound(prob, p_opt @ p_opt), pe), p_opt, summary
+
+    seed_run = replace(config, num_starts=min(len(seeds), config.num_starts))
+    pe, lower, p_opt, summary = solve(seed_run)
+    if not pe - lower <= CERTIFIED_GAP and seed_run != config:
+        pe, lower, p_opt, summary = solve(config)
     return DiscriminationResult(
         method="numeric",
-        pe_entangled=max(0.0, 0.5 * (1.0 - value)),
+        pe_entangled=pe,
         upper_bound=bound_max_entangled(prob),
+        lower_bound=lower,
         optimal_xi=p_opt.T.copy(),
         diagnostics=summary,
     )
@@ -263,7 +324,9 @@ def pe_unentangled(prob: DiscriminationProblem, config: OptimizerConfig | None =
     """Numerically minimal error with a single pure input state (no ancilla).
 
     Maximizes ||p1 E1(psi) - p2 E2(psi)||_1 over pure states by see-saw with
-    A_k = K_k; convexity makes pure inputs sufficient.
+    A_k = K_k; convexity makes pure inputs sufficient. The value is an
+    uncertified multi-start heuristic: the objective is not concave in the
+    input, no dual bound is known here, and all config.num_starts starts run.
     """
     config = config or OptimizerConfig()
     d = prob.op1.dim

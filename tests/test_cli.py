@@ -26,8 +26,15 @@ PAULI_KEYS = [
     "method",
     "tolerances",
 ]
-GENERAL_KEYS = ["pe_entangled", "pe_unentangled", "upper_bound", "method", "optimizer", "tolerances"]
-GENERAL_KEYS_CLOSED = GENERAL_KEYS[:3] + ["lower_bound"] + GENERAL_KEYS[3:]
+GENERAL_KEYS = [
+    "pe_entangled",
+    "pe_unentangled",
+    "upper_bound",
+    "lower_bound",
+    "method",
+    "optimizer",
+    "tolerances",
+]
 ORACLE_KEYS = [
     "oracle_pe_entangled",
     "oracle_pe_unentangled",
@@ -112,7 +119,7 @@ def test_general_closed_form_pauli_matches_pauli_command(tmp_path):
     f1 = write_spec(tmp_path / "id.json", {"dim": 2, "kind": "pauli", "q": [1, 0, 0, 0]})
     f2 = write_spec(tmp_path / "dep.json", {"dim": 2, "kind": "pauli", "q": [0.25, 0.25, 0.25, 0.25]})
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--p1", "0.5"])
-    assert list(doc) == GENERAL_KEYS_CLOSED
+    assert list(doc) == GENERAL_KEYS
     assert doc["method"] == "closed-form-pauli"
     assert doc["pe_entangled"] == "0.125"
     assert doc["pe_unentangled"] == "0.25"
@@ -139,8 +146,10 @@ def test_general_numeric_on_kraus_files(tmp_path):
     assert doc["method"] == "numeric"
     assert float(doc["pe_entangled"]) < 1e-6
     assert abs(float(doc["pe_unentangled"]) - 1 / 6) < 1e-6
+    # the certified lower bound brackets the numeric value from below
+    assert 0.0 <= float(doc["pe_entangled"]) - float(doc["lower_bound"]) <= 1e-6
     assert doc["optimizer"] == {"starts": 8, "seed": 0, "converged": True}
-    assert doc["tolerances"] == {"hermiticity": "1e-09", "optimizer": "1e-12"}
+    assert doc["tolerances"] == {"hermiticity": "1e-09", "optimizer": "1e-12", "certified_gap": "1e-06"}
 
 
 def test_general_numeric_qutrit_identity_vs_depolarizing_converges(tmp_path):
@@ -150,6 +159,7 @@ def test_general_numeric_qutrit_identity_vs_depolarizing_converges(tmp_path):
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--starts", "32"])
     assert doc["method"] == "numeric"
     assert doc["pe_entangled"] == "0.05555555556"
+    assert doc["lower_bound"] == "0.05555555556"
     assert doc["optimizer"] == {"starts": 32, "seed": 0, "converged": True}
 
 
@@ -157,11 +167,13 @@ def test_general_closed_form_orthogonal_qutrit(tmp_path):
     f1 = write_spec(tmp_path / "id3.json", {"dim": 3, "kind": "weyl", "q": [1.0] + [0.0] * 8})
     f2 = write_spec(tmp_path / "dep3.json", {"dim": 3, "kind": "depolarizing"})
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--starts", "8"])
-    assert list(doc) == GENERAL_KEYS_CLOSED
+    assert list(doc) == GENERAL_KEYS
     assert doc["method"] == "closed-form-orthogonal"
     assert doc["pe_entangled"] == "0.05555555556"
     assert doc["lower_bound"] == "0.05555555556"
     assert float(doc["pe_unentangled"]) >= float(doc["pe_entangled"]) - 1e-9
+    # only pe_unentangled ran, so no certified gap was enforced
+    assert doc["tolerances"] == {"hermiticity": "1e-09", "optimizer": "1e-12"}
 
 
 def test_general_reports_dimension_mismatch(tmp_path):
@@ -191,7 +203,7 @@ def test_dump_spec_round_trips_through_parser(tmp_path):
     f1 = write_spec(tmp_path / "id.json", {"dim": 2, "kind": "pauli", "q": [1, 0, 0, 0]})
     f2 = write_spec(tmp_path / "dep.json", {"dim": 2, "kind": "depolarizing"})
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--dump-spec"])
-    assert list(doc) == GENERAL_KEYS_CLOSED + ["channel1_spec", "channel2_spec"]
+    assert list(doc) == GENERAL_KEYS + ["channel1_spec", "channel2_spec"]
     reread = write_spec(tmp_path / "dep_again.json", doc["channel2_spec"])
     parsed = parse_channel_file(reread)
     original = weyl_channel(2, np.full(4, 0.25)).as_operation().kraus

@@ -34,6 +34,7 @@ from opdisc import (
     weyl_channel,
     weyl_unitaries,
 )
+from opdisc import discrimination
 
 from helpers import (
     haar_unitary,
@@ -198,7 +199,9 @@ def test_pe_entangled_worked_example():
     assert result.method == "numeric"
     # the optimum sits at the maximally entangled input, xi = I/sqrt(2)
     assert np.max(np.abs(result.optimal_xi - np.eye(2) / np.sqrt(2))) < 1e-3
-    assert result.diagnostics.n_starts == 8
+    # the four qubit seed starts certify the optimum, so the random starts never run
+    assert result.diagnostics.n_starts == 4
+    assert 0.0 <= result.pe_entangled - result.lower_bound < 1e-12
 
 
 def test_pe_unentangled_worked_example():
@@ -225,6 +228,7 @@ def test_pe_degenerate_priors_short_circuit():
     res_e = pe_entangled(prob)
     res_u = pe_unentangled(prob)
     assert res_e.pe_entangled == 0.0 and res_u.pe_unentangled == 0.0
+    assert res_e.lower_bound == 0.0
     assert res_e.diagnostics is None   # no search ran
 
 
@@ -252,6 +256,52 @@ def test_pe_entangled_reaches_the_optimum_on_a_rank_4_vs_1_qudit_pair():
     p = result.optimal_xi.T
     assert np.max(np.abs(p - p.conj().T)) < 1e-12
     assert np.min(np.linalg.eigvalsh(p)) > -1e-12
+    # the two d = 4 seed starts already certify the optimum
+    assert 0.0 <= result.pe_entangled - result.lower_bound <= 1e-6
+    assert result.diagnostics.n_starts == 2
+
+
+# --- the dual certificate of pe_entangled ---
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pe_entangled_lower_bound_never_exceeds_its_value(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(3):
+        prob = DiscriminationProblem(
+            random_kraus_operation(d, int(rng.integers(1, d * d + 1)), rng),
+            random_kraus_operation(d, int(rng.integers(1, d * d + 1)), rng),
+            float(rng.uniform(0.1, 0.9)),
+        )
+        result = pe_entangled(prob, FAST)
+        assert result.lower_bound <= result.pe_entangled
+        # the dual bound is valid on any reduced state, not only the optimal one
+        p = result.optimal_xi.T
+        for sigma in (p @ p, random_density(d, rng), np.diag([1.0] + [0.0] * (d - 1))):
+            assert discrimination._dual_lower_bound(prob, sigma) <= result.pe_entangled + 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pe_entangled_bracket_is_exact_on_weyl_pairs(d):
+    """The maximally entangled seed is optimal for an orthogonal family, and its certificate is Delta_+."""
+    rng = np.random.default_rng(60 + d)
+    q1, q2 = random_prob_vector(d * d, rng), random_prob_vector(d * d, rng)
+    ch1, ch2 = weyl_channel(d, q1), weyl_channel(d, q2)
+    result = pe_entangled(DiscriminationProblem(ch1.as_operation(), ch2.as_operation(), 0.4), FAST)
+    exact = pe_random_unitary_exact(ch1, ch2, 0.4)
+    assert abs(result.pe_entangled - exact) <= 1e-12
+    assert 0.0 <= result.pe_entangled - result.lower_bound <= 1e-12
+
+
+def test_pe_entangled_runs_every_start_when_the_seeds_do_not_certify(monkeypatch):
+    prob = random_qubit_problem(np.random.default_rng(7))
+    seeded = pe_entangled(prob, FAST)
+    assert seeded.diagnostics.n_starts == 4
+    monkeypatch.setattr(discrimination, "CERTIFIED_GAP", -1.0)
+    full = pe_entangled(prob, FAST)
+    assert full.diagnostics.n_starts == FAST.num_starts
+    # the seed starts repeat bit for bit, so the full run is never worse
+    assert full.pe_entangled <= seeded.pe_entangled + 1e-12
+    assert full.lower_bound <= full.pe_entangled
 
 
 # --- random-unitary closed forms ---

@@ -21,10 +21,9 @@ from opdisc import (
     mat_to_biket,
     maximize,
     pauli_channel,
-    pe_entangled,
     pe_unentangled,
 )
-from opdisc.discrimination import _seesaw_step
+from opdisc.discrimination import _p_seed_points, _seesaw_step
 from opdisc.linalg import is_positive_semidefinite
 
 from helpers import random_qubit_problem
@@ -225,9 +224,20 @@ def test_maximize_unentangled_objective_worked_example():
 
 def test_maximize_start_trajectories_ignore_num_starts():
     prob = random_qubit_problem(np.random.default_rng(11))
-    for solve in (pe_entangled, pe_unentangled):
-        few = solve(prob, OptimizerConfig(num_starts=4)).diagnostics.start_values
-        many = solve(prob, OptimizerConfig(num_starts=12)).diagnostics.start_values
+
+    # pe_entangled stops after its seed starts when they certify, so drive its step directly
+    def entangled(config):
+        return maximize(
+            _seesaw_step(prob, ancilla=2),
+            lambda theta: mat_to_biket(decode_p(theta, 2).T),
+            4,
+            config,
+            _p_seed_points(2),
+        ).summary
+
+    for solve in (entangled, lambda config: pe_unentangled(prob, config).diagnostics):
+        few = solve(OptimizerConfig(num_starts=4)).start_values
+        many = solve(OptimizerConfig(num_starts=12)).start_values
         assert few == many[:4]
 
 
