@@ -254,7 +254,7 @@ def cmd_general(args: argparse.Namespace) -> dict:
         method = "closed-form-pauli"
         ent, unent = summary.pe_entangled, summary.pe_unentangled
         lower = ent
-        converged = True
+        results = {}
     elif ch1.family is not None and ch2.family is not None:
         method = "closed-form-orthogonal"
         ent = pe_random_unitary_exact(ch1.family, ch2.family, p1)
@@ -262,16 +262,16 @@ def cmd_general(args: argparse.Namespace) -> dict:
         # no closed form for the unentangled value above the qubit case
         result_u = pe_unentangled(prob, config)
         unent = result_u.pe_unentangled
-        converged = result_u.diagnostics is None or result_u.diagnostics.converged
+        results = {"unentangled": result_u}
     else:
         method = "numeric"
         result_e = pe_entangled(prob, config)
         result_u = pe_unentangled(prob, config)
         ent, unent = result_e.pe_entangled, result_u.pe_unentangled
         lower = result_e.lower_bound
-        converged = all(
-            r.diagnostics is None or r.diagnostics.converged for r in (result_e, result_u)
-        )
+        results = {"entangled": result_e, "unentangled": result_u}
+    # only the strategies whose optimizer ran carry diagnostics
+    ran = {name: r.diagnostics for name, r in results.items() if r.diagnostics is not None}
 
     doc = {
         "pe_entangled": _fmt(ent),
@@ -281,8 +281,9 @@ def cmd_general(args: argparse.Namespace) -> dict:
         "method": method,
         "optimizer": {
             "starts": int(args.starts),
+            "starts_run": {name: diag.n_starts for name, diag in ran.items()},
             "seed": int(args.seed),
-            "converged": bool(converged),
+            "converged": all(diag.converged for diag in ran.values()),
         },
         "tolerances": _tolerances_doc(
             None if method == "closed-form-pauli" else config, certified=method == "numeric"
@@ -345,7 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--file1", required=True, help="channel spec file for the first channel")
     oracle.add_argument("--file2", required=True, help="channel spec file for the second channel")
     oracle.add_argument("--p1", type=float, default=0.5, help="prior of the first channel")
-    oracle.add_argument("--grid", type=int, default=200, help="grid density for the unentangled search")
+    oracle.add_argument(
+        "--grid",
+        type=int,
+        default=200,
+        help="unentangled search: a grid x grid Bloch-sphere grid at d = 2, grid^3 random pure states "
+        "at d >= 3 (8,000,000 at the default: 15 s on a qutrit pair, 2-vCPU VM)",
+    )
     oracle.add_argument("--samples", type=int, default=500, help="sample count for the entangled search")
     oracle.add_argument("--seed", type=int, default=0, help="sampling seed")
     oracle.set_defaults(handler=cmd_oracle)

@@ -35,6 +35,7 @@ GENERAL_KEYS = [
     "optimizer",
     "tolerances",
 ]
+OPTIMIZER_KEYS = ["starts", "starts_run", "seed", "converged"]
 ORACLE_KEYS = [
     "oracle_pe_entangled",
     "oracle_pe_unentangled",
@@ -120,12 +121,14 @@ def test_general_closed_form_pauli_matches_pauli_command(tmp_path):
     f2 = write_spec(tmp_path / "dep.json", {"dim": 2, "kind": "pauli", "q": [0.25, 0.25, 0.25, 0.25]})
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--p1", "0.5"])
     assert list(doc) == GENERAL_KEYS
+    assert list(doc["optimizer"]) == OPTIMIZER_KEYS
     assert doc["method"] == "closed-form-pauli"
     assert doc["pe_entangled"] == "0.125"
     assert doc["pe_unentangled"] == "0.25"
     assert doc["upper_bound"] == "0.125"
     assert doc["lower_bound"] == "0.125"
-    assert doc["optimizer"] == {"starts": 32, "seed": 0, "converged": True}
+    # closed forms only: no optimizer ran
+    assert doc["optimizer"] == {"starts": 32, "starts_run": {}, "seed": 0, "converged": True}
 
 
 def test_general_depolarizing_kind_is_recognized_as_pauli(tmp_path):
@@ -143,12 +146,19 @@ def test_general_numeric_on_kraus_files(tmp_path):
     f2 = write_spec(tmp_path / "b.json", operation_to_spec(op2))
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--starts", "8"])
     assert list(doc) == GENERAL_KEYS
+    assert list(doc["optimizer"]) == OPTIMIZER_KEYS
     assert doc["method"] == "numeric"
     assert float(doc["pe_entangled"]) < 1e-6
     assert abs(float(doc["pe_unentangled"]) - 1 / 6) < 1e-6
     # the certified lower bound brackets the numeric value from below
     assert 0.0 <= float(doc["pe_entangled"]) - float(doc["lower_bound"]) <= 1e-6
-    assert doc["optimizer"] == {"starts": 8, "seed": 0, "converged": True}
+    # --starts caps pe_entangled, which stops after its 4 certified qubit seed starts
+    assert doc["optimizer"] == {
+        "starts": 8,
+        "starts_run": {"entangled": 4, "unentangled": 8},
+        "seed": 0,
+        "converged": True,
+    }
     assert doc["tolerances"] == {"hermiticity": "1e-09", "optimizer": "1e-12", "certified_gap": "1e-06"}
 
 
@@ -160,7 +170,12 @@ def test_general_numeric_qutrit_identity_vs_depolarizing_converges(tmp_path):
     assert doc["method"] == "numeric"
     assert doc["pe_entangled"] == "0.05555555556"
     assert doc["lower_bound"] == "0.05555555556"
-    assert doc["optimizer"] == {"starts": 32, "seed": 0, "converged": True}
+    assert doc["optimizer"] == {
+        "starts": 32,
+        "starts_run": {"entangled": 2, "unentangled": 32},
+        "seed": 0,
+        "converged": True,
+    }
 
 
 def test_general_closed_form_orthogonal_qutrit(tmp_path):
@@ -168,10 +183,12 @@ def test_general_closed_form_orthogonal_qutrit(tmp_path):
     f2 = write_spec(tmp_path / "dep3.json", {"dim": 3, "kind": "depolarizing"})
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--starts", "8"])
     assert list(doc) == GENERAL_KEYS
+    assert list(doc["optimizer"]) == OPTIMIZER_KEYS
     assert doc["method"] == "closed-form-orthogonal"
     assert doc["pe_entangled"] == "0.05555555556"
     assert doc["lower_bound"] == "0.05555555556"
     assert float(doc["pe_unentangled"]) >= float(doc["pe_entangled"]) - 1e-9
+    assert doc["optimizer"]["starts_run"] == {"unentangled": 8}
     # only pe_unentangled ran, so no certified gap was enforced
     assert doc["tolerances"] == {"hermiticity": "1e-09", "optimizer": "1e-12"}
 

@@ -1,8 +1,11 @@
 """Tests for the brute-force reference implementations.
 
 The oracles are the ground truth for everything else, so they get checked
-against hand arithmetic and trivial identities only.
+against hand arithmetic and trivial identities only, and their stacked
+evaluation against a plain one-state-at-a-time loop.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +27,9 @@ from opdisc import (
     weyl_channel,
 )
 
-from helpers import random_prob_vector, random_two_outcome_povm
+from opdisc.oracle import _STACK
+
+from helpers import random_kraus_operation, random_prob_vector, random_two_outcome_povm
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -152,3 +157,86 @@ def test_samples_reject_bad_inputs():
     id5 = make_operation([np.eye(5)])
     with pytest.raises(UnsupportedDimension):
         brute_force_entangled(DiscriminationProblem(id5, ch5, 0.5), 5)
+
+
+# --- stacked evaluation against a one-state-at-a-time loop ---
+
+def _per_state_error(prob, kraus1, kraus2, vec):
+    rho = np.outer(vec, vec.conj())
+    delta = prob.p1 * sum(k @ rho @ k.conj().T for k in kraus1)
+    delta = delta - (1.0 - prob.p1) * sum(k @ rho @ k.conj().T for k in kraus2)
+    return 0.5 * (1.0 - np.sum(np.abs(np.linalg.eigvalsh(delta))))
+
+
+def _per_state_unentangled(prob, grid_density, seed):
+    d = prob.op1.dim
+    if d == 2:
+        states = [
+            np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+            for theta in np.linspace(0.0, np.pi, grid_density)
+            for phi in np.linspace(0.0, 2.0 * np.pi, grid_density, endpoint=False)
+        ]
+    else:
+        rng = np.random.default_rng(seed)
+        states = []
+        for _ in range(grid_density**3):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            states.append(v / np.linalg.norm(v))
+    return min(_per_state_error(prob, prob.op1.kraus, prob.op2.kraus, v) for v in states)
+
+
+def _per_state_entangled(prob, samples, seed):
+    d = prob.op1.dim
+    rng = np.random.default_rng(seed)
+    eye = np.eye(d)
+    phi_plus = eye.reshape(-1) / np.sqrt(d)
+    states = []
+    for _ in range(samples):
+        g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r)
+        states.append(np.kron(q * (diag / np.abs(diag)).conj(), eye) @ phi_plus)
+    for _ in range(samples):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        gram = g @ g.conj().T
+        states.append((gram / np.linalg.norm(gram)).T.reshape(-1))
+    kraus1 = [np.kron(k, eye) for k in prob.op1.kraus]
+    kraus2 = [np.kron(k, eye) for k in prob.op2.kraus]
+    return min(_per_state_error(prob, kraus1, kraus2, v) for v in states)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_oracles_match_a_per_state_loop(d, seed):
+    rng = np.random.default_rng(100 * d + seed)
+    prob = DiscriminationProblem(
+        random_kraus_operation(d, int(rng.integers(1, d * d + 1)), rng),
+        random_kraus_operation(d, int(rng.integers(1, d * d + 1)), rng),
+        float(rng.uniform(0.1, 0.9)),
+    )
+    # every count spans at least three stacks, the last one partial
+    grid = 24 if d == 2 else 9
+    samples = 2 * _STACK + 3
+    assert min(grid**2 if d == 2 else grid**3, samples) > 2 * _STACK
+    unent = brute_force_unentangled(prob, grid, seed=seed)
+    assert abs(unent - _per_state_unentangled(prob, grid, seed)) < 1e-12
+    ent = brute_force_entangled(prob, samples, seed=seed)
+    assert abs(ent - _per_state_entangled(prob, samples, seed)) < 1e-12
+
+
+def test_unentangled_memory_is_flat_in_the_state_count():
+    """64,000 qutrit states evaluated in stacks; holding them all at once took over 10 MB."""
+    rng = np.random.default_rng(41)
+    prob = DiscriminationProblem(
+        weyl_channel(3, random_prob_vector(9, rng)).as_operation(),
+        weyl_channel(3, random_prob_vector(9, rng)).as_operation(),
+        0.4,
+    )
+    brute_force_unentangled(prob, 2)  # first-call allocations are not the oracle's working set
+    tracemalloc.start()
+    try:
+        brute_force_unentangled(prob, 40, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

@@ -1,4 +1,7 @@
-"""Every public constructor and every CLI spec kind refuses NaN and infinities by name."""
+"""Every public constructor and every CLI spec kind refuses NaN and infinities by name.
+
+The oracles' state counts refuse anything but an integer, also by name.
+"""
 
 import contextlib
 import io
@@ -14,6 +17,8 @@ from opdisc import (
     RandomUnitaryChannel,
     TwoOutcomePovm,
     apply_extended,
+    brute_force_entangled,
+    brute_force_unentangled,
     helstrom,
     make_operation,
     pauli_channel,
@@ -102,3 +107,20 @@ CASES = {
 def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
     message = CASES[case](value, tmp_path)
     assert repr(value) in message
+
+
+@pytest.mark.parametrize("count", [True, False, 3.0, 2.5, float("nan"), float("inf"), "4", None])
+@pytest.mark.parametrize(
+    "oracle, name", [(brute_force_unentangled, "grid_density"), (brute_force_entangled, "samples")]
+)
+def test_oracle_counts_must_be_integers(oracle, name, count):
+    prob = DiscriminationProblem(pauli_channel(Q_ID), pauli_channel([0.25] * 4), 0.5)
+    with pytest.raises(ValueError, match=name) as info:
+        oracle(prob, count)
+    assert repr(count) in str(info.value)
+
+
+def test_oracle_counts_accept_numpy_integers():
+    prob = DiscriminationProblem(pauli_channel(Q_ID), pauli_channel([0.25] * 4), 0.5)
+    assert brute_force_unentangled(prob, np.int64(3)) == brute_force_unentangled(prob, 3)
+    assert brute_force_entangled(prob, np.int32(2)) == brute_force_entangled(prob, 2)
