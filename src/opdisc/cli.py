@@ -40,7 +40,7 @@ from .channels import (
     pauli_channel,
     weyl_channel,
 )
-from .config import CERTIFIED_GAP, HERMITICITY_TOL
+from .config import CERTIFIED_GAP, FTOL, HERMITICITY_TOL
 from .discrimination import (
     DiscriminationProblem,
     bound_max_entangled,
@@ -73,8 +73,6 @@ class ParsedChannel:
     the matching closed form when both inputs carry it.
     """
 
-    kind: str
-    dim: int
     operation: QuantumOperation
     pauli_q: np.ndarray | None = None
     family: RandomUnitaryChannel | None = None
@@ -98,6 +96,18 @@ def _parse_weights_arg(text: str, what: str, length: int) -> np.ndarray:
     except ValueError:
         raise ValueError(f"{what}: expected comma-separated decimals, got {text!r}") from None
     return _normalize_weights(values, length, what)
+
+
+def _count_arg(least: int):
+    """argparse type for an integer flag of at least `least`; argparse names the flag on error."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return count
 
 
 def _parse_p1(value: float) -> float:
@@ -154,35 +164,22 @@ def parse_channel_file(path: str) -> ParsedChannel:
         for i, k in enumerate(kraus):
             if k.shape != (dim, dim):
                 raise ValueError(f"{path}: kraus[{i}] is {k.shape[0]}x{k.shape[1]}, dim is {dim}")
-        return ParsedChannel(kind=kind, dim=dim, operation=make_operation(kraus))
+        return ParsedChannel(make_operation(kraus))
 
     if kind == "pauli":
         if dim != 2:
             raise ValueError(f"{path}: kind pauli requires dim 2, got {dim}")
         q = _normalize_weights(doc.get("q", ()), 4, f"{path}: q")
-        return ParsedChannel(
-            kind=kind,
-            dim=2,
-            operation=pauli_channel(q),
-            pauli_q=q,
-        )
+        return ParsedChannel(pauli_channel(q), pauli_q=q)
 
     if kind == "weyl":
-        q = _normalize_weights(doc.get("q", ()), dim * dim, f"{path}: q")
-        family = weyl_channel(dim, q)
-        return ParsedChannel(kind=kind, dim=dim, operation=family.as_operation(), family=family)
+        family = weyl_channel(dim, _normalize_weights(doc.get("q", ()), dim * dim, f"{path}: q"))
+        return ParsedChannel(family.as_operation(), family=family)
 
     if kind == "depolarizing":
-        q = np.full(dim * dim, 1.0 / (dim * dim))
-        family = weyl_channel(dim, q)
+        family = weyl_channel(dim, np.full(dim * dim, 1.0 / (dim * dim)))
         pauli_q = np.full(4, 0.25) if dim == 2 else None
-        return ParsedChannel(
-            kind=kind,
-            dim=dim,
-            operation=family.as_operation(),
-            pauli_q=pauli_q,
-            family=family,
-        )
+        return ParsedChannel(family.as_operation(), pauli_q=pauli_q, family=family)
 
     # kind == "unitary"
     if "u" not in doc:
@@ -192,7 +189,7 @@ def parse_channel_file(path: str) -> ParsedChannel:
         raise ValueError(f"{path}: u is {u.shape[0]}x{u.shape[1]}, dim is {dim}")
     if not is_unitary(u):
         raise ValueError(f"{path}: u is not unitary within tolerance")
-    return ParsedChannel(kind=kind, dim=dim, operation=make_operation([u]))
+    return ParsedChannel(make_operation([u]))
 
 
 def operation_to_spec(op: QuantumOperation) -> dict:
@@ -207,12 +204,12 @@ def operation_to_spec(op: QuantumOperation) -> dict:
     }
 
 
-def _tolerances_doc(config: OptimizerConfig | None = None, certified: bool = False) -> dict:
-    """The tolerances in force: hermiticity always, the optimizer's ftol when it
-    ran, and the certified gap when pe_entangled ran."""
+def _tolerances_doc(optimized: bool = False, certified: bool = False) -> dict:
+    """The tolerances in force: hermiticity always, the optimizer's FTOL when it
+    ran, and the certified gap pe_entangled aims for when it ran."""
     doc = {"hermiticity": _fmt(HERMITICITY_TOL)}
-    if config is not None:
-        doc["optimizer"] = _fmt(config.ftol)
+    if optimized:
+        doc["optimizer"] = _fmt(FTOL)
     if certified:
         doc["certified_gap"] = _fmt(CERTIFIED_GAP)
     return doc
@@ -285,9 +282,7 @@ def cmd_general(args: argparse.Namespace) -> dict:
             "seed": int(args.seed),
             "converged": all(diag.converged for diag in ran.values()),
         },
-        "tolerances": _tolerances_doc(
-            None if method == "closed-form-pauli" else config, certified=method == "numeric"
-        ),
+        "tolerances": _tolerances_doc(optimized=bool(results), certified=method == "numeric"),
     }
     if args.dump_spec:
         doc["channel1_spec"] = operation_to_spec(ch1.operation)
@@ -333,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     general.add_argument("--p1", type=float, default=0.5, help="prior of the first channel")
     general.add_argument(
         "--starts",
-        type=int,
+        type=_count_arg(1),
         default=32,
         help="optimizer starts: pe_unentangled runs all of them, pe_entangled at most this many, "
         "only its seed starts when the dual bound certifies them",
     )
-    general.add_argument("--seed", type=int, default=0, help="optimizer seed")
+    general.add_argument("--seed", type=_count_arg(0), default=0, help="optimizer seed")
     general.add_argument("--dump-spec", action="store_true", help="embed Kraus spec documents in the output")
     general.set_defaults(handler=cmd_general)
 
@@ -348,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--p1", type=float, default=0.5, help="prior of the first channel")
     oracle.add_argument(
         "--grid",
-        type=int,
+        type=_count_arg(2),
         default=200,
         help="unentangled search: a grid x grid Bloch-sphere grid at d = 2, grid^3 random pure states "
         "at d >= 3 (8,000,000 at the default: 15 s on a qutrit pair, 2-vCPU VM)",
     )
-    oracle.add_argument("--samples", type=int, default=500, help="sample count for the entangled search")
-    oracle.add_argument("--seed", type=int, default=0, help="sampling seed")
+    oracle.add_argument("--samples", type=_count_arg(1), default=500, help="sample count for the entangled search")
+    oracle.add_argument("--seed", type=_count_arg(0), default=0, help="sampling seed")
     oracle.set_defaults(handler=cmd_oracle)
 
     return parser

@@ -55,6 +55,11 @@ _FAMILY_MATCH_TOL = 1e-12
 _CERTIFICATE_EPS = 1e-8
 
 
+def _error(norm) -> float:
+    """The error 1/2 (1 - norm) of a trace norm `norm`, clamped at 0 against rounding."""
+    return max(0.0, 0.5 * (1.0 - float(norm)))
+
+
 def _check_prior(p1) -> float:
     p1 = float(require_finite(p1, "p1"))
     if not 0.0 <= p1 <= 1.0:
@@ -86,13 +91,11 @@ class DiscriminationResult:
 
     optimal_xi is the input operator xi (Tr[xi^dag xi] = 1) whose double-ket
     realizes pe_entangled; optimal_pure_input is the state vector realizing
-    pe_unentangled. method names the route taken: "numeric",
-    "closed-form-pauli" or "closed-form-orthogonal". pe_entangled sets
-    lower_bound to a certified lower bound on the true optimum, and
-    upper_bound to the error at the maximally entangled input.
+    pe_unentangled. pe_entangled sets lower_bound to a certified lower bound
+    on the true optimum, and upper_bound to the error at the maximally
+    entangled input.
     """
 
-    method: str
     pe_entangled: float | None = None
     pe_unentangled: float | None = None
     upper_bound: float | None = None
@@ -152,7 +155,7 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     rho1 = check_density_matrix(rho1, d)
     rho2 = check_density_matrix(rho2, d)
     dec = eig_hermitian(p1 * rho1 - (1.0 - p1) * rho2)
-    pe = 0.5 * (1.0 - float(np.sum(np.abs(dec.eigenvalues))))
+    pe = _error(np.sum(np.abs(dec.eigenvalues)))
     keep = dec.eigenvalues >= 0
     v_pos = dec.eigenvectors[:, keep]
     v_neg = dec.eigenvectors[:, ~keep]
@@ -173,7 +176,7 @@ def bound_max_entangled(prob: DiscriminationProblem) -> float:
     bipartite inputs. It is tight (and the bound is the exact value) for
     channels mixing one orthogonal unitary family.
     """
-    return 0.5 * (1.0 - trace_norm(delta_operator(prob)) / prob.op1.dim)
+    return _error(trace_norm(delta_operator(prob)) / prob.op1.dim)
 
 
 def _p_seed_points(d: int) -> list[np.ndarray]:
@@ -263,7 +266,7 @@ def _dual_lower_bound(prob: DiscriminationProblem, sigma: np.ndarray) -> float:
     z = (z + dagger(z)) / 2
     t = max(0.0, -np.linalg.eigvalsh(z)[0], -np.linalg.eigvalsh(z - delta)[0])
     lmax = np.linalg.eigvalsh(partial_trace(z, (d, d), 0))[-1] + t * d
-    return 0.5 * (1.0 - (2.0 * float(lmax) - (prob.p1 - prob.p2)))
+    return _error(2.0 * float(lmax) - (prob.p1 - prob.p2))
 
 
 def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = None) -> DiscriminationResult:
@@ -280,13 +283,14 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
     returned when the dual bound built on its P^2 lies within CERTIFIED_GAP
     of it; otherwise all config.num_starts starts run and their best is
     returned. lower_bound is the dual bound of the input returned, and
-    diagnostics describe the run that found it.
+    diagnostics describe the run that found it; diagnostics.converged is
+    False when even that bracket is wider than CERTIFIED_GAP, as it can be
+    when the best input is a product state.
     """
     config = config or OptimizerConfig()
     d = prob.op1.dim
     if _degenerate_prior(prob):
         return DiscriminationResult(
-            method="numeric",
             pe_entangled=0.0,
             upper_bound=bound_max_entangled(prob),
             lower_bound=0.0,
@@ -302,7 +306,7 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
         # polar decomposition xi^T = W P; dropping W leaves xi^T = P
         _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
         p_opt = (dagger(vh) * s) @ vh
-        pe = max(0.0, 0.5 * (1.0 - value))
+        pe = _error(value)
         # both bracket the same optimum, so the bound can pass the value only by rounding
         return pe, min(_dual_lower_bound(prob, p_opt @ p_opt), pe), p_opt, summary
 
@@ -310,8 +314,9 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
     pe, lower, p_opt, summary = solve(seed_run)
     if not pe - lower <= CERTIFIED_GAP and seed_run != config:
         pe, lower, p_opt, summary = solve(config)
+    if not pe - lower <= CERTIFIED_GAP:
+        summary = replace(summary, converged=False)
     return DiscriminationResult(
-        method="numeric",
         pe_entangled=pe,
         upper_bound=bound_max_entangled(prob),
         lower_bound=lower,
@@ -333,7 +338,7 @@ def pe_unentangled(prob: DiscriminationProblem, config: OptimizerConfig | None =
     if _degenerate_prior(prob):
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
-        return DiscriminationResult(method="numeric", pe_unentangled=0.0, optimal_pure_input=psi)
+        return DiscriminationResult(pe_unentangled=0.0, optimal_pure_input=psi)
     value, psi, summary = maximize(
         _seesaw_step(prob, ancilla=1),
         lambda theta: decode_pure_state(theta, d),
@@ -342,8 +347,7 @@ def pe_unentangled(prob: DiscriminationProblem, config: OptimizerConfig | None =
         _state_seed_points(d),
     )
     return DiscriminationResult(
-        method="numeric",
-        pe_unentangled=max(0.0, 0.5 * (1.0 - value)),
+        pe_unentangled=_error(value),
         optimal_pure_input=psi,
         diagnostics=summary,
     )
@@ -396,8 +400,7 @@ def pe_random_unitary_exact(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel
     _check_same_family(ch1, ch2)
     if not is_orthogonal_unitary_family(ch1):
         raise NotOrthogonal("the shared unitary family is not orthogonal")
-    r = _weight_differences(ch1, ch2, p1)
-    return 0.5 * (1.0 - float(np.sum(np.abs(r))))
+    return _error(np.sum(np.abs(_weight_differences(ch1, ch2, p1))))
 
 
 def pe_random_unitary_bounds(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel, p1: float) -> tuple[float, float]:
@@ -414,9 +417,7 @@ def pe_random_unitary_bounds(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChanne
     for rn, u in zip(r, ch1.unitaries):
         v = mat_to_biket(u)
         delta += rn * np.outer(v, v.conj())
-    lower = 0.5 * (1.0 - float(np.sum(np.abs(r))))
-    upper = 0.5 * (1.0 - trace_norm(delta) / d)
-    return lower, upper
+    return _error(np.sum(np.abs(r))), _error(trace_norm(delta) / d)
 
 
 def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
@@ -431,12 +432,7 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
     q2 = check_probability_vector(q2, 4)
     p1 = _check_prior(p1)
     r = p1 * q1 - (1.0 - p1) * q2
-    a = float(r[0] + r[3])
-    b = float(r[1] + r[2])
-    c = float(r[0] - r[3])
-    dd = float(r[1] - r[2])
     product = float(r[0] * r[1] * r[2] * r[3])
-    sum_abs = float(np.sum(np.abs(r)))
     candidates = (
         abs(r[0] + r[3]) + abs(r[1] + r[2]),  # sigma_z eigenstate input
         abs(r[0] + r[1]) + abs(r[2] + r[3]),  # sigma_x eigenstate input
@@ -448,14 +444,14 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
             best = i
     return PauliDiscriminationSummary(
         r=(float(r[0]), float(r[1]), float(r[2]), float(r[3])),
-        a=a,
-        b=b,
-        c=c,
-        d=dd,
+        a=float(r[0] + r[3]),
+        b=float(r[1] + r[2]),
+        c=float(r[0] - r[3]),
+        d=float(r[1] - r[2]),
         det_sign=int(np.sign(product)),
         m=float(candidates[best]),
-        pe_entangled=0.5 * (1.0 - sum_abs),
-        pe_unentangled=0.5 * (1.0 - float(candidates[best])),
+        pe_entangled=_error(np.sum(np.abs(r))),
+        pe_unentangled=_error(candidates[best]),
         optimal_unentangled_axis=("z", "x", "y")[best],
         entanglement_needed=product < 0,
     )

@@ -7,6 +7,7 @@ small (d <= 16 or so), so clarity wins over asymptotic speed everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,15 @@ def require_finite(a, what: str):
         bad = values[~np.isfinite(values)].flat[0].item()
         raise NonFinite(f"{what} has a non-finite entry {bad!r}")
     return a
+
+
+def check_count(value, name: str, least: int) -> int:
+    """`value` as an int if it is an integer (numpy's too, bool not) >= least; else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -17,42 +17,39 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import FTOL, MAX_STEPS
 from .errors import DimensionMismatch, OptimizerFailure
+from .linalg import check_count
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for maximize. Defaults suit the d <= 4 problems in this package.
+    """How many starts maximize runs, and the seed of their generators.
 
-    max_iters caps the see-saw steps of each start; ftol is the value gain of
-    one step below which a start has converged. See-saw values converge
-    linearly, with gains often shrinking by only ~0.8 per step, so the
-    distance to the limit can be several times the last gain; the default
-    keeps it far below 1e-9.
+    The stopping policy is not set here: config.FTOL and config.MAX_STEPS
+    hold for every call. num_starts must be an integer >= 1, seed an integer
+    in [0, 2**64), since the per-start generator's key is (seed << 64) + index.
     """
 
     num_starts: int = 32
-    max_iters: int = 2000
-    ftol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_starts < 1:
-            raise ValueError("num_starts must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.ftol > 0:
-            raise ValueError("ftol must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        object.__setattr__(self, "num_starts", check_count(self.num_starts, "num_starts", 1))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
+        if self.seed >= 2**64:
+            raise ValueError(f"seed must be below 2**64, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
 class MaximizeSummary:
     """What happened across all starts of one maximize call.
 
-    best_start is the start reported; converged is that start's own flag.
-    n_evaluations counts input evaluations over all starts and steps.
+    best_start is the start reported; converged is that start's own flag:
+    its last step gained at most config.FTOL before config.MAX_STEPS steps
+    ran out. pe_entangled also sets it False when its certified bracket is
+    wider than config.CERTIFIED_GAP. n_evaluations counts input evaluations
+    over all starts and steps.
     """
 
     n_starts: int
@@ -88,9 +85,9 @@ def maximize(
     step(x) takes a stack of inputs and returns (values at x, next inputs).
     Start i begins at start_input(v), where v is seed_points[i] for the first
     starts and uniform in [-1, 1]^dim_params from the per-start generator for
-    the rest. A start stops once a step gains no more than ftol (converged)
-    or after max_iters steps, and keeps the last input it has a value for.
-    The result is the lowest-index start within ftol of the best value, so a
+    the rest. A start stops once a step gains no more than FTOL (converged)
+    or after MAX_STEPS steps, and keeps the last input it has a value for.
+    The result is the lowest-index start within FTOL of the best value, so a
     rounding-level tie never moves it off a seed point. Raises
     OptimizerFailure only if no start reaches a finite value.
     """
@@ -110,21 +107,21 @@ def maximize(
     converged = np.zeros(config.num_starts, dtype=bool)
     active = np.arange(config.num_starts)
     steps = n_evaluations = 0
-    while active.size and steps < config.max_iters:
+    while active.size and steps < MAX_STEPS:
         new_values, moved = step(x[active])
         steps += 1
         n_evaluations += active.size
-        gained = np.asarray(new_values) - values[active] > config.ftol  # False for NaN
+        gained = np.asarray(new_values) - values[active] > FTOL  # False for NaN
         values[active] = new_values
         converged[active] = ~gained
         active = active[gained]
-        if steps < config.max_iters:
+        if steps < MAX_STEPS:
             x[active] = moved[gained]
 
     finite = np.isfinite(values)
     if not finite.any():
         raise OptimizerFailure("no start reached a finite value")
-    best = int(np.flatnonzero(values >= np.max(values[finite]) - config.ftol)[0])
+    best = int(np.flatnonzero(values >= np.max(values[finite]) - FTOL)[0])
     summary = MaximizeSummary(
         n_starts=config.num_starts,
         best_start=best,

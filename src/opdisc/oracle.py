@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import HERMITICITY_TOL, POVM_TOL
 from .errors import DimensionMismatch, InvalidPovm, InvalidState, UnsupportedDimension
-from .linalg import is_hermitian, require_finite
+from .linalg import check_count, is_hermitian, require_finite
 
 if TYPE_CHECKING:  # only for annotations; keeps this module import-independent
     from collections.abc import Iterable, Iterator
@@ -97,14 +96,6 @@ def povm_error(rho1, rho2, p1: float, povm: TwoOutcomePovm) -> float:
     return p1 * wrong1 + (1.0 - p1) * wrong2
 
 
-def _check_count(value, name: str, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value!r}")
-    return int(value)
-
-
 def _stacks(count: int) -> Iterator[tuple[int, int]]:
     """(start, stop) of consecutive stacks of at most _STACK out of count states."""
     for start in range(0, count, _STACK):
@@ -133,7 +124,7 @@ def _min_error(p1: float, kraus1, kraus2, vectors: Iterable[np.ndarray]) -> floa
     for v in vectors:
         norms = np.sum(np.abs(np.linalg.eigvalsh(_output_differences(ops, weights, v))), axis=-1)
         best = min(best, 0.5 * (1.0 - float(np.max(norms))))
-    return best
+    return max(0.0, best)  # rounding can push a perfect discrimination below 0
 
 
 def _bloch_grid(grid_density: int) -> Iterator[np.ndarray]:
@@ -181,7 +172,7 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
     are sampled instead. Dimensions above 4 are refused.
     """
     d = prob.op1.dim
-    grid_density = _check_count(grid_density, "grid_density", 2)
+    grid_density = check_count(grid_density, "grid_density", 2)
     if d > _MAX_ORACLE_DIM:
         raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
     if d == 2:
@@ -200,7 +191,7 @@ def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int =
     are refused.
     """
     d = prob.op1.dim
-    samples = _check_count(samples, "samples", 1)
+    samples = check_count(samples, "samples", 1)
     if d > _MAX_ORACLE_DIM:
         raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
     rng = np.random.default_rng(seed)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,12 @@ Q_ID = "1,0,0,0"
 Q_DEP = "0.25,0.25,0.25,0.25"
 # thirds to ten decimals; accepted because the CLI allows 1e-9 of slack
 Q_XYZ = "0,0.3333333333,0.3333333333,0.3333333334"
+DEMO_CHANNELS = Path(__file__).resolve().parents[1] / "demos" / "channels"
+# identity vs Hadamard: a maximally entangled input tells them apart perfectly
+ID_VS_HADAMARD = [
+    "--file1", str(DEMO_CHANNELS / "identity_qubit.json"),
+    "--file2", str(DEMO_CHANNELS / "hadamard.json"),
+]
 
 PAULI_KEYS = [
     "pe_entangled",
@@ -189,7 +196,7 @@ def test_general_closed_form_orthogonal_qutrit(tmp_path):
     assert doc["lower_bound"] == "0.05555555556"
     assert float(doc["pe_unentangled"]) >= float(doc["pe_entangled"]) - 1e-9
     assert doc["optimizer"]["starts_run"] == {"unentangled": 8}
-    # only pe_unentangled ran, so no certified gap was enforced
+    # only pe_unentangled ran, so no certified gap was aimed for
     assert doc["tolerances"] == {"hermiticity": "1e-09", "optimizer": "1e-12"}
 
 
@@ -229,6 +236,16 @@ def test_dump_spec_round_trips_through_parser(tmp_path):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_perfect_discrimination_prints_no_negative_probability():
+    """Rounding used to print upper_bound -1.1e-16, lower_bound -1.2e-15 and oracle -2.2e-16 here."""
+    doc = run_json(["general", *ID_VS_HADAMARD])
+    assert [doc[key] for key in ("pe_entangled", "upper_bound", "lower_bound")] == ["0", "0", "0"]
+    assert float(doc["pe_unentangled"]) >= 0.0
+    doc = run_json(["oracle", *ID_VS_HADAMARD, "--grid", "8", "--samples", "8"])
+    assert doc["oracle_pe_entangled"] == "0"
+    assert float(doc["oracle_pe_unentangled"]) > 0.0
+
+
 # --- oracle subcommand ---
 
 def test_oracle_worked_example(tmp_path):
@@ -255,6 +272,22 @@ def test_oracle_rejects_large_dimensions(tmp_path):
 
 
 # --- parser plumbing ---
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["general", "--starts", "0"],
+        ["general", "--seed", "-1"],
+        ["oracle", "--grid", "1"],
+        ["oracle", "--samples", "0"],
+    ],
+    ids=["starts", "seed", "grid", "samples"],
+)
+def test_out_of_range_counts_are_refused_by_flag(argv):
+    code, out, err = run_cli([*argv, *ID_VS_HADAMARD])
+    assert code == 2 and out == ""
+    assert f"argument {argv[1]}: must be at least" in err
+
 
 def test_help_and_missing_subcommand_exit_codes():
     code, out, _ = run_cli(["--help"])

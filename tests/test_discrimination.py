@@ -196,7 +196,6 @@ def test_bound_dominates_numeric_value():
 def test_pe_entangled_worked_example():
     result = pe_entangled(_identity_vs_depolarizing(), FAST)
     assert abs(result.pe_entangled - 0.125) < 1e-9
-    assert result.method == "numeric"
     # the optimum sits at the maximally entangled input, xi = I/sqrt(2)
     assert np.max(np.abs(result.optimal_xi - np.eye(2) / np.sqrt(2))) < 1e-3
     # the four qubit seed starts certify the optimum, so the random starts never run
@@ -302,6 +301,22 @@ def test_pe_entangled_runs_every_start_when_the_seeds_do_not_certify(monkeypatch
     # the seed starts repeat bit for bit, so the full run is never worse
     assert full.pe_entangled <= seeded.pe_entangled + 1e-12
     assert full.lower_bound <= full.pe_entangled
+
+
+def test_pe_entangled_reports_an_uncertified_bracket_as_not_converged():
+    """On this qutrit pair the best input is a product state, where the dual bound stays loose."""
+    rng = np.random.default_rng(44)
+    op1 = random_kraus_operation(3, int(rng.integers(1, 10)), rng)
+    op2 = random_kraus_operation(3, int(rng.integers(1, 10)), rng)
+    prob = DiscriminationProblem(op1, op2, 0.5)
+    result = pe_entangled(prob)
+    assert result.pe_entangled - result.lower_bound > discrimination.CERTIFIED_GAP
+    assert result.lower_bound <= result.pe_entangled
+    assert not result.diagnostics.converged
+    # the seed starts did not certify, so every start ran
+    assert result.diagnostics.n_starts == 32
+    # a product input is optimal: the value is the unentangled one
+    assert abs(result.pe_entangled - pe_unentangled(prob).pe_unentangled) <= 1e-9
 
 
 # --- random-unitary closed forms ---

@@ -23,6 +23,7 @@ from opdisc import (
     pauli_channel,
     pe_unentangled,
 )
+from opdisc import optimizer
 from opdisc.discrimination import _p_seed_points, _seesaw_step
 from opdisc.linalg import is_positive_semidefinite
 
@@ -134,8 +135,9 @@ def test_maximize_prefers_seed_point_on_tie():
     assert abs(res.value) < 1e-12
 
 
-def test_maximize_reports_seed_start_when_a_later_one_edges_ahead_by_rounding():
+def test_maximize_reports_seed_start_when_a_later_one_edges_ahead_by_rounding(monkeypatch):
     """A later, unconverged start one ulp above the seed start must not be reported."""
+    monkeypatch.setattr(optimizer, "MAX_STEPS", 2)
     best = 1 / 18
 
     def step(x):
@@ -149,7 +151,7 @@ def test_maximize_reports_seed_start_when_a_later_one_edges_ahead_by_rounding():
         step,
         lambda v: np.array([float(np.any(v != 0)), 0.0]),
         2,
-        OptimizerConfig(num_starts=4, max_iters=2),
+        OptimizerConfig(num_starts=4),
         seed_points=(np.zeros(2),),
     )
     assert max(res.summary.start_values) > best
@@ -176,8 +178,9 @@ def test_maximize_records_partial_failures():
     assert abs(res.value) < 1e-8
 
 
-def test_maximize_caps_steps_at_max_iters():
-    res = maximize(_halving, lambda v: v, 2, OptimizerConfig(num_starts=3, max_iters=2))
+def test_maximize_caps_steps_at_max_iters(monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_STEPS", 2)
+    res = maximize(_halving, lambda v: v, 2, OptimizerConfig(num_starts=3))
     assert res.summary.n_evaluations == 6
     assert not res.summary.converged
     # the reported value is the value of the reported input
@@ -185,10 +188,15 @@ def test_maximize_caps_steps_at_max_iters():
 
 
 def test_optimizer_config_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="num_starts must be at least 1"):
         OptimizerConfig(num_starts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(ftol=-1.0)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        OptimizerConfig(seed=-1)
+    # the per-start generator's key is (seed << 64) + start index
+    with pytest.raises(ValueError, match="seed must be below 2\\*\\*64"):
+        OptimizerConfig(seed=2**64)
+    config = OptimizerConfig(num_starts=np.int64(3), seed=2**64 - 1)
+    assert type(config.num_starts) is int and maximize(_halving, lambda v: v, 2, config).summary.n_starts == 3
 
 
 # --- the two discrimination see-saw steps on the known worked example ---

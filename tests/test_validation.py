@@ -1,6 +1,7 @@
 """Every public constructor and every CLI spec kind refuses NaN and infinities by name.
 
-The oracles' state counts refuse anything but an integer, also by name.
+The oracles' state counts and OptimizerConfig's fields refuse anything but an
+integer, also by name.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import pytest
 from opdisc import (
     DiscriminationProblem,
     OpdiscError,
+    OptimizerConfig,
     QuantumOperation,
     RandomUnitaryChannel,
     TwoOutcomePovm,
@@ -111,7 +113,13 @@ def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
 
 @pytest.mark.parametrize("count", [True, False, 3.0, 2.5, float("nan"), float("inf"), "4", None])
 @pytest.mark.parametrize(
-    "oracle, name", [(brute_force_unentangled, "grid_density"), (brute_force_entangled, "samples")]
+    "oracle, name",
+    [
+        (brute_force_unentangled, "grid_density"),
+        (brute_force_entangled, "samples"),
+        pytest.param(lambda _, n: OptimizerConfig(num_starts=n), "num_starts", id="OptimizerConfig-num_starts"),
+        pytest.param(lambda _, n: OptimizerConfig(seed=n), "seed", id="OptimizerConfig-seed"),
+    ],
 )
 def test_oracle_counts_must_be_integers(oracle, name, count):
     prob = DiscriminationProblem(pauli_channel(Q_ID), pauli_channel([0.25] * 4), 0.5)
