@@ -20,14 +20,16 @@ Channel spec files are JSON documents:
 Results are printed as a JSON document with a fixed key order; numbers are
 decimal strings with 10 significant digits so output is diff-stable. Weight
 vectors are accepted when they sum to 1 within 1e-9 and are renormalized
-exactly before use. Exit codes: 0 on success, 2 on any parse or validation
-problem, 3 when the optimizer fails outright.
+exactly before use. Exit codes: 0 on success, 1 when the reader of stdout
+has gone away (a closed pipe), 2 on any parse or validation problem, 3 when
+the optimizer fails outright.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -345,10 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=_count_arg(2),
         default=200,
-        help="unentangled search: a grid x grid Bloch-sphere grid at d = 2, grid^3 random pure states "
-        "at d >= 3 (8,000,000 at the default: 15 s on a qutrit pair, 2-vCPU VM)",
+        help="unentangled search: a grid x grid Bloch-sphere grid at d = 2, each pole once "
+        "((grid - 2) * grid + 2 states), grid^3 random pure states at d >= 3 "
+        "(8,000,000 at the default: 15 s on a qutrit pair, 2-vCPU VM)",
     )
-    oracle.add_argument("--samples", type=_count_arg(1), default=500, help="sample count for the entangled search")
+    oracle.add_argument(
+        "--samples",
+        type=_count_arg(1),
+        default=500,
+        help="entangled search: |phi+> once, then this many random positive-direction inputs",
+    )
     oracle.add_argument("--seed", type=_count_arg(0), default=0, help="sampling seed")
     oracle.set_defaults(handler=cmd_oracle)
 
@@ -369,7 +377,13 @@ def main(argv: list[str] | None = None) -> int:
     except (OpdiscError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(doc, indent=2))
+    try:
+        print(json.dumps(doc, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

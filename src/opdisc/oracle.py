@@ -3,6 +3,8 @@
 Deliberately naive: every grid point and every sample is evaluated, channels
 are applied by direct Kraus sums (through explicit K x I on bipartite
 inputs), and each error comes from the eigenvalues of the output difference.
+Only repeats are skipped: each Bloch pole is one state, and |phi+> has the
+error of every maximally entangled input.
 Nothing here calls into the optimizer, the closed forms or linalg.trace_norm,
 so agreement with them is evidence rather than tautology.
 
@@ -16,7 +18,6 @@ one-state-at-a-time loop would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -128,10 +129,12 @@ def _min_error(p1: float, kraus1, kraus2, vectors: Iterable[np.ndarray]) -> floa
 
 
 def _bloch_grid(grid_density: int) -> Iterator[np.ndarray]:
+    """The (polar, azimuthal) grid in row order, with each pole once: at phi = 0."""
     thetas = np.linspace(0.0, np.pi, grid_density)
     phis = np.linspace(0.0, 2.0 * np.pi, grid_density, endpoint=False)
-    for start, stop in _stacks(grid_density * grid_density):
+    for start, stop in _stacks((grid_density - 2) * grid_density + 2):
         i = np.arange(start, stop)
+        i = np.where(i > 0, i + grid_density - 1, 0)  # index into the full grid, past the first pole's azimuths
         theta, phi = thetas[i // grid_density], phis[i % grid_density]
         yield np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
 
@@ -143,19 +146,15 @@ def _random_pure_states(d: int, count: int, rng: np.random.Generator) -> Iterato
         yield v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _maximally_entangled_states(d: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """(U x I)|phi+> for Haar unitaries U; its amplitudes are U's entries over sqrt(d)."""
+def _entangled_states(d: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """|phi+> = vec(I)/sqrt(d), then |xi>> with xi^T = P for `count` random positive P with Tr[P^2] = 1."""
+    yield np.eye(d).reshape(1, d * d) / np.sqrt(d)
+    # Every maximally entangled input (U x I)|phi+> has P = I/sqrt(d), so |phi+>
+    # stands for all of them. A seed's positive directions follow `count` Haar
+    # unitaries' worth of draws, taken a stack at a time and discarded: each
+    # seed keeps the values it printed, and memory stays flat in `count`.
     for start, stop in _stacks(count):
-        x = rng.standard_normal((stop - start, 2, d, d))
-        q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2))
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        phases = np.where(np.abs(diag) > 0, diag / np.abs(np.where(diag == 0, 1, diag)), 1.0)
-        u = q * phases.conj()[:, None, :]
-        yield u.reshape(stop - start, d * d) / np.sqrt(d)
-
-
-def _positive_direction_states(d: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """|xi>> with xi^T = P for random positive P with Tr[P^2] = 1."""
+        rng.standard_normal((stop - start, 2, d, d))
     for start, stop in _stacks(count):
         x = rng.standard_normal((stop - start, 2, d, d))
         g = x[:, 0] + 1j * x[:, 1]
@@ -168,11 +167,13 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
     """Smallest error over unentangled pure inputs found by dense search.
 
     For d = 2 the Bloch sphere is scanned on a grid_density x grid_density
-    (polar, azimuthal) grid; for d = 3 or 4 grid_density**3 random pure states
+    (polar, azimuthal) grid, each pole evaluated once: (grid_density - 2) *
+    grid_density + 2 states. For d = 3 or 4 grid_density**3 random pure states
     are sampled instead. Dimensions above 4 are refused.
     """
     d = prob.op1.dim
     grid_density = check_count(grid_density, "grid_density", 2)
+    seed = check_count(seed, "seed", 0)
     if d > _MAX_ORACLE_DIM:
         raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
     if d == 2:
@@ -185,22 +186,20 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
 def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int = 0) -> float:
     """Smallest error over sampled bipartite inputs to (E x I).
 
-    Evaluates `samples` maximally entangled states (U x I)|phi+> for Haar
-    unitaries U, then `samples` states built from random positive directions
-    P with Tr[P^2] = 1 via the correspondence xi^T = P. Dimensions above 4
-    are refused.
+    Evaluates |phi+> = vec(I)/sqrt(d) once, which has the error of every
+    maximally entangled input, then `samples` states built from random
+    positive directions P with Tr[P^2] = 1 via the correspondence xi^T = P.
+    Dimensions above 4 are refused.
     """
     d = prob.op1.dim
     samples = check_count(samples, "samples", 1)
+    seed = check_count(seed, "seed", 0)
     if d > _MAX_ORACLE_DIM:
         raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
-    rng = np.random.default_rng(seed)
     eye = np.eye(d)
-    # chain draws every Haar stack before the first positive-direction stack
-    states = chain(_maximally_entangled_states(d, samples, rng), _positive_direction_states(d, samples, rng))
     return _min_error(
         prob.p1,
         [np.kron(k, eye) for k in prob.op1.kraus],
         [np.kron(k, eye) for k in prob.op2.kraus],
-        states,
+        _entangled_states(d, samples, np.random.default_rng(seed)),
     )

@@ -1,13 +1,20 @@
-"""End-to-end tests of the command-line front end, run in process."""
+"""End-to-end tests of the command-line front end, run in process.
+
+Only the closed-pipe test starts a process of its own: it needs a real stdout.
+"""
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opdisc
 from opdisc.cli import main, operation_to_spec, parse_channel_file
 from opdisc.channels import pauli_channel, weyl_channel
 
@@ -294,3 +301,22 @@ def test_help_and_missing_subcommand_exit_codes():
     assert code == 0 and "pauli" in out and "oracle" in out
     code, _, err = run_cli([])
     assert code == 2 and err != ""
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    src = str(Path(opdisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the document is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "opdisc.cli", "pauli", "--q1", Q_ID, "--q2", Q_DEP],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr

@@ -27,6 +27,7 @@ from opdisc import (
     weyl_channel,
 )
 
+from opdisc import oracle as oracle_module
 from opdisc.oracle import _STACK
 
 from helpers import random_kraus_operation, random_prob_vector, random_two_outcome_povm
@@ -222,6 +223,42 @@ def test_stacked_oracles_match_a_per_state_loop(d, seed):
     assert abs(unent - _per_state_unentangled(prob, grid, seed)) < 1e-12
     ent = brute_force_entangled(prob, samples, seed=seed)
     assert abs(ent - _per_state_entangled(prob, samples, seed)) < 1e-12
+
+
+def test_oracles_evaluate_no_state_twice(monkeypatch):
+    """|phi+> once for every maximally entangled input, each Bloch pole once."""
+    rows = []
+    evaluate = oracle_module._output_differences
+
+    def counting(ops, weights, v):
+        rows.append(v.shape[0])
+        return evaluate(ops, weights, v)
+
+    monkeypatch.setattr(oracle_module, "_output_differences", counting)
+    samples, grid = 2 * _STACK + 3, 24
+    brute_force_entangled(_identity_vs_depolarizing(), samples)
+    assert sum(rows) == samples + 1
+    rows.clear()
+    brute_force_unentangled(_identity_vs_depolarizing(), grid)
+    assert sum(rows) == (grid - 2) * grid + 2
+
+
+def test_entangled_memory_is_flat_in_the_sample_count():
+    """20,000 qutrit samples; stepping past their Haar draws in a single piece peaked at 3.4 MB."""
+    rng = np.random.default_rng(42)
+    prob = DiscriminationProblem(
+        weyl_channel(3, random_prob_vector(9, rng)).as_operation(),
+        weyl_channel(3, random_prob_vector(9, rng)).as_operation(),
+        0.4,
+    )
+    brute_force_entangled(prob, 1)  # first-call allocations are not the oracle's working set
+    tracemalloc.start()
+    try:
+        brute_force_entangled(prob, 20_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_unentangled_memory_is_flat_in_the_state_count():

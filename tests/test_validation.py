@@ -1,7 +1,7 @@
 """Every public constructor and every CLI spec kind refuses NaN and infinities by name.
 
-The oracles' state counts and OptimizerConfig's fields refuse anything but an
-integer, also by name.
+The oracles' state counts and seeds and OptimizerConfig's fields refuse
+anything but an integer, also by name.
 """
 
 import contextlib
@@ -119,6 +119,8 @@ def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
         (brute_force_entangled, "samples"),
         pytest.param(lambda _, n: OptimizerConfig(num_starts=n), "num_starts", id="OptimizerConfig-num_starts"),
         pytest.param(lambda _, n: OptimizerConfig(seed=n), "seed", id="OptimizerConfig-seed"),
+        pytest.param(lambda p, n: brute_force_unentangled(p, 4, seed=n), "seed", id="brute_force_unentangled-seed"),
+        pytest.param(lambda p, n: brute_force_entangled(p, 2, seed=n), "seed", id="brute_force_entangled-seed"),
     ],
 )
 def test_oracle_counts_must_be_integers(oracle, name, count):
@@ -128,7 +130,15 @@ def test_oracle_counts_must_be_integers(oracle, name, count):
     assert repr(count) in str(info.value)
 
 
+@pytest.mark.parametrize("oracle", [brute_force_unentangled, brute_force_entangled])
+def test_oracle_seeds_must_be_non_negative(oracle):
+    prob = DiscriminationProblem(pauli_channel(Q_ID), pauli_channel([0.25] * 4), 0.5)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        oracle(prob, 2, seed=-1)
+
+
 def test_oracle_counts_accept_numpy_integers():
     prob = DiscriminationProblem(pauli_channel(Q_ID), pauli_channel([0.25] * 4), 0.5)
     assert brute_force_unentangled(prob, np.int64(3)) == brute_force_unentangled(prob, 3)
     assert brute_force_entangled(prob, np.int32(2)) == brute_force_entangled(prob, 2)
+    assert brute_force_entangled(prob, 2, seed=np.uint8(5)) == brute_force_entangled(prob, 2, seed=5)
