@@ -80,8 +80,20 @@ class ParsedChannel:
     family: RandomUnitaryChannel | None = None
 
 
+def _number(value, what: str) -> float:
+    """`value` as a float if it is a JSON number (bool is not); else ValueError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what}: integer too large for a float") from None
+
+
 def _normalize_weights(q, length: int, what: str) -> np.ndarray:
-    q = require_finite(np.asarray(q, dtype=float).reshape(-1), what)
+    if not isinstance(q, list):
+        raise ValueError(f"{what}: expected a list of {length} numbers, got {q!r}")
+    q = require_finite(np.array([_number(x, f"{what}[{i}]") for i, x in enumerate(q)], dtype=float), what)
     if q.size != length:
         raise ValueError(f"{what}: expected {length} entries, got {q.size}")
     if not np.min(q) >= 0.0:
@@ -131,14 +143,11 @@ def _parse_matrix(entries, what: str) -> np.ndarray:
         elif len(row) != width:
             raise ValueError(f"{what}: ragged rows")
         parsed = []
-        for entry in row:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(part, (int, float)) for part in entry)
-            ):
-                raise ValueError(f"{what}: entries must be [re, im] pairs")
-            parsed.append(complex(entry[0], entry[1]))
+        for c, entry in enumerate(row):
+            at = f"{what}[{len(rows)}][{c}]"
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError(f"{at}: entries must be [re, im] pairs")
+            parsed.append(complex(_number(entry[0], f"{at}[0]"), _number(entry[1], f"{at}[1]")))
         rows.append(parsed)
     return require_finite(np.array(rows, dtype=complex), what)
 
@@ -146,7 +155,10 @@ def _parse_matrix(entries, what: str) -> np.ndarray:
 def parse_channel_file(path: str) -> ParsedChannel:
     """Read, validate and build one channel from a spec file."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise ValueError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     kind = doc.get("kind")
@@ -171,11 +183,11 @@ def parse_channel_file(path: str) -> ParsedChannel:
     if kind == "pauli":
         if dim != 2:
             raise ValueError(f"{path}: kind pauli requires dim 2, got {dim}")
-        q = _normalize_weights(doc.get("q", ()), 4, f"{path}: q")
+        q = _normalize_weights(doc.get("q", []), 4, f"{path}: q")
         return ParsedChannel(pauli_channel(q), pauli_q=q)
 
     if kind == "weyl":
-        family = weyl_channel(dim, _normalize_weights(doc.get("q", ()), dim * dim, f"{path}: q"))
+        family = weyl_channel(dim, _normalize_weights(doc.get("q", []), dim * dim, f"{path}: q"))
         return ParsedChannel(family.as_operation(), family=family)
 
     if kind == "depolarizing":
@@ -332,10 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--starts",
         type=_count_arg(1),
         default=32,
-        help="optimizer starts: pe_unentangled runs all of them, pe_entangled at most this many, "
-        "only its seed starts when the dual bound certifies them",
+        help="optimizer starts: pe_unentangled runs all of them, pe_entangled only its seed "
+        "starts (4 at d = 2, 2 at d >= 3), at most this many",
     )
-    general.add_argument("--seed", type=_count_arg(0), default=0, help="optimizer seed")
+    general.add_argument(
+        "--seed", type=_count_arg(0), default=0, help="optimizer seed (pe_unentangled's random starts)"
+    )
     general.add_argument("--dump-spec", action="store_true", help="embed Kraus spec documents in the output")
     general.set_defaults(handler=cmd_general)
 

@@ -33,7 +33,7 @@ ENTANGLEMENT_GAP = 1e-7
 MAX_STEPS = 2000
 FTOL = 1e-12
 
-# pe_entangled returns its seed starts' best only when the dual certificate
-# brackets it this tightly; otherwise it runs every start, and reports
-# converged = False when even their best stays wider.
+# The bracket pe_entangled aims for between its value and its dual certificate.
+# A reporting target only: pe_entangled runs its seed starts either way, and
+# reports converged = False when their best stays wider.
 CERTIFIED_GAP = 1e-6

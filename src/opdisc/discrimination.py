@@ -149,8 +149,8 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     p1 = _check_prior(p1)
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
-    if rho1.shape != rho2.shape:
-        raise DimensionMismatch(f"states of shapes {rho1.shape} and {rho2.shape}")
+    if rho1.shape != rho2.shape or rho1.ndim != 2:
+        raise DimensionMismatch(f"states of shapes {rho1.shape} and {rho2.shape}, expected two d x d")
     d = rho1.shape[0]
     rho1 = check_density_matrix(rho1, d)
     rho2 = check_density_matrix(rho2, d)
@@ -279,12 +279,10 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
     is max ||(I x P) Delta (I x P)||_1 over positive P with Tr[P^2] = 1.
 
     The value is concave in the reduced input state P^2, so the seed starts
-    alone (at most config.num_starts of them) run first. Their best is
-    returned when the dual bound built on its P^2 lies within CERTIFIED_GAP
-    of it; otherwise all config.num_starts starts run and their best is
-    returned. lower_bound is the dual bound of the input returned, and
-    diagnostics describe the run that found it; diagnostics.converged is
-    False when even that bracket is wider than CERTIFIED_GAP, as it can be
+    alone run: at most config.num_starts of them, 4 at d = 2 and 2 at d >= 3;
+    config.seed does not enter. lower_bound is the dual bound built on the
+    best input's P^2. CERTIFIED_GAP is a reporting target:
+    diagnostics.converged is False when the bracket is wider, as it can be
     when the best input is a product state.
     """
     config = config or OptimizerConfig()
@@ -296,24 +294,20 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
             lower_bound=0.0,
             optimal_xi=np.eye(d, dtype=complex) / np.sqrt(d),
         )
-    step = _seesaw_step(prob, ancilla=d)
     seeds = _p_seed_points(d)
-
-    def solve(run: OptimizerConfig):
-        value, x, summary = maximize(
-            step, lambda theta: mat_to_biket(decode_p(theta, d).T), d * d, run, seeds
-        )
-        # polar decomposition xi^T = W P; dropping W leaves xi^T = P
-        _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
-        p_opt = (dagger(vh) * s) @ vh
-        pe = _error(value)
-        # both bracket the same optimum, so the bound can pass the value only by rounding
-        return pe, min(_dual_lower_bound(prob, p_opt @ p_opt), pe), p_opt, summary
-
-    seed_run = replace(config, num_starts=min(len(seeds), config.num_starts))
-    pe, lower, p_opt, summary = solve(seed_run)
-    if not pe - lower <= CERTIFIED_GAP and seed_run != config:
-        pe, lower, p_opt, summary = solve(config)
+    value, x, summary = maximize(
+        _seesaw_step(prob, ancilla=d),
+        lambda theta: mat_to_biket(decode_p(theta, d).T),
+        d * d,
+        replace(config, num_starts=min(len(seeds), config.num_starts)),
+        seeds,
+    )
+    # polar decomposition xi^T = W P; dropping W leaves xi^T = P
+    _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
+    p_opt = (dagger(vh) * s) @ vh
+    pe = _error(value)
+    # both bracket the same optimum, so the bound can pass the value only by rounding
+    lower = min(_dual_lower_bound(prob, p_opt @ p_opt), pe)
     if not pe - lower <= CERTIFIED_GAP:
         summary = replace(summary, converged=False)
     return DiscriminationResult(

@@ -26,9 +26,12 @@ from .linalg import check_count
 class OptimizerConfig:
     """How many starts maximize runs, and the seed of their generators.
 
-    The stopping policy is not set here: config.FTOL and config.MAX_STEPS
-    hold for every call. num_starts must be an integer >= 1, seed an integer
-    in [0, 2**64), since the per-start generator's key is (seed << 64) + index.
+    pe_unentangled runs all num_starts starts. pe_entangled runs only its
+    seed starts (4 at d = 2, 2 at d >= 3), capped by num_starts, so seed
+    affects pe_unentangled alone. The stopping policy is not set here:
+    config.FTOL and config.MAX_STEPS hold for every call. num_starts must be
+    an integer >= 1, seed an integer in [0, 2**64), since the per-start
+    generator's key is (seed << 64) + index.
     """
 
     num_starts: int = 32
@@ -47,9 +50,9 @@ class MaximizeSummary:
 
     best_start is the start reported; converged is that start's own flag:
     its last step gained at most config.FTOL before config.MAX_STEPS steps
-    ran out. pe_entangled also sets it False when its certified bracket is
-    wider than config.CERTIFIED_GAP. n_evaluations counts input evaluations
-    over all starts and steps.
+    ran out. pe_entangled, which runs only its seed starts, also sets it
+    False when its certified bracket is wider than config.CERTIFIED_GAP.
+    n_evaluations counts input evaluations over all starts and steps.
     """
 
     n_starts: int

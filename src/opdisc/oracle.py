@@ -58,11 +58,8 @@ class TwoOutcomePovm:
         object.__setattr__(self, "pi2", pi2)
 
 
-def _check_povm(povm: TwoOutcomePovm, d: int) -> None:
-    if povm.pi1.shape != (d, d):
-        raise DimensionMismatch(
-            f"POVM elements are {povm.pi1.shape}, states are {d}x{d}"
-        )
+def _check_povm(povm: TwoOutcomePovm) -> None:
+    d = povm.pi1.shape[0]
     for name, pi in (("pi1", povm.pi1), ("pi2", povm.pi2)):
         if not is_hermitian(pi, POVM_TOL):
             raise InvalidPovm(f"{name} is not Hermitian within tolerance")
@@ -74,7 +71,7 @@ def _check_povm(povm: TwoOutcomePovm, d: int) -> None:
 
 
 def _check_state(rho, d: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
+    rho = require_finite(np.asarray(rho, dtype=complex), "state")
     if rho.shape != (d, d):
         raise DimensionMismatch(f"state of shape {rho.shape}, expected {d}x{d}")
     if not is_hermitian(rho, HERMITICITY_TOL):
@@ -85,13 +82,17 @@ def _check_state(rho, d: int) -> np.ndarray:
 
 
 def povm_error(rho1, rho2, p1: float, povm: TwoOutcomePovm) -> float:
-    """Error probability p1 Tr[rho1 pi2] + p2 Tr[rho2 pi1] of a given measurement."""
+    """Error probability p1 Tr[rho1 pi2] + p2 Tr[rho2 pi1] of a given measurement.
+
+    Both states must be d x d, the shape of the POVM's elements.
+    """
+    p1 = float(require_finite(p1, "p1"))
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
-    d = np.asarray(rho1).shape[0]
+    _check_povm(povm)
+    d = povm.pi1.shape[0]
     rho1 = _check_state(rho1, d)
     rho2 = _check_state(rho2, d)
-    _check_povm(povm, d)
     wrong1 = float(np.trace(rho1 @ povm.pi2).real)
     wrong2 = float(np.trace(rho2 @ povm.pi1).real)
     return p1 * wrong1 + (1.0 - p1) * wrong2

@@ -166,7 +166,7 @@ def test_general_numeric_on_kraus_files(tmp_path):
     assert abs(float(doc["pe_unentangled"]) - 1 / 6) < 1e-6
     # the certified lower bound brackets the numeric value from below
     assert 0.0 <= float(doc["pe_entangled"]) - float(doc["lower_bound"]) <= 1e-6
-    # --starts caps pe_entangled, which stops after its 4 certified qubit seed starts
+    # --starts caps pe_entangled, which runs only its 4 qubit seed starts
     assert doc["optimizer"] == {
         "starts": 8,
         "starts_run": {"entangled": 4, "unentangled": 8},

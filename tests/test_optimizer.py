@@ -233,7 +233,7 @@ def test_maximize_unentangled_objective_worked_example():
 def test_maximize_start_trajectories_ignore_num_starts():
     prob = random_qubit_problem(np.random.default_rng(11))
 
-    # pe_entangled stops after its seed starts when they certify, so drive its step directly
+    # pe_entangled runs only its seed starts, so drive its step directly
     def entangled(config):
         return maximize(
             _seesaw_step(prob, ancilla=2),

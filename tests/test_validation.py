@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from opdisc import (
+    DimensionMismatch,
     DiscriminationProblem,
     OpdiscError,
     OptimizerConfig,
@@ -26,12 +27,14 @@ from opdisc import (
     pauli_channel,
     pauli_delta_summary,
     pe_random_unitary_exact,
+    povm_error,
     weyl_channel,
 )
 from opdisc.cli import main
 
 IDENTITY = np.eye(2, dtype=complex)
 Q_ID = [1.0, 0.0, 0.0, 0.0]
+GUESS_FIRST = TwoOutcomePovm(pi1=IDENTITY, pi2=np.zeros((2, 2)))
 
 
 def _with(matrix, value):
@@ -86,6 +89,8 @@ CASES = {
     "TwoOutcomePovm": _library(lambda v: TwoOutcomePovm(pi1=_with(IDENTITY, v), pi2=np.zeros((2, 2)))),
     "helstrom.state": _library(lambda v: helstrom(_with(IDENTITY / 2, v), IDENTITY / 2, 0.5)),
     "helstrom.p1": _library(lambda v: helstrom(IDENTITY / 2, IDENTITY / 2, v)),
+    "povm_error.state": _library(lambda v: povm_error(_with(IDENTITY / 2, v), IDENTITY / 2, 0.5, GUESS_FIRST)),
+    "povm_error.p1": _library(lambda v: povm_error(IDENTITY / 2, IDENTITY / 2, v, GUESS_FIRST)),
     "pauli_delta_summary.q": _library(lambda v: pauli_delta_summary([v, 0.0, 0.0, 1.0], Q_ID, 0.5)),
     "pauli_delta_summary.p1": _library(lambda v: pauli_delta_summary(Q_ID, Q_ID, v)),
     "pe_random_unitary_exact.p1": _library(
@@ -109,6 +114,60 @@ CASES = {
 def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
     message = CASES[case](value, tmp_path)
     assert repr(value) in message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: helstrom(1.0, 1.0, 0.5), id="helstrom"),
+        pytest.param(lambda: povm_error(1.0, 1.0, 0.5, GUESS_FIRST), id="povm_error"),
+    ],
+)
+def test_scalar_states_are_refused_as_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch, match=r"shape"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        pytest.param({"dim": 2, "kind": "pauli", "q": {"a": 1}}, "q", id="pauli-object"),
+        pytest.param({"dim": 2, "kind": "weyl", "q": {"a": 1}}, "q", id="weyl-object"),
+        pytest.param({"dim": 2, "kind": "pauli", "q": [None, 0, 0, 1]}, "q[0]", id="pauli-null"),
+        pytest.param({"dim": 2, "kind": "weyl", "q": [0, 0, 0, "x"]}, "q[3]", id="weyl-string"),
+        pytest.param({"dim": 2, "kind": "pauli", "q": [True, False, False, False]}, "q[0]", id="pauli-bools"),
+        pytest.param(
+            {"dim": 2, "kind": "pauli", "q": [[0.25, 0.25], [0.25, 0.25]]}, "q[0]", id="pauli-nested"
+        ),
+        pytest.param(
+            {"dim": 2, "kind": "unitary", "u": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
+            "u[0][0][0]",
+            id="unitary-bool",
+        ),
+        pytest.param(
+            {"dim": 2, "kind": "kraus", "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, False]]]]},
+            "kraus[0][1][1][1]",
+            id="kraus-bool",
+        ),
+        pytest.param(
+            {"dim": 2, "kind": "unitary", "u": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]},
+            "u[0][0][0]",
+            id="unitary-huge-integer",
+        ),
+    ],
+)
+def test_spec_numbers_must_be_json_numbers(doc, key, tmp_path):
+    assert f"bad.json: {key}: " in _cli(spec=lambda _: doc)(None, tmp_path)
+
+
+def test_a_spec_file_that_is_not_json_is_refused_by_path(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["general", "--file1", str(bad), "--file2", str(bad)])
+    assert code == 2
+    assert f"{bad}: not a JSON document" in err.getvalue()
 
 
 @pytest.mark.parametrize("count", [True, False, 3.0, 2.5, float("nan"), float("inf"), "4", None])
