@@ -31,9 +31,10 @@ print(f"  sign of r0*r1*r2*r3 {summary.det_sign}   -> entanglement needed: {summ
 print(f"  best product input  eigenstate of sigma_{summary.optimal_unentangled_axis}")
 
 prob = DiscriminationProblem(pauli_channel(q_id), pauli_channel(q_dep), 0.5)
-config = OptimizerConfig(num_starts=8)
-res_e = pe_entangled(prob, config)
-res_u = pe_unentangled(prob, config)
+# pe_entangled has no settings (it runs its 4 qubit seed starts);
+# OptimizerConfig sets pe_unentangled's starts
+res_e = pe_entangled(prob)
+res_u = pe_unentangled(prob, OptimizerConfig(num_starts=8))
 
 print()
 print("numeric optimizers")

@@ -11,7 +11,6 @@ import numpy as np
 
 from opdisc import (
     DiscriminationProblem,
-    OptimizerConfig,
     pe_entangled,
     pe_random_unitary_bounds,
     pe_random_unitary_exact,
@@ -30,7 +29,8 @@ lower, upper = pe_random_unitary_bounds(ch_id, ch_dep, 0.5)
 print(f"bounds collapse for an orthogonal family: lower {lower:.12f}, upper {upper:.12f}")
 
 prob = DiscriminationProblem(ch_id.as_operation(), ch_dep.as_operation(), 0.5)
-numeric = pe_entangled(prob, OptimizerConfig(num_starts=8)).pe_entangled
+# pe_entangled has no settings: it runs its two qutrit seed starts
+numeric = pe_entangled(prob).pe_entangled
 print(f"numeric optimizer over 9x9 inputs:  {numeric:.12f}   (dev {abs(numeric - exact):.1e})")
 
 # the family really is orthogonal: Tr[U_a^dag U_b] = d * delta_ab

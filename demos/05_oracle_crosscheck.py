@@ -28,9 +28,9 @@ angle = 0.4
 op2 = make_operation([np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]], dtype=complex)])
 prob = DiscriminationProblem(op1, op2, 0.5)
 
-config = OptimizerConfig(num_starts=8)
-lib_u = pe_unentangled(prob, config).pe_unentangled
-lib_e = pe_entangled(prob, config).pe_entangled
+# OptimizerConfig sets pe_unentangled's starts; pe_entangled has no settings
+lib_u = pe_unentangled(prob, OptimizerConfig(num_starts=8)).pe_unentangled
+lib_e = pe_entangled(prob).pe_entangled
 
 oracle_u = brute_force_unentangled(prob, grid_density=120)
 oracle_e = brute_force_entangled(prob, samples=400)

@@ -8,6 +8,7 @@ bipartite vector |A>> with component A[n, m] at index n*d + m, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     NonSquare,
     UnsupportedDimension,
 )
-from .linalg import dagger, is_hermitian, is_unitary, mat_to_biket, require_finite
+from .linalg import check_count, dagger, is_hermitian, is_unitary, mat_to_biket, require_finite
 
 PAULI_MATRICES: tuple[np.ndarray, ...] = (
     np.eye(2, dtype=complex),
@@ -38,7 +39,7 @@ PAULI_MATRICES: tuple[np.ndarray, ...] = (
 
 def check_probability_vector(q, length: int | None = None) -> np.ndarray:
     """Validate nonnegative entries summing to 1; returns the vector as floats."""
-    q = require_finite(np.asarray(q, dtype=float).reshape(-1), "probability vector")
+    q = require_finite(q, "probability vector", float).reshape(-1)
     if length is not None and q.size != length:
         raise InvalidProbabilityVector(f"expected {length} entries, got {q.size}")
     if not np.min(q) >= -PROBABILITY_TOL:
@@ -60,12 +61,11 @@ class QuantumOperation:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        kraus = tuple(require_finite(k, f"Kraus operator {i}", complex) for i, k in enumerate(self.kraus))
         if not kraus:
             raise CompletenessViolation("an operation needs at least one Kraus operator")
-        d = int(self.dim)
-        for i, k in enumerate(kraus):
-            require_finite(k, f"Kraus operator {i}")
+        d = check_count(self.dim, "dim", 1)
+        for k in kraus:
             if k.ndim != 2 or k.shape[0] != k.shape[1]:
                 raise NonSquare(f"Kraus operator of shape {k.shape} is not square")
             if k.shape != (d, d):
@@ -84,7 +84,7 @@ class QuantumOperation:
 
 def make_operation(kraus) -> QuantumOperation:
     """Build a validated QuantumOperation from a list of square matrices."""
-    kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
+    kraus = tuple(require_finite(k, f"Kraus operator {i}", complex) for i, k in enumerate(kraus))
     if not kraus:
         raise CompletenessViolation("an operation needs at least one Kraus operator")
     if kraus[0].ndim != 2 or kraus[0].shape[0] != kraus[0].shape[1]:
@@ -105,12 +105,11 @@ class RandomUnitaryChannel:
     weights: np.ndarray
 
     def __post_init__(self):
-        d = int(self.dim)
-        unitaries = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
+        d = check_count(self.dim, "dim", 1)
+        unitaries = tuple(require_finite(u, f"unitary {i}", complex) for i, u in enumerate(self.unitaries))
         if not unitaries:
             raise CompletenessViolation("a random-unitary channel needs at least one unitary")
-        for i, u in enumerate(unitaries):
-            require_finite(u, f"unitary {i}")
+        for u in unitaries:
             if u.shape != (d, d):
                 raise DimensionMismatch(f"unitary of shape {u.shape} in a {d}-dimensional channel")
             if not is_unitary(u, UNITARITY_TOL):
@@ -149,9 +148,9 @@ def weyl_unitaries(d: int) -> tuple[np.ndarray, ...]:
     They are pairwise orthogonal: Tr[U_m^dag U_n] = d delta_mn. For d = 2 they
     reproduce the Pauli matrices up to phase.
     """
-    d = int(d)
-    if d < 2:
+    if isinstance(d, Integral) and not isinstance(d, bool) and d < 2:
         raise UnsupportedDimension(f"dimension must be at least 2, got {d}")
+    d = check_count(d, "d", 2)
     omega = np.exp(2j * np.pi / d)
     family = []
     for a in range(d):
@@ -171,7 +170,7 @@ def weyl_channel(d: int, q) -> RandomUnitaryChannel:
 
 def check_density_matrix(rho, d: int) -> np.ndarray:
     """Validate a d x d density matrix (Hermitian, unit trace, positive within tolerance)."""
-    rho = require_finite(np.asarray(rho, dtype=complex), "state")
+    rho = require_finite(rho, "state", complex)
     if rho.shape != (d, d):
         raise DimensionMismatch(f"state of shape {rho.shape} for a {d}-dimensional operation")
     if not is_hermitian(rho, HERMITICITY_TOL):
@@ -204,7 +203,7 @@ def apply_extended(op: QuantumOperation, xi) -> np.ndarray:
     Computed as (I x xi^T) sum_n |K_n>><<K_n| (I x xi^*), which agrees with
     applying the extended Kraus operators K_n x I directly.
     """
-    xi = require_finite(np.asarray(xi, dtype=complex), "input operator")
+    xi = require_finite(xi, "input operator", complex)
     d = op.dim
     if xi.shape != (d, d):
         raise DimensionMismatch(f"input operator of shape {xi.shape} for dimension {d}")

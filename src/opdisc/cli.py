@@ -93,7 +93,7 @@ def _number(value, what: str) -> float:
 def _normalize_weights(q, length: int, what: str) -> np.ndarray:
     if not isinstance(q, list):
         raise ValueError(f"{what}: expected a list of {length} numbers, got {q!r}")
-    q = require_finite(np.array([_number(x, f"{what}[{i}]") for i, x in enumerate(q)], dtype=float), what)
+    q = require_finite([_number(x, f"{what}[{i}]") for i, x in enumerate(q)], what, float)
     if q.size != length:
         raise ValueError(f"{what}: expected {length} entries, got {q.size}")
     if not np.min(q) >= 0.0:
@@ -149,7 +149,7 @@ def _parse_matrix(entries, what: str) -> np.ndarray:
                 raise ValueError(f"{at}: entries must be [re, im] pairs")
             parsed.append(complex(_number(entry[0], f"{at}[0]"), _number(entry[1], f"{at}[1]")))
         rows.append(parsed)
-    return require_finite(np.array(rows, dtype=complex), what)
+    return require_finite(rows, what, complex)
 
 
 def parse_channel_file(path: str) -> ParsedChannel:
@@ -276,7 +276,7 @@ def cmd_general(args: argparse.Namespace) -> dict:
         results = {"unentangled": result_u}
     else:
         method = "numeric"
-        result_e = pe_entangled(prob, config)
+        result_e = pe_entangled(prob)
         result_u = pe_unentangled(prob, config)
         ent, unent = result_e.pe_entangled, result_u.pe_unentangled
         lower = result_e.lower_bound
@@ -344,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--starts",
         type=_count_arg(1),
         default=32,
-        help="optimizer starts: pe_unentangled runs all of them, pe_entangled only its seed "
-        "starts (4 at d = 2, 2 at d >= 3), at most this many",
+        help="pe_unentangled's optimizer starts; pe_entangled has no settings and always runs "
+        "its seed starts (4 at d = 2, 2 at d >= 3)",
     )
     general.add_argument(
         "--seed", type=_count_arg(0), default=0, help="optimizer seed (pe_unentangled's random starts)"

@@ -24,9 +24,6 @@ ORTHOGONALITY_TOL = 1e-8
 # POVM elements may dip this far below positivity / completeness.
 POVM_TOL = 1e-9
 
-# Numeric entanglement advantage must exceed this gap to count.
-ENTANGLEMENT_GAP = 1e-7
-
 # The optimizer's stopping policy: a start stops once one see-saw step gains at
 # most FTOL (converged) or after MAX_STEPS steps. Gains shrink by only ~0.8 a
 # step, so at FTOL = 1e-9 a random qubit pair's dual certificate read 6e-6.

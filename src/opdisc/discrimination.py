@@ -33,7 +33,7 @@ from .channels import (
     check_probability_vector,
     unnormalized_choi,
 )
-from .config import CERTIFIED_GAP, ENTANGLEMENT_GAP, ORTHOGONALITY_TOL
+from .config import CERTIFIED_GAP, ORTHOGONALITY_TOL
 from .errors import DimensionMismatch, FamilyMismatch, NotOrthogonal
 from .linalg import (
     biket_to_mat,
@@ -61,7 +61,7 @@ def _error(norm) -> float:
 
 
 def _check_prior(p1) -> float:
-    p1 = float(require_finite(p1, "p1"))
+    p1 = float(require_finite(p1, "p1", float))
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
     return p1
@@ -92,13 +92,12 @@ class DiscriminationResult:
     optimal_xi is the input operator xi (Tr[xi^dag xi] = 1) whose double-ket
     realizes pe_entangled; optimal_pure_input is the state vector realizing
     pe_unentangled. pe_entangled sets lower_bound to a certified lower bound
-    on the true optimum, and upper_bound to the error at the maximally
-    entangled input.
+    on the true optimum; bound_max_entangled(prob) is the upper bound, the
+    error at the maximally entangled input.
     """
 
     pe_entangled: float | None = None
     pe_unentangled: float | None = None
-    upper_bound: float | None = None
     lower_bound: float | None = None
     optimal_xi: np.ndarray | None = None
     optimal_pure_input: np.ndarray | None = None
@@ -147,8 +146,8 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     p1 rho1 - p2 rho2; the zero eigenspace is assigned to outcome 1.
     """
     p1 = _check_prior(p1)
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
+    rho1 = require_finite(rho1, "state", complex)
+    rho2 = require_finite(rho2, "state", complex)
     if rho1.shape != rho2.shape or rho1.ndim != 2:
         raise DimensionMismatch(f"states of shapes {rho1.shape} and {rho2.shape}, expected two d x d")
     d = rho1.shape[0]
@@ -269,7 +268,7 @@ def _dual_lower_bound(prob: DiscriminationProblem, sigma: np.ndarray) -> float:
     return _error(2.0 * float(lmax) - (prob.p1 - prob.p2))
 
 
-def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = None) -> DiscriminationResult:
+def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     """Numerically minimal error with an entangled input, by see-saw over |xi>>, certified.
 
     Maximizes the output trace norm over inputs |xi>> with Tr[xi^dag xi] = 1,
@@ -278,19 +277,17 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
     turns the best input into optimal_xi with xi^T = P >= 0, so the optimum
     is max ||(I x P) Delta (I x P)||_1 over positive P with Tr[P^2] = 1.
 
-    The value is concave in the reduced input state P^2, so the seed starts
-    alone run: at most config.num_starts of them, 4 at d = 2 and 2 at d >= 3;
-    config.seed does not enter. lower_bound is the dual bound built on the
-    best input's P^2. CERTIFIED_GAP is a reporting target:
+    There are no settings: the value is concave in the reduced input state
+    P^2, so the seed starts alone run, all of them (4 at d = 2, 2 at d >= 3),
+    and OptimizerConfig does not enter. lower_bound is the dual bound built
+    on the best input's P^2. CERTIFIED_GAP is a reporting target:
     diagnostics.converged is False when the bracket is wider, as it can be
     when the best input is a product state.
     """
-    config = config or OptimizerConfig()
     d = prob.op1.dim
     if _degenerate_prior(prob):
         return DiscriminationResult(
             pe_entangled=0.0,
-            upper_bound=bound_max_entangled(prob),
             lower_bound=0.0,
             optimal_xi=np.eye(d, dtype=complex) / np.sqrt(d),
         )
@@ -299,7 +296,7 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
         _seesaw_step(prob, ancilla=d),
         lambda theta: mat_to_biket(decode_p(theta, d).T),
         d * d,
-        replace(config, num_starts=min(len(seeds), config.num_starts)),
+        OptimizerConfig(num_starts=len(seeds)),
         seeds,
     )
     # polar decomposition xi^T = W P; dropping W leaves xi^T = P
@@ -312,7 +309,6 @@ def pe_entangled(prob: DiscriminationProblem, config: OptimizerConfig | None = N
         summary = replace(summary, converged=False)
     return DiscriminationResult(
         pe_entangled=pe,
-        upper_bound=bound_max_entangled(prob),
         lower_bound=lower,
         optimal_xi=p_opt.T.copy(),
         diagnostics=summary,
@@ -325,7 +321,8 @@ def pe_unentangled(prob: DiscriminationProblem, config: OptimizerConfig | None =
     Maximizes ||p1 E1(psi) - p2 E2(psi)||_1 over pure states by see-saw with
     A_k = K_k; convexity makes pure inputs sufficient. The value is an
     uncertified multi-start heuristic: the objective is not concave in the
-    input, no dual bound is known here, and all config.num_starts starts run.
+    input, no dual bound is known here, and all config.num_starts starts run,
+    the random ones drawn from config.seed.
     """
     config = config or OptimizerConfig()
     d = prob.op1.dim
@@ -345,13 +342,6 @@ def pe_unentangled(prob: DiscriminationProblem, config: OptimizerConfig | None =
         optimal_pure_input=psi,
         diagnostics=summary,
     )
-
-
-def entanglement_needed_numeric(prob: DiscriminationProblem, config: OptimizerConfig | None = None) -> bool:
-    """True when the numeric entangled error beats the unentangled one beyond the gap tolerance."""
-    ent = pe_entangled(prob, config).pe_entangled
-    un = pe_unentangled(prob, config).pe_unentangled
-    return un - ent > ENTANGLEMENT_GAP
 
 
 def is_orthogonal_unitary_family(channel: RandomUnitaryChannel) -> bool:
@@ -450,17 +440,3 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
         entanglement_needed=product < 0,
     )
 
-
-def pe_pauli_entangled(q1, q2, p1: float) -> float:
-    """Closed-form entangled error for two qubit Pauli channels."""
-    return pauli_delta_summary(q1, q2, p1).pe_entangled
-
-
-def pe_pauli_unentangled(q1, q2, p1: float) -> float:
-    """Closed-form unentangled error for two qubit Pauli channels."""
-    return pauli_delta_summary(q1, q2, p1).pe_unentangled
-
-
-def entanglement_needed_pauli(q1, q2, p1: float) -> bool:
-    """True when entanglement strictly lowers the error for two qubit Pauli channels."""
-    return pauli_delta_summary(q1, q2, p1).entanglement_needed

@@ -6,7 +6,7 @@ class OpdiscError(Exception):
 
 
 class NonFinite(OpdiscError, ValueError):
-    """An input holds NaN or an infinity; the message names the offending value."""
+    """An input is not a finite number: NaN, an infinity or no number at all; the message names it."""
 
 
 class NonSquare(OpdiscError):

@@ -11,7 +11,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .config import HERMITICITY_TOL, STATE_POSITIVITY_FLOOR, UNITARITY_TOL
+from .config import HERMITICITY_TOL, UNITARITY_TOL
 from .errors import DimensionMismatch, NonFinite, NonHermitian, NonSquare
 
 
@@ -29,13 +29,24 @@ def _require_square(a) -> np.ndarray:
     return a
 
 
-def require_finite(a, what: str):
-    """Return `a` unchanged, or raise NonFinite naming its first NaN or infinite entry."""
-    values = np.asarray(a)
+def require_finite(a, what: str, dtype) -> np.ndarray:
+    """`a` as an array of `dtype` (float or complex), or NonFinite naming what is wrong.
+
+    Only integer, float and, for a complex dtype, complex entries convert:
+    strings, None, bools, other objects and ragged lists are refused, and so
+    is the first NaN or infinite entry.
+    """
+    real = np.dtype(dtype).kind != "c"
+    try:
+        values = np.asarray(a)
+    except ValueError:  # ragged nesting; refused below as an object array
+        values = np.asarray(None)
+    if values.dtype.kind not in ("iuf" if real else "iufc"):
+        raise NonFinite(f"{what} must hold {'real ' if real else ''}numbers, got {a!r}")
     if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)].flat[0].item()
         raise NonFinite(f"{what} has a non-finite entry {bad!r}")
-    return a
+    return values.astype(dtype, copy=False)
 
 
 def check_count(value, name: str, least: int) -> int:
@@ -67,14 +78,6 @@ def is_unitary(a, tol: float = UNITARITY_TOL) -> bool:
         return False
     eye = np.eye(a.shape[0])
     return float(np.max(np.abs(dagger(a) @ a - eye))) <= tol
-
-
-def is_positive_semidefinite(a, tol: float = STATE_POSITIVITY_FLOOR) -> bool:
-    """True when A is Hermitian and its eigenvalues stay above -tol."""
-    a = _as_matrix(a)
-    if not is_hermitian(a):
-        return False
-    return float(np.min(np.linalg.eigvalsh(a))) >= -tol
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ from .linalg import check_count
 class OptimizerConfig:
     """How many starts maximize runs, and the seed of their generators.
 
-    pe_unentangled runs all num_starts starts. pe_entangled runs only its
-    seed starts (4 at d = 2, 2 at d >= 3), capped by num_starts, so seed
-    affects pe_unentangled alone. The stopping policy is not set here:
+    Of the two optima it configures pe_unentangled alone, which runs all
+    num_starts starts; pe_entangled has no settings and always runs its seed
+    starts (4 at d = 2, 2 at d >= 3). The stopping policy is not set here:
     config.FTOL and config.MAX_STEPS hold for every call. num_starts must be
     an integer >= 1, seed an integer in [0, 2**64), since the per-start
     generator's key is (seed << 64) + index.

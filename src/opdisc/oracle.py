@@ -48,8 +48,8 @@ class TwoOutcomePovm:
     pi2: np.ndarray
 
     def __post_init__(self):
-        pi1 = require_finite(np.asarray(self.pi1, dtype=complex), "pi1")
-        pi2 = require_finite(np.asarray(self.pi2, dtype=complex), "pi2")
+        pi1 = require_finite(self.pi1, "pi1", complex)
+        pi2 = require_finite(self.pi2, "pi2", complex)
         if pi1.shape != pi2.shape or pi1.ndim != 2 or pi1.shape[0] != pi1.shape[1]:
             raise DimensionMismatch(
                 f"POVM elements of shapes {pi1.shape} and {pi2.shape} do not form a pair"
@@ -71,7 +71,7 @@ def _check_povm(povm: TwoOutcomePovm) -> None:
 
 
 def _check_state(rho, d: int) -> np.ndarray:
-    rho = require_finite(np.asarray(rho, dtype=complex), "state")
+    rho = require_finite(rho, "state", complex)
     if rho.shape != (d, d):
         raise DimensionMismatch(f"state of shape {rho.shape}, expected {d}x{d}")
     if not is_hermitian(rho, HERMITICITY_TOL):
@@ -86,7 +86,7 @@ def povm_error(rho1, rho2, p1: float, povm: TwoOutcomePovm) -> float:
 
     Both states must be d x d, the shape of the POVM's elements.
     """
-    p1 = float(require_finite(p1, "p1"))
+    p1 = float(require_finite(p1, "p1", float))
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
     _check_povm(povm)

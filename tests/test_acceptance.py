@@ -17,15 +17,12 @@ from opdisc import (
     apply_extended,
     brute_force_entangled,
     brute_force_unentangled,
-    entanglement_needed_pauli,
     helstrom,
     make_operation,
     mat_to_biket,
     pauli_channel,
     pauli_delta_summary,
     pe_entangled,
-    pe_pauli_entangled,
-    pe_pauli_unentangled,
     pe_random_unitary_bounds,
     pe_random_unitary_exact,
     pe_unentangled,
@@ -66,8 +63,8 @@ def test_criterion_1_identity_vs_depolarizing_qubit():
     prob = _identity_vs_depolarizing()
     num_e = pe_entangled(prob).pe_entangled
     num_u = pe_unentangled(prob).pe_unentangled
-    closed_e = pe_pauli_entangled(Q_ID, Q_DEP, 0.5)
-    closed_u = pe_pauli_unentangled(Q_ID, Q_DEP, 0.5)
+    closed = pauli_delta_summary(Q_ID, Q_DEP, 0.5)
+    closed_e, closed_u = closed.pe_entangled, closed.pe_unentangled
     elapsed = time.perf_counter() - t0
     dev_num = max(abs(num_e - 0.125), abs(num_u - 0.25))
     dev_closed = max(abs(closed_e - 0.125), abs(closed_u - 0.25))
@@ -93,7 +90,7 @@ def test_criterion_3_perfect_discrimination_needs_entanglement():
     prob = _perfect_family_problem()
     num_e = pe_entangled(prob).pe_entangled
     num_u = pe_unentangled(prob).pe_unentangled
-    needed = entanglement_needed_pauli(Q_XYZ, Q_ID, 0.5)
+    needed = pauli_delta_summary(Q_XYZ, Q_ID, 0.5).entanglement_needed
     dev_u = abs(num_u - 1 / 6)
     ok = abs(num_e) < 1e-7 and dev_u < 1e-6 and needed
     _report(3, ok, f"pe_e {num_e:.2e}, pe_u dev {dev_u:.2e}, needed {needed}")
@@ -122,8 +119,9 @@ def test_criterion_5_pauli_closed_forms_match_numeric():
         q2 = random_prob_vector(4, rng)
         p1 = float(rng.uniform(0.05, 0.95))
         prob = DiscriminationProblem(pauli_channel(q1), pauli_channel(q2), p1)
-        dev_e = abs(pe_entangled(prob).pe_entangled - pe_pauli_entangled(q1, q2, p1))
-        dev_u = abs(pe_unentangled(prob).pe_unentangled - pe_pauli_unentangled(q1, q2, p1))
+        closed = pauli_delta_summary(q1, q2, p1)
+        dev_e = abs(pe_entangled(prob).pe_entangled - closed.pe_entangled)
+        dev_u = abs(pe_unentangled(prob).pe_unentangled - closed.pe_unentangled)
         worst = max(worst, dev_e, dev_u)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 300.0
@@ -231,7 +229,7 @@ def test_criterion_8_property_suites():
     min_pe = np.inf
     for _ in range(100):
         prob = random_qubit_problem(rng)
-        ent = pe_entangled(prob, config).pe_entangled
+        ent = pe_entangled(prob).pe_entangled
         unent = pe_unentangled(prob, config).pe_unentangled
         worst_order = max(worst_order, ent - unent)
         worst_cap = max(worst_cap, unent - min(prob.p1, prob.p2))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import opdisc
 from opdisc import (
     DimensionMismatch,
     DiscriminationProblem,
@@ -15,8 +16,6 @@ from opdisc import (
     RandomUnitaryChannel,
     bound_max_entangled,
     delta_operator,
-    entanglement_needed_numeric,
-    entanglement_needed_pauli,
     helstrom,
     is_orthogonal_unitary_family,
     make_operation,
@@ -24,8 +23,6 @@ from opdisc import (
     pauli_channel,
     pauli_delta_summary,
     pe_entangled,
-    pe_pauli_entangled,
-    pe_pauli_unentangled,
     pe_random_unitary_bounds,
     pe_random_unitary_exact,
     pe_unentangled,
@@ -48,7 +45,7 @@ SI, SX, SY, SZ = PAULI_MATRICES
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
-# all module-level numeric searches keep the full seeded-start block
+# pe_unentangled's module-level searches keep the full seeded-start block
 FAST = OptimizerConfig(num_starts=8)
 
 Q_ID = [1, 0, 0, 0]
@@ -186,15 +183,13 @@ def test_bound_dominates_numeric_value():
     rng = np.random.default_rng(54)
     for _ in range(3):
         prob = random_qubit_problem(rng)
-        result = pe_entangled(prob, FAST)
-        assert result.pe_entangled <= result.upper_bound + 1e-12
-        assert result.upper_bound == pytest.approx(bound_max_entangled(prob), abs=0)
+        assert pe_entangled(prob).pe_entangled <= bound_max_entangled(prob) + 1e-12
 
 
 # --- numeric error probabilities ---
 
 def test_pe_entangled_worked_example():
-    result = pe_entangled(_identity_vs_depolarizing(), FAST)
+    result = pe_entangled(_identity_vs_depolarizing())
     assert abs(result.pe_entangled - 0.125) < 1e-9
     # the optimum sits at the maximally entangled input, xi = I/sqrt(2)
     assert np.max(np.abs(result.optimal_xi - np.eye(2) / np.sqrt(2))) < 1e-3
@@ -212,13 +207,13 @@ def test_pe_unentangled_worked_example():
 def test_pe_identical_channels():
     op = pauli_channel(Q_DEP)
     prob = DiscriminationProblem(op, op, 0.3)
-    assert abs(pe_entangled(prob, FAST).pe_entangled - 0.3) < 1e-9
+    assert abs(pe_entangled(prob).pe_entangled - 0.3) < 1e-9
     assert abs(pe_unentangled(prob, FAST).pe_unentangled - 0.3) < 1e-9
 
 
 def test_pe_perfect_discrimination_family():
     prob = DiscriminationProblem(pauli_channel(Q_XYZ), pauli_channel(Q_ID), 0.5)
-    assert pe_entangled(prob, FAST).pe_entangled < 1e-9
+    assert pe_entangled(prob).pe_entangled < 1e-9
     assert abs(pe_unentangled(prob, FAST).pe_unentangled - 1 / 6) < 1e-9
 
 
@@ -232,16 +227,21 @@ def test_pe_degenerate_priors_short_circuit():
 
 
 def test_entanglement_needed_numeric():
+    """Entanglement helps where pe_unentangled - pe_entangled exceeds 1e-7."""
+
+    def gain(prob):
+        return pe_unentangled(prob, FAST).pe_unentangled - pe_entangled(prob).pe_entangled
+
     rng = np.random.default_rng(55)
     u_pair = DiscriminationProblem(
         make_operation([haar_unitary(2, rng)]),
         make_operation([haar_unitary(2, rng)]),
         0.5,
     )
-    assert not entanglement_needed_numeric(u_pair, FAST)
-    assert entanglement_needed_numeric(_identity_vs_depolarizing(), FAST)
+    assert not gain(u_pair) > 1e-7
+    assert gain(_identity_vs_depolarizing()) > 1e-7
     op = pauli_channel(Q_DEP)
-    assert not entanglement_needed_numeric(DiscriminationProblem(op, op, 0.4), FAST)
+    assert not gain(DiscriminationProblem(op, op, 0.4)) > 1e-7
 
 
 def test_pe_entangled_reaches_the_optimum_on_a_rank_4_vs_1_qudit_pair():
@@ -271,7 +271,7 @@ def test_pe_entangled_lower_bound_never_exceeds_its_value(d):
             random_kraus_operation(d, int(rng.integers(1, d * d + 1)), rng),
             float(rng.uniform(0.1, 0.9)),
         )
-        result = pe_entangled(prob, FAST)
+        result = pe_entangled(prob)
         assert result.lower_bound <= result.pe_entangled
         # the dual bound is valid on any reduced state, not only the optimal one
         p = result.optimal_xi.T
@@ -285,7 +285,7 @@ def test_pe_entangled_bracket_is_exact_on_weyl_pairs(d):
     rng = np.random.default_rng(60 + d)
     q1, q2 = random_prob_vector(d * d, rng), random_prob_vector(d * d, rng)
     ch1, ch2 = weyl_channel(d, q1), weyl_channel(d, q2)
-    result = pe_entangled(DiscriminationProblem(ch1.as_operation(), ch2.as_operation(), 0.4), FAST)
+    result = pe_entangled(DiscriminationProblem(ch1.as_operation(), ch2.as_operation(), 0.4))
     exact = pe_random_unitary_exact(ch1, ch2, 0.4)
     assert abs(result.pe_entangled - exact) <= 1e-12
     assert 0.0 <= result.pe_entangled - result.lower_bound <= 1e-12
@@ -293,14 +293,14 @@ def test_pe_entangled_bracket_is_exact_on_weyl_pairs(d):
 
 def test_pe_entangled_runs_only_its_seed_starts_when_the_seeds_do_not_certify(monkeypatch):
     prob = random_qubit_problem(np.random.default_rng(7))
-    seeded = pe_entangled(prob, FAST)
+    seeded = pe_entangled(prob)
     assert seeded.diagnostics.n_starts == 4 and seeded.diagnostics.converged
     monkeypatch.setattr(discrimination, "CERTIFIED_GAP", -1.0)
     calls, maximize = [], discrimination.maximize
     monkeypatch.setattr(discrimination, "maximize", lambda *args: calls.append(args[3]) or maximize(*args))
-    missed = pe_entangled(prob, FAST)
+    missed = pe_entangled(prob)
     # a missed target is reported, not chased with more starts
-    assert calls == [OptimizerConfig(num_starts=4, seed=FAST.seed)]
+    assert calls == [OptimizerConfig(num_starts=4)]
     assert missed.diagnostics.n_starts == 4
     assert missed.pe_entangled == seeded.pe_entangled
     assert missed.lower_bound == seeded.lower_bound
@@ -398,7 +398,7 @@ def test_bounds_sandwich_numeric_value():
     ch2 = RandomUnitaryChannel(dim=2, unitaries=unis, weights=np.array([0.3, 0.7]))
     lower, upper = pe_random_unitary_bounds(ch1, ch2, 0.45)
     prob = DiscriminationProblem(ch1.as_operation(), ch2.as_operation(), 0.45)
-    pe = pe_entangled(prob, FAST).pe_entangled
+    pe = pe_entangled(prob).pe_entangled
     assert lower - 1e-9 <= pe <= upper + 1e-9
 
 
@@ -420,7 +420,6 @@ def test_pauli_summary_perfect_discrimination():
     assert abs(s.pe_entangled) < 1e-12
     assert abs(s.pe_unentangled - 1 / 6) < 1e-12
     assert s.entanglement_needed
-    assert entanglement_needed_pauli(Q_XYZ, Q_ID, 0.5)
 
 
 def test_pauli_summary_two_positive_two_negative():
@@ -487,8 +486,9 @@ def test_pauli_closed_forms_match_numeric():
         q2 = random_prob_vector(4, rng)
         p1 = float(rng.uniform(0.1, 0.9))
         prob = DiscriminationProblem(pauli_channel(q1), pauli_channel(q2), p1)
-        assert abs(pe_entangled(prob, FAST).pe_entangled - pe_pauli_entangled(q1, q2, p1)) < 1e-6
-        assert abs(pe_unentangled(prob, FAST).pe_unentangled - pe_pauli_unentangled(q1, q2, p1)) < 1e-6
+        s = pauli_delta_summary(q1, q2, p1)
+        assert abs(pe_entangled(prob).pe_entangled - s.pe_entangled) < 1e-6
+        assert abs(pe_unentangled(prob, FAST).pe_unentangled - s.pe_unentangled) < 1e-6
 
 
 def test_pauli_summary_rejects_bad_inputs():
@@ -506,7 +506,7 @@ def test_ordering_chain_random_problems():
     cfg = OptimizerConfig(num_starts=6)
     for _ in range(5):
         prob = random_qubit_problem(rng)
-        ent = pe_entangled(prob, cfg).pe_entangled
+        ent = pe_entangled(prob).pe_entangled
         unent = pe_unentangled(prob, cfg).pe_unentangled
         assert 0.0 <= ent <= unent + 1e-9
         assert unent <= min(prob.p1, prob.p2) + 1e-9
@@ -518,7 +518,7 @@ def test_swapping_hypotheses_changes_nothing():
         prob = random_qubit_problem(rng)
         swapped = DiscriminationProblem(prob.op2, prob.op1, prob.p2)
         assert abs(
-            pe_entangled(prob, FAST).pe_entangled - pe_entangled(swapped, FAST).pe_entangled
+            pe_entangled(prob).pe_entangled - pe_entangled(swapped).pe_entangled
         ) < 1e-9
         assert abs(
             pe_unentangled(prob, FAST).pe_unentangled - pe_unentangled(swapped, FAST).pe_unentangled
@@ -538,8 +538,24 @@ def test_conjugation_covariance():
             prob.p1,
         )
         assert abs(
-            pe_entangled(prob, FAST).pe_entangled - pe_entangled(conj, FAST).pe_entangled
+            pe_entangled(prob).pe_entangled - pe_entangled(conj).pe_entangled
         ) < 1e-7
         assert abs(
             pe_unentangled(prob, FAST).pe_unentangled - pe_unentangled(conj, FAST).pe_unentangled
         ) < 1e-7
+
+
+# --- the public surface ---
+
+def test_public_names_resolve_once_and_omit_the_removed_wrappers():
+    assert len(opdisc.__all__) == len(set(opdisc.__all__))
+    assert all(hasattr(opdisc, name) for name in opdisc.__all__)
+    removed = {
+        "pe_pauli_entangled",
+        "pe_pauli_unentangled",
+        "entanglement_needed_pauli",
+        "entanglement_needed_numeric",
+        "is_positive_semidefinite",
+    }
+    assert not removed & set(opdisc.__all__)
+    assert not any(hasattr(opdisc, name) for name in removed)

@@ -17,7 +17,6 @@ from opdisc import (
     biket_to_mat,
     eig_hermitian,
     is_hermitian,
-    is_positive_semidefinite,
     is_unitary,
     mat_to_biket,
     partial_trace,
@@ -314,5 +313,3 @@ def test_predicates_basic():
     assert not is_hermitian(np.zeros((2, 3)))
     assert is_unitary(SX)
     assert not is_unitary(2.0 * np.eye(2))
-    assert is_positive_semidefinite(np.diag([0.5, 0.0]))
-    assert not is_positive_semidefinite(SZ)

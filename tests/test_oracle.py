@@ -21,7 +21,7 @@ from opdisc import (
     helstrom,
     make_operation,
     pauli_channel,
-    pe_pauli_entangled,
+    pauli_delta_summary,
     pe_unentangled,
     povm_error,
     weyl_channel,
@@ -141,7 +141,7 @@ def test_samples_match_pauli_closed_form():
         p1 = float(rng.uniform(0.1, 0.9))
         prob = DiscriminationProblem(pauli_channel(q1), pauli_channel(q2), p1)
         got = brute_force_entangled(prob, 10, seed=2)
-        assert abs(got - pe_pauli_entangled(q1, q2, p1)) < 1e-6
+        assert abs(got - pauli_delta_summary(q1, q2, p1).pe_entangled) < 1e-6
 
 
 def test_samples_deterministic_per_seed():

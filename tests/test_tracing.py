@@ -42,7 +42,7 @@ def test_tracer_wraps_the_numeric_optima_and_restores_them():
     try:
         tracer.install(opdisc)
         assert hasattr(opdisc.discrimination.pe_entangled, "__wrapped__")
-        traced_e = opdisc.pe_entangled(prob, config)
+        traced_e = opdisc.pe_entangled(prob)
         traced_u = opdisc.pe_unentangled(prob, config)
     finally:
         tracer.uninstall()
@@ -53,10 +53,10 @@ def test_tracer_wraps_the_numeric_optima_and_restores_them():
     assert tracer.count("optimizer.decode_p", 2) == 4  # one per seed start
     assert tracer.count("optimizer.decode_pure_state", 2) == 6
     assert tracer.count("optimizer.objective", 2) > 0
-    assert tracer.count("discrimination.bound_max_entangled", 2) == 1
+    assert tracer.count("discrimination.delta_operator", 2) == 1  # Delta is built once
 
     assert _bindings(spans.TRACED) == before
     assert all(not hasattr(obj, "__wrapped__") for obj in before.values())
     # tracing does not change a result
-    assert traced_e.pe_entangled == pe_entangled(prob, config).pe_entangled
+    assert traced_e.pe_entangled == pe_entangled(prob).pe_entangled
     assert traced_u.pe_unentangled == pe_unentangled(prob, config).pe_unentangled

@@ -1,6 +1,8 @@
 """Every public constructor and every CLI spec kind refuses NaN and infinities by name.
 
-The oracles' state counts and seeds and OptimizerConfig's fields refuse
+The library's constructors also refuse input that is no number at all
+(strings, None, bools, dicts, ragged lists) by name. The oracles' state
+counts and seeds, OptimizerConfig's fields and every dimension refuse
 anything but an integer, also by name.
 """
 
@@ -29,6 +31,7 @@ from opdisc import (
     pe_random_unitary_exact,
     povm_error,
     weyl_channel,
+    weyl_unitaries,
 )
 from opdisc.cli import main
 
@@ -74,9 +77,12 @@ def _cli(spec=None, argv=()):
 
 CASES = {
     "make_operation": _library(lambda v: make_operation([_with(IDENTITY, v)])),
+    "make_operation.kraus[0]": _library(lambda v: make_operation([v])),
     "QuantumOperation": _library(lambda v: QuantumOperation(dim=2, kraus=(_with(IDENTITY, v),))),
     "pauli_channel": _library(lambda v: pauli_channel([v, 0.0, 0.0, 1.0])),
+    "pauli_channel.q": _library(pauli_channel),
     "weyl_channel": _library(lambda v: weyl_channel(2, [v, 0.0, 0.0, 1.0])),
+    "weyl_channel.q": _library(lambda v: weyl_channel(2, v)),
     "RandomUnitaryChannel.unitaries": _library(
         lambda v: RandomUnitaryChannel(dim=2, unitaries=(_with(IDENTITY, v),), weights=[1.0])
     ),
@@ -87,11 +93,13 @@ CASES = {
         lambda v: DiscriminationProblem(pauli_channel(Q_ID), pauli_channel(Q_ID), v)
     ),
     "TwoOutcomePovm": _library(lambda v: TwoOutcomePovm(pi1=_with(IDENTITY, v), pi2=np.zeros((2, 2)))),
+    "TwoOutcomePovm.pi1": _library(lambda v: TwoOutcomePovm(v, "y")),
     "helstrom.state": _library(lambda v: helstrom(_with(IDENTITY / 2, v), IDENTITY / 2, 0.5)),
     "helstrom.p1": _library(lambda v: helstrom(IDENTITY / 2, IDENTITY / 2, v)),
     "povm_error.state": _library(lambda v: povm_error(_with(IDENTITY / 2, v), IDENTITY / 2, 0.5, GUESS_FIRST)),
     "povm_error.p1": _library(lambda v: povm_error(IDENTITY / 2, IDENTITY / 2, v, GUESS_FIRST)),
     "pauli_delta_summary.q": _library(lambda v: pauli_delta_summary([v, 0.0, 0.0, 1.0], Q_ID, 0.5)),
+    "pauli_delta_summary.q1": _library(lambda v: pauli_delta_summary(v, Q_ID, 0.5)),
     "pauli_delta_summary.p1": _library(lambda v: pauli_delta_summary(Q_ID, Q_ID, v)),
     "pe_random_unitary_exact.p1": _library(
         lambda v: pe_random_unitary_exact(weyl_channel(2, Q_ID), weyl_channel(2, Q_ID), v)
@@ -112,6 +120,29 @@ CASES = {
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize("case", list(CASES))
 def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
+    message = CASES[case](value, tmp_path)
+    assert repr(value) in message
+
+
+@pytest.mark.parametrize(
+    "case, value",
+    [
+        pytest.param("DiscriminationProblem", "0.5", id="p1-string"),
+        pytest.param("DiscriminationProblem", True, id="p1-bool"),
+        pytest.param("helstrom.p1", None, id="helstrom-p1-None"),
+        pytest.param("povm_error.p1", "0.5", id="povm_error-p1-string"),
+        pytest.param("pe_random_unitary_exact.p1", "x", id="pe_random_unitary_exact-p1-string"),
+        pytest.param("make_operation.kraus[0]", [[1, 0], [0, "a"]], id="kraus-string-entry"),
+        pytest.param("make_operation.kraus[0]", [["1", "0"], ["0", "1"]], id="kraus-numeric-strings"),
+        pytest.param("make_operation.kraus[0]", [[1, 0], [0]], id="kraus-ragged"),
+        pytest.param("TwoOutcomePovm.pi1", "x", id="povm-string"),
+        pytest.param("weyl_channel.q", "abcd", id="weyl-q-string"),
+        pytest.param("pauli_channel.q", {"a": 1}, id="pauli-q-dict"),
+        pytest.param("pauli_channel.q", ["1", "0", "0", "0"], id="pauli-q-numeric-strings"),
+        pytest.param("pauli_delta_summary.q1", None, id="pauli_delta_summary-q1-None"),
+    ],
+)
+def test_wrong_kind_input_is_refused_by_name(case, value, tmp_path):
     message = CASES[case](value, tmp_path)
     assert repr(value) in message
 
@@ -180,6 +211,10 @@ def test_a_spec_file_that_is_not_json_is_refused_by_path(tmp_path):
         pytest.param(lambda _, n: OptimizerConfig(seed=n), "seed", id="OptimizerConfig-seed"),
         pytest.param(lambda p, n: brute_force_unentangled(p, 4, seed=n), "seed", id="brute_force_unentangled-seed"),
         pytest.param(lambda p, n: brute_force_entangled(p, 2, seed=n), "seed", id="brute_force_entangled-seed"),
+        pytest.param(lambda _, n: QuantumOperation(dim=n, kraus=(IDENTITY,)), "dim", id="QuantumOperation-dim"),
+        pytest.param(lambda _, n: RandomUnitaryChannel(n, (IDENTITY,), [1.0]), "dim", id="RandomUnitaryChannel-dim"),
+        pytest.param(lambda _, n: weyl_unitaries(n), "d", id="weyl_unitaries-d"),
+        pytest.param(lambda _, n: weyl_channel(n, Q_ID), "d", id="weyl_channel-d"),
     ],
 )
 def test_oracle_counts_must_be_integers(oracle, name, count):
