@@ -24,10 +24,10 @@ from .errors import (
     DimensionMismatch,
     InvalidProbabilityVector,
     InvalidState,
-    NonSquare,
+    NonFinite,
     UnsupportedDimension,
 )
-from .linalg import check_count, dagger, is_hermitian, is_unitary, mat_to_biket, require_finite
+from .linalg import check_count, dagger, is_hermitian, is_unitary, require_finite, require_matrix
 
 PAULI_MATRICES: tuple[np.ndarray, ...] = (
     np.eye(2, dtype=complex),
@@ -42,11 +42,20 @@ def check_probability_vector(q, length: int | None = None) -> np.ndarray:
     q = require_finite(q, "probability vector", float).reshape(-1)
     if length is not None and q.size != length:
         raise InvalidProbabilityVector(f"expected {length} entries, got {q.size}")
-    if not np.min(q) >= -PROBABILITY_TOL:
+    if not np.min(q, initial=np.inf) >= -PROBABILITY_TOL:  # an empty q fails the sum below
         raise InvalidProbabilityVector(f"negative entry {float(np.min(q)):.3e}")
     if not abs(float(np.sum(q)) - 1.0) <= PROBABILITY_TOL:
         raise InvalidProbabilityVector(f"entries sum to {float(np.sum(q))!r}, not 1")
     return q
+
+
+def _matrices(items, what: str, d: int | None = None) -> tuple[np.ndarray, ...]:
+    """Each entry of the list `items` through require_matrix, named `what` and its index."""
+    try:
+        items = tuple(items)
+    except TypeError:  # not iterable
+        raise NonFinite(f"expected a list of {what} matrices, got {items!r}") from None
+    return tuple(require_matrix(m, f"{what} {i}", d) for i, m in enumerate(items))
 
 
 @dataclass(frozen=True)
@@ -61,17 +70,10 @@ class QuantumOperation:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        kraus = tuple(require_finite(k, f"Kraus operator {i}", complex) for i, k in enumerate(self.kraus))
+        d = check_count(self.dim, "dim", 1)
+        kraus = _matrices(self.kraus, "Kraus operator", d)
         if not kraus:
             raise CompletenessViolation("an operation needs at least one Kraus operator")
-        d = check_count(self.dim, "dim", 1)
-        for k in kraus:
-            if k.ndim != 2 or k.shape[0] != k.shape[1]:
-                raise NonSquare(f"Kraus operator of shape {k.shape} is not square")
-            if k.shape != (d, d):
-                raise DimensionMismatch(
-                    f"Kraus operator is {k.shape[0]}x{k.shape[1]}, operation is {d}-dimensional"
-                )
         total = sum(dagger(k) @ k for k in kraus)
         deviation = float(np.max(np.abs(total - np.eye(d))))
         if not deviation <= COMPLETENESS_TOL:
@@ -83,13 +85,9 @@ class QuantumOperation:
 
 
 def make_operation(kraus) -> QuantumOperation:
-    """Build a validated QuantumOperation from a list of square matrices."""
-    kraus = tuple(require_finite(k, f"Kraus operator {i}", complex) for i, k in enumerate(kraus))
-    if not kraus:
-        raise CompletenessViolation("an operation needs at least one Kraus operator")
-    if kraus[0].ndim != 2 or kraus[0].shape[0] != kraus[0].shape[1]:
-        raise NonSquare(f"Kraus operator of shape {kraus[0].shape} is not square")
-    return QuantumOperation(dim=kraus[0].shape[0], kraus=kraus)
+    """Build a validated QuantumOperation from a list of square matrices; the first one sets the dimension."""
+    kraus = _matrices(kraus, "Kraus operator")
+    return QuantumOperation(dim=kraus[0].shape[0] if kraus else 1, kraus=kraus)
 
 
 @dataclass(frozen=True)
@@ -106,12 +104,10 @@ class RandomUnitaryChannel:
 
     def __post_init__(self):
         d = check_count(self.dim, "dim", 1)
-        unitaries = tuple(require_finite(u, f"unitary {i}", complex) for i, u in enumerate(self.unitaries))
+        unitaries = _matrices(self.unitaries, "unitary", d)
         if not unitaries:
             raise CompletenessViolation("a random-unitary channel needs at least one unitary")
         for u in unitaries:
-            if u.shape != (d, d):
-                raise DimensionMismatch(f"unitary of shape {u.shape} in a {d}-dimensional channel")
             if not is_unitary(u, UNITARITY_TOL):
                 raise InvalidState("matrix in the unitary list is not unitary within tolerance")
         weights = check_probability_vector(self.weights)
@@ -170,9 +166,7 @@ def weyl_channel(d: int, q) -> RandomUnitaryChannel:
 
 def check_density_matrix(rho, d: int) -> np.ndarray:
     """Validate a d x d density matrix (Hermitian, unit trace, positive within tolerance)."""
-    rho = require_finite(rho, "state", complex)
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"state of shape {rho.shape} for a {d}-dimensional operation")
+    rho = require_matrix(rho, "state", d)
     if not is_hermitian(rho, HERMITICITY_TOL):
         raise InvalidState("state is not Hermitian within tolerance")
     trace = complex(np.trace(rho))
@@ -192,7 +186,7 @@ def unnormalized_choi(op: QuantumOperation) -> np.ndarray:
     d2 = op.dim * op.dim
     out = np.zeros((d2, d2), dtype=complex)
     for k in op.kraus:
-        v = mat_to_biket(k)
+        v = k.reshape(-1)  # |K>>; the operation holds its Kraus operators validated
         out += np.outer(v, v.conj())
     return out
 
@@ -203,10 +197,8 @@ def apply_extended(op: QuantumOperation, xi) -> np.ndarray:
     Computed as (I x xi^T) sum_n |K_n>><<K_n| (I x xi^*), which agrees with
     applying the extended Kraus operators K_n x I directly.
     """
-    xi = require_finite(xi, "input operator", complex)
     d = op.dim
-    if xi.shape != (d, d):
-        raise DimensionMismatch(f"input operator of shape {xi.shape} for dimension {d}")
+    xi = require_matrix(xi, "input operator", d)
     norm2 = float(np.trace(dagger(xi) @ xi).real)
     if not abs(norm2 - 1.0) <= 1e-9:
         raise InvalidState(f"Tr[xi^dag xi] is {norm2!r}, not 1")

@@ -52,7 +52,7 @@ from .discrimination import (
     pe_unentangled,
 )
 from .errors import OpdiscError, OptimizerFailure
-from .linalg import is_unitary, require_finite
+from .linalg import check_prior, is_unitary, require_finite, require_matrix
 from .optimizer import OptimizerConfig
 from .oracle import brute_force_entangled, brute_force_unentangled
 
@@ -124,13 +124,15 @@ def _count_arg(least: int):
     return count
 
 
-def _parse_p1(value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"--p1 must lie in [0, 1], got {value!r}")
-    return float(value)
+def _prior_arg(text: str) -> float:
+    """argparse type for --p1, a decimal in [0, 1]; argparse names the flag on error."""
+    try:
+        return check_prior(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_matrix(entries, what: str) -> np.ndarray:
+def _parse_matrix(entries, what: str, dim: int) -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{what}: expected a list of rows")
     rows = []
@@ -149,7 +151,7 @@ def _parse_matrix(entries, what: str) -> np.ndarray:
                 raise ValueError(f"{at}: entries must be [re, im] pairs")
             parsed.append(complex(_number(entry[0], f"{at}[0]"), _number(entry[1], f"{at}[1]")))
         rows.append(parsed)
-    return require_finite(rows, what, complex)
+    return require_matrix(rows, what, dim)
 
 
 def parse_channel_file(path: str) -> ParsedChannel:
@@ -174,10 +176,7 @@ def parse_channel_file(path: str) -> ParsedChannel:
         matrices = doc["kraus"]
         if not isinstance(matrices, list) or not matrices:
             raise ValueError(f"{path}: 'kraus' must be a nonempty list of matrices")
-        kraus = [_parse_matrix(m, f"{path}: kraus[{i}]") for i, m in enumerate(matrices)]
-        for i, k in enumerate(kraus):
-            if k.shape != (dim, dim):
-                raise ValueError(f"{path}: kraus[{i}] is {k.shape[0]}x{k.shape[1]}, dim is {dim}")
+        kraus = [_parse_matrix(m, f"{path}: kraus[{i}]", dim) for i, m in enumerate(matrices)]
         return ParsedChannel(make_operation(kraus))
 
     if kind == "pauli":
@@ -198,9 +197,7 @@ def parse_channel_file(path: str) -> ParsedChannel:
     # kind == "unitary"
     if "u" not in doc:
         raise ValueError(f"{path}: kind unitary needs a 'u' matrix")
-    u = _parse_matrix(doc["u"], f"{path}: u")
-    if u.shape != (dim, dim):
-        raise ValueError(f"{path}: u is {u.shape[0]}x{u.shape[1]}, dim is {dim}")
+    u = _parse_matrix(doc["u"], f"{path}: u", dim)
     if not is_unitary(u):
         raise ValueError(f"{path}: u is not unitary within tolerance")
     return ParsedChannel(make_operation([u]))
@@ -233,8 +230,7 @@ def cmd_pauli(args: argparse.Namespace) -> dict:
     """Closed-form report for two qubit Pauli channels."""
     q1 = _parse_weights_arg(args.q1, "--q1", 4)
     q2 = _parse_weights_arg(args.q2, "--q2", 4)
-    p1 = _parse_p1(args.p1)
-    summary = pauli_delta_summary(q1, q2, p1)
+    summary = pauli_delta_summary(q1, q2, args.p1)
     doc = {
         "pe_entangled": _fmt(summary.pe_entangled),
         "pe_unentangled": _fmt(summary.pe_unentangled),
@@ -256,19 +252,18 @@ def cmd_general(args: argparse.Namespace) -> dict:
     """Discrimination report for two channels given as spec files."""
     ch1 = parse_channel_file(args.file1)
     ch2 = parse_channel_file(args.file2)
-    p1 = _parse_p1(args.p1)
     config = OptimizerConfig(num_starts=args.starts, seed=args.seed)
-    prob = DiscriminationProblem(ch1.operation, ch2.operation, p1)
+    prob = DiscriminationProblem(ch1.operation, ch2.operation, args.p1)
 
     if ch1.pauli_q is not None and ch2.pauli_q is not None:
-        summary = pauli_delta_summary(ch1.pauli_q, ch2.pauli_q, p1)
+        summary = pauli_delta_summary(ch1.pauli_q, ch2.pauli_q, prob.p1)
         method = "closed-form-pauli"
         ent, unent = summary.pe_entangled, summary.pe_unentangled
         lower = ent
         results = {}
     elif ch1.family is not None and ch2.family is not None:
         method = "closed-form-orthogonal"
-        ent = pe_random_unitary_exact(ch1.family, ch2.family, p1)
+        ent = pe_random_unitary_exact(ch1.family, ch2.family, prob.p1)
         lower = ent
         # no closed form for the unentangled value above the qubit case
         result_u = pe_unentangled(prob, config)
@@ -308,8 +303,7 @@ def cmd_oracle(args: argparse.Namespace) -> dict:
     """Brute-force reference values for two channels given as spec files."""
     ch1 = parse_channel_file(args.file1)
     ch2 = parse_channel_file(args.file2)
-    p1 = _parse_p1(args.p1)
-    prob = DiscriminationProblem(ch1.operation, ch2.operation, p1)
+    prob = DiscriminationProblem(ch1.operation, ch2.operation, args.p1)
     unent = brute_force_unentangled(prob, args.grid, seed=args.seed)
     ent = brute_force_entangled(prob, args.samples, seed=args.seed)
     return {
@@ -332,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     pauli = sub.add_parser("pauli", help="closed forms for two qubit Pauli channels")
     pauli.add_argument("--q1", required=True, help="four comma-separated weights over I,x,y,z")
     pauli.add_argument("--q2", required=True, help="four comma-separated weights over I,x,y,z")
-    pauli.add_argument("--p1", type=float, default=0.5, help="prior of the first channel")
+    pauli.add_argument("--p1", type=_prior_arg, default=0.5, help="prior of the first channel")
     pauli.add_argument("--dump-spec", action="store_true", help="embed Kraus spec documents in the output")
     pauli.set_defaults(handler=cmd_pauli)
 
     general = sub.add_parser("general", help="discriminate two channels from spec files")
     general.add_argument("--file1", required=True, help="channel spec file for the first channel")
     general.add_argument("--file2", required=True, help="channel spec file for the second channel")
-    general.add_argument("--p1", type=float, default=0.5, help="prior of the first channel")
+    general.add_argument("--p1", type=_prior_arg, default=0.5, help="prior of the first channel")
     general.add_argument(
         "--starts",
         type=_count_arg(1),
@@ -356,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="brute-force reference values (d <= 4)")
     oracle.add_argument("--file1", required=True, help="channel spec file for the first channel")
     oracle.add_argument("--file2", required=True, help="channel spec file for the second channel")
-    oracle.add_argument("--p1", type=float, default=0.5, help="prior of the first channel")
+    oracle.add_argument("--p1", type=_prior_arg, default=0.5, help="prior of the first channel")
     oracle.add_argument(
         "--grid",
         type=_count_arg(2),

@@ -37,11 +37,12 @@ from .config import CERTIFIED_GAP, ORTHOGONALITY_TOL
 from .errors import DimensionMismatch, FamilyMismatch, NotOrthogonal
 from .linalg import (
     biket_to_mat,
+    check_prior,
     dagger,
     eig_hermitian,
     mat_to_biket,
     partial_trace,
-    require_finite,
+    require_matrix,
     trace_norm,
 )
 from .optimizer import MaximizeSummary, OptimizerConfig, decode_p, decode_pure_state, maximize
@@ -60,13 +61,6 @@ def _error(norm) -> float:
     return max(0.0, 0.5 * (1.0 - float(norm)))
 
 
-def _check_prior(p1) -> float:
-    p1 = float(require_finite(p1, "p1", float))
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
-    return p1
-
-
 @dataclass(frozen=True)
 class DiscriminationProblem:
     """Two same-dimension operations and the prior probability of the first."""
@@ -78,7 +72,7 @@ class DiscriminationProblem:
     def __post_init__(self):
         if self.op1.dim != self.op2.dim:
             raise DimensionMismatch(f"dimension mismatch: {self.op1.dim} vs {self.op2.dim}")
-        object.__setattr__(self, "p1", _check_prior(self.p1))
+        object.__setattr__(self, "p1", check_prior(self.p1))
 
     @property
     def p2(self) -> float:
@@ -145,14 +139,9 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     The returned POVM projects onto the positive and negative support of
     p1 rho1 - p2 rho2; the zero eigenspace is assigned to outcome 1.
     """
-    p1 = _check_prior(p1)
-    rho1 = require_finite(rho1, "state", complex)
-    rho2 = require_finite(rho2, "state", complex)
-    if rho1.shape != rho2.shape or rho1.ndim != 2:
-        raise DimensionMismatch(f"states of shapes {rho1.shape} and {rho2.shape}, expected two d x d")
-    d = rho1.shape[0]
-    rho1 = check_density_matrix(rho1, d)
-    rho2 = check_density_matrix(rho2, d)
+    p1 = check_prior(p1)
+    rho1 = require_matrix(rho1, "state")
+    rho1, rho2 = check_density_matrix(rho1, len(rho1)), check_density_matrix(rho2, len(rho1))
     dec = eig_hermitian(p1 * rho1 - (1.0 - p1) * rho2)
     pe = _error(np.sum(np.abs(dec.eigenvalues)))
     keep = dec.eigenvalues >= 0
@@ -346,15 +335,9 @@ def pe_unentangled(prob: DiscriminationProblem, config: OptimizerConfig | None =
 
 def is_orthogonal_unitary_family(channel: RandomUnitaryChannel) -> bool:
     """True when the channel's unitaries satisfy Tr[U_m^dag U_n] = d delta_mn within tolerance."""
-    us = channel.unitaries
-    d = channel.dim
-    for m in range(len(us)):
-        for n in range(m, len(us)):
-            overlap = complex(np.trace(dagger(us[m]) @ us[n]))
-            target = d if m == n else 0.0
-            if not abs(overlap - target) <= ORTHOGONALITY_TOL:
-                return False
-    return True
+    flat = np.stack(channel.unitaries).reshape(len(channel.unitaries), -1)
+    # one Gram matrix: (flat flat^dag)[m, n] = Tr[U_n^dag U_m]
+    return float(np.max(np.abs(flat @ dagger(flat) - channel.dim * np.eye(len(flat))))) <= ORTHOGONALITY_TOL
 
 
 def _check_same_family(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel) -> None:
@@ -370,7 +353,7 @@ def _check_same_family(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel) -> 
 
 
 def _weight_differences(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel, p1: float) -> np.ndarray:
-    p1 = _check_prior(p1)
+    p1 = check_prior(p1)
     return p1 * ch1.weights - (1.0 - p1) * ch2.weights
 
 
@@ -399,7 +382,7 @@ def pe_random_unitary_bounds(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChanne
     d = ch1.dim
     delta = np.zeros((d * d, d * d), dtype=complex)
     for rn, u in zip(r, ch1.unitaries):
-        v = mat_to_biket(u)
+        v = u.reshape(-1)  # |U>>; the channel holds its unitaries validated
         delta += rn * np.outer(v, v.conj())
     return _error(np.sum(np.abs(r))), _error(trace_norm(delta) / d)
 
@@ -414,7 +397,7 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
     """
     q1 = check_probability_vector(q1, 4)
     q2 = check_probability_vector(q2, 4)
-    p1 = _check_prior(p1)
+    p1 = check_prior(p1)
     r = p1 * q1 - (1.0 - p1) * q2
     product = float(r[0] * r[1] * r[2] * r[3])
     candidates = (

@@ -6,11 +6,10 @@ class OpdiscError(Exception):
 
 
 class NonFinite(OpdiscError, ValueError):
-    """An input is not a finite number: NaN, an infinity or no number at all; the message names it."""
+    """An input is not the finite numbers asked for; the message names it.
 
-
-class NonSquare(OpdiscError):
-    """A matrix that must be square is not."""
+    NaN, an infinity, no number or list at all, or a list where one number belongs.
+    """
 
 
 class NonHermitian(OpdiscError):
@@ -19,6 +18,10 @@ class NonHermitian(OpdiscError):
 
 class DimensionMismatch(OpdiscError):
     """Operands have incompatible dimensions."""
+
+
+class NonSquare(DimensionMismatch):
+    """An input that must be a square matrix is not: a scalar, a vector, a d1 x d2 matrix with d1 != d2."""
 
 
 class CompletenessViolation(OpdiscError):

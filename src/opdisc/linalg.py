@@ -2,6 +2,9 @@
 
 All matrices are plain numpy arrays with dtype complex128. Dimensions stay
 small (d <= 16 or so), so clarity wins over asymptotic speed everywhere.
+Input from outside the package enters through require_finite, require_matrix,
+check_prior and check_count, which decide for every module what a valid
+array, matrix, prior or count is.
 """
 
 from __future__ import annotations
@@ -13,20 +16,6 @@ import numpy as np
 
 from .config import HERMITICITY_TOL, UNITARITY_TOL
 from .errors import DimensionMismatch, NonFinite, NonHermitian, NonSquare
-
-
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise NonSquare(f"expected a matrix, got array of shape {a.shape}")
-    return a
-
-
-def _require_square(a) -> np.ndarray:
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {a.shape}")
-    return a
 
 
 def require_finite(a, what: str, dtype) -> np.ndarray:
@@ -49,6 +38,30 @@ def require_finite(a, what: str, dtype) -> np.ndarray:
     return values.astype(dtype, copy=False)
 
 
+def require_matrix(a, what: str, d: int | None = None) -> np.ndarray:
+    """`a` as a finite complex square matrix, d x d when d is given.
+
+    Raises NonFinite, NonSquare or DimensionMismatch, each naming `what`.
+    """
+    a = require_finite(a, what, complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSquare(f"{what} of shape {a.shape} is not a square matrix")
+    if d is not None and a.shape[0] != d:
+        raise DimensionMismatch(f"{what} of shape {a.shape} is not {d}x{d}")
+    return a
+
+
+def check_prior(p1) -> float:
+    """`p1` as a float in [0, 1]; NonFinite naming anything but one real number, ValueError out of range."""
+    value = require_finite(p1, "p1", float)
+    if value.ndim:
+        raise NonFinite(f"p1 must be a single number, got {p1!r}")
+    p1 = float(value)
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    return p1
+
+
 def check_count(value, name: str, least: int) -> int:
     """`value` as an int if it is an integer (numpy's too, bool not) >= least; else ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, Integral):
@@ -64,17 +77,19 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    """True when ||A - A^dag||_max <= tol."""
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    """True when ||A - A^dag||_max <= tol; False for anything but a square matrix."""
+    try:
+        a = require_matrix(a, "matrix")
+    except NonSquare:
         return False
     return float(np.max(np.abs(a - dagger(a)))) <= tol
 
 
 def is_unitary(a, tol: float = UNITARITY_TOL) -> bool:
-    """True when ||A^dag A - I||_max <= tol."""
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    """True when ||A^dag A - I||_max <= tol; False for anything but a square matrix."""
+    try:
+        a = require_matrix(a, "matrix")
+    except NonSquare:
         return False
     eye = np.eye(a.shape[0])
     return float(np.max(np.abs(dagger(a) @ a - eye))) <= tol
@@ -91,15 +106,15 @@ class EigDecomposition:
 def eig_hermitian(a) -> EigDecomposition:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Raises NonSquare / NonHermitian on bad input.
+    Raises NonFinite / NonSquare / NonHermitian on bad input.
     """
-    a = _require_square(a)
-    if not is_hermitian(a):
-        raise NonHermitian(
-            f"matrix deviates from Hermitian by {float(np.max(np.abs(a - dagger(a)))):.3e}"
-        )
+    a = require_matrix(a, "matrix")
+    h = dagger(a)
+    deviation = float(np.max(np.abs(a - h)))
+    if not deviation <= HERMITICITY_TOL:
+        raise NonHermitian(f"matrix deviates from Hermitian by {deviation:.3e}")
     # eigh works on the Hermitian average, so tolerance-level asymmetry is ironed out
-    w, v = np.linalg.eigh((a + dagger(a)) / 2)
+    w, v = np.linalg.eigh((a + h) / 2)
     order = np.argsort(w)[::-1]
     return EigDecomposition(eigenvalues=w[order].real, eigenvectors=v[:, order])
 
@@ -110,9 +125,10 @@ def trace_norm(a) -> float:
     For Hermitian input this equals the sum of absolute eigenvalues, computed
     through the cheaper Hermitian path.
     """
-    a = _require_square(a)
-    if is_hermitian(a):
-        return float(np.sum(np.abs(np.linalg.eigvalsh((a + dagger(a)) / 2))))
+    a = require_matrix(a, "matrix")
+    h = dagger(a)
+    if float(np.max(np.abs(a - h))) <= HERMITICITY_TOL:
+        return float(np.sum(np.abs(np.linalg.eigvalsh((a + h) / 2))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
@@ -122,11 +138,7 @@ def partial_trace(a, dims: tuple[int, int], which: int) -> np.ndarray:
     Returns the reduced matrix on the surviving subsystem.
     """
     d1, d2 = int(dims[0]), int(dims[1])
-    a = _as_matrix(a)
-    if a.shape != (d1 * d2, d1 * d2):
-        raise DimensionMismatch(
-            f"matrix shape {a.shape} does not match subsystem dims {d1}x{d2}"
-        )
+    a = require_matrix(a, f"matrix on {d1}x{d2} subsystems", d1 * d2)
     if which not in (0, 1):
         raise ValueError("which must be 0 (trace out first) or 1 (trace out second)")
     t = a.reshape(d1, d2, d1, d2)
@@ -137,13 +149,12 @@ def partial_trace(a, dims: tuple[int, int], which: int) -> np.ndarray:
 
 def mat_to_biket(a) -> np.ndarray:
     """Flatten a d x d matrix A to the length-d^2 vector with entries A[n, m] at n*d + m."""
-    a = _require_square(a)
-    return a.reshape(-1).copy()
+    return require_matrix(a, "matrix").reshape(-1).copy()
 
 
 def biket_to_mat(v, d: int) -> np.ndarray:
     """Inverse of mat_to_biket for a given dimension d."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = require_finite(v, "vector", complex).reshape(-1)
     if v.size != d * d:
         raise DimensionMismatch(f"vector of length {v.size} is not {d}x{d}")
     return v.reshape(d, d).copy()

@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import HERMITICITY_TOL, POVM_TOL
-from .errors import DimensionMismatch, InvalidPovm, InvalidState, UnsupportedDimension
-from .linalg import check_count, is_hermitian, require_finite
+from .errors import InvalidPovm, InvalidState, UnsupportedDimension
+from .linalg import check_count, check_prior, is_hermitian, require_matrix
 
 if TYPE_CHECKING:  # only for annotations; keeps this module import-independent
     from collections.abc import Iterable, Iterator
@@ -48,12 +48,8 @@ class TwoOutcomePovm:
     pi2: np.ndarray
 
     def __post_init__(self):
-        pi1 = require_finite(self.pi1, "pi1", complex)
-        pi2 = require_finite(self.pi2, "pi2", complex)
-        if pi1.shape != pi2.shape or pi1.ndim != 2 or pi1.shape[0] != pi1.shape[1]:
-            raise DimensionMismatch(
-                f"POVM elements of shapes {pi1.shape} and {pi2.shape} do not form a pair"
-            )
+        pi1 = require_matrix(self.pi1, "pi1")
+        pi2 = require_matrix(self.pi2, "pi2", len(pi1))
         object.__setattr__(self, "pi1", pi1)
         object.__setattr__(self, "pi2", pi2)
 
@@ -71,9 +67,7 @@ def _check_povm(povm: TwoOutcomePovm) -> None:
 
 
 def _check_state(rho, d: int) -> np.ndarray:
-    rho = require_finite(rho, "state", complex)
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"state of shape {rho.shape}, expected {d}x{d}")
+    rho = require_matrix(rho, "state", d)
     if not is_hermitian(rho, HERMITICITY_TOL):
         raise InvalidState("state is not Hermitian within tolerance")
     if not abs(complex(np.trace(rho)) - 1.0) <= 1e-9:
@@ -86,9 +80,7 @@ def povm_error(rho1, rho2, p1: float, povm: TwoOutcomePovm) -> float:
 
     Both states must be d x d, the shape of the POVM's elements.
     """
-    p1 = float(require_finite(p1, "p1", float))
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
+    p1 = check_prior(p1)
     _check_povm(povm)
     d = povm.pi1.shape[0]
     rho1 = _check_state(rho1, d)

@@ -19,7 +19,7 @@ from opdisc import (
     weyl_channel,
     weyl_unitaries,
 )
-from opdisc.channels import check_density_matrix
+from opdisc.channels import check_density_matrix, check_probability_vector
 from opdisc.linalg import dagger, mat_to_biket, partial_trace
 
 from helpers import haar_unitary, random_density, random_kraus_operation, random_prob_vector, random_pure_state
@@ -83,6 +83,13 @@ def test_pauli_rejects_bad_weights():
         pauli_channel([0.5, 0.5, 0.5, -0.5])
     with pytest.raises(InvalidProbabilityVector):
         pauli_channel([0.3, 0.3, 0.3, 0.3])
+
+
+def test_empty_weights_are_an_invalid_probability_vector():
+    with pytest.raises(InvalidProbabilityVector, match="sum to 0.0"):
+        check_probability_vector([])
+    with pytest.raises(InvalidProbabilityVector, match="sum to 0.0"):
+        RandomUnitaryChannel(dim=2, unitaries=(np.eye(2),), weights=[])
 
 
 def test_pauli_matches_direct_formula():

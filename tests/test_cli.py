@@ -126,6 +126,7 @@ def test_pauli_rejects_bad_weights_and_prior():
     assert code == 2 and out == "" and err.startswith("error:")
     code, _, err = run_cli(["pauli", "--q1", Q_ID, "--q2", Q_DEP, "--p1", "1.5"])
     assert code == 2 and "--p1" in err
+    assert "argument --p1: p1 must lie in [0, 1], got 1.5" in err
 
 
 # --- general subcommand ---

@@ -1,7 +1,10 @@
 """Every demo runs to completion, in process, against the current API.
 
 The Python demos run as scripts; each `run ...` line of the CLI tour runs
-through opdisc.cli.main from demos/, where the tour's relative paths point.
+through opdisc.cli.main from demos/, where the tour's relative paths point,
+and must print byte for byte the document recorded for it in
+data/cli_tour.json (command line -> stdout). A change that moves a printed
+digit fails here; re-record an entry only when that change is intended.
 """
 
 import contextlib
@@ -16,6 +19,7 @@ import pytest
 from opdisc.cli import main
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
+RECORDED_TOUR = json.loads((Path(__file__).with_name("data") / "cli_tour.json").read_text(encoding="utf-8"))
 DEMOS = sorted(DEMO_DIR.glob("0*.py"))
 TOUR_RUNS = [
     shlex.split(line)[1:]
@@ -44,4 +48,4 @@ def test_cli_tour_runs(argv, monkeypatch):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code == 0
-    json.loads(out.getvalue())  # exactly one JSON document
+    assert out.getvalue() == RECORDED_TOUR[shlex.join(argv)]

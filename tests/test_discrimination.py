@@ -32,6 +32,8 @@ from opdisc import (
     weyl_unitaries,
 )
 from opdisc import discrimination
+from opdisc.config import ORTHOGONALITY_TOL
+from opdisc.linalg import dagger
 
 from helpers import (
     haar_unitary,
@@ -336,6 +338,31 @@ def test_orthogonality_detection():
     single = RandomUnitaryChannel(dim=2, unitaries=(skew,), weights=np.array([1.0]))
     assert is_orthogonal_unitary_family(single)
 
+
+def _orthogonal_by_loop(channel):
+    """Reference: every pair's Tr[U_m^dag U_n] against d delta_mn, one trace at a time."""
+    us, d = channel.unitaries, channel.dim
+    return all(
+        abs(complex(np.trace(dagger(us[m]) @ us[n])) - (d if m == n else 0.0)) <= ORTHOGONALITY_TOL
+        for m in range(len(us))
+        for n in range(m, len(us))
+    )
+
+
+def test_orthogonality_gram_test_matches_the_pairwise_loop():
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 4, 5):
+        family = weyl_unitaries(d)
+        v, w = haar_unitary(d, rng), haar_unitary(d, rng)
+        shift = family[d]  # X, the cyclic shift
+        h_vals, h_vecs = np.linalg.eigh((shift + dagger(shift)) / 2)
+        for us in (family, tuple(v @ u @ w for u in family)):  # a rotated family stays orthogonal
+            for angle, orthogonal in ((0.0, True), (1e-12, True), (1e-6, False), (0.3, False)):
+                # turn the last unitary by exp(i angle H) towards the others
+                twist = (h_vecs * np.exp(1j * angle * h_vals)) @ dagger(h_vecs)
+                tilted = us[:-1] + (us[-1] @ twist,)
+                ch = RandomUnitaryChannel(dim=d, unitaries=tilted, weights=np.full(d * d, 1.0 / (d * d)))
+                assert is_orthogonal_unitary_family(ch) == _orthogonal_by_loop(ch) == orthogonal
 
 def test_exact_qutrit_worked_example():
     ch_id = weyl_channel(3, [1.0] + [0.0] * 8)

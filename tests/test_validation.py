@@ -3,7 +3,9 @@
 The library's constructors also refuse input that is no number at all
 (strings, None, bools, dicts, ragged lists) by name. The oracles' state
 counts and seeds, OptimizerConfig's fields and every dimension refuse
-anything but an integer, also by name.
+anything but an integer, also by name. A hypothesis fuzz test sends
+malformed values through every public entry point and checks that each
+refusal is typed.
 """
 
 import contextlib
@@ -12,6 +14,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdisc import (
     DimensionMismatch,
@@ -22,18 +26,28 @@ from opdisc import (
     RandomUnitaryChannel,
     TwoOutcomePovm,
     apply_extended,
+    biket_to_mat,
     brute_force_entangled,
     brute_force_unentangled,
+    eig_hermitian,
     helstrom,
+    is_hermitian,
+    is_unitary,
     make_operation,
+    mat_to_biket,
+    partial_trace,
     pauli_channel,
     pauli_delta_summary,
+    pe_random_unitary_bounds,
     pe_random_unitary_exact,
     povm_error,
+    trace_norm,
     weyl_channel,
     weyl_unitaries,
 )
+from opdisc.channels import check_density_matrix, check_probability_vector
 from opdisc.cli import main
+from opdisc.linalg import check_count, check_prior, require_finite, require_matrix
 
 IDENTITY = np.eye(2, dtype=complex)
 Q_ID = [1.0, 0.0, 0.0, 0.0]
@@ -78,7 +92,9 @@ def _cli(spec=None, argv=()):
 CASES = {
     "make_operation": _library(lambda v: make_operation([_with(IDENTITY, v)])),
     "make_operation.kraus[0]": _library(lambda v: make_operation([v])),
+    "make_operation.kraus": _library(make_operation),
     "QuantumOperation": _library(lambda v: QuantumOperation(dim=2, kraus=(_with(IDENTITY, v),))),
+    "QuantumOperation.kraus": _library(lambda v: QuantumOperation(dim=2, kraus=v)),
     "pauli_channel": _library(lambda v: pauli_channel([v, 0.0, 0.0, 1.0])),
     "pauli_channel.q": _library(pauli_channel),
     "weyl_channel": _library(lambda v: weyl_channel(2, [v, 0.0, 0.0, 1.0])),
@@ -105,6 +121,10 @@ CASES = {
         lambda v: pe_random_unitary_exact(weyl_channel(2, Q_ID), weyl_channel(2, Q_ID), v)
     ),
     "apply_extended": _library(lambda v: apply_extended(pauli_channel(Q_ID), _with(IDENTITY / np.sqrt(2), v))),
+    "trace_norm": _library(lambda v: trace_norm(_with(IDENTITY, v))),
+    "trace_norm.a": _library(trace_norm),
+    "eig_hermitian.a": _library(eig_hermitian),
+    "biket_to_mat.v": _library(lambda v: biket_to_mat(v, 2)),
     "cli kind kraus": _cli(
         spec=lambda v: {"dim": 2, "kind": "kraus", "kraus": [[[[v, 0], [0, 0]], [[0, 0], [1, 0]]]]}
     ),
@@ -140,6 +160,13 @@ def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
         pytest.param("pauli_channel.q", {"a": 1}, id="pauli-q-dict"),
         pytest.param("pauli_channel.q", ["1", "0", "0", "0"], id="pauli-q-numeric-strings"),
         pytest.param("pauli_delta_summary.q1", None, id="pauli_delta_summary-q1-None"),
+        pytest.param("trace_norm.a", [[1, "a"], [0, 1]], id="trace_norm-string-entry"),
+        pytest.param("eig_hermitian.a", [[1, None], [None, 1]], id="eig_hermitian-None-entries"),
+        pytest.param("biket_to_mat.v", ["1", "0", "0", "1"], id="biket_to_mat-numeric-strings"),
+        pytest.param("DiscriminationProblem", [0.5], id="p1-list"),
+        pytest.param("helstrom.p1", [0.3, 0.1], id="helstrom-p1-list"),
+        pytest.param("povm_error.p1", [0.3], id="povm_error-p1-list"),
+        pytest.param("pauli_delta_summary.p1", [0.5], id="pauli_delta_summary-p1-list"),
     ],
 )
 def test_wrong_kind_input_is_refused_by_name(case, value, tmp_path):
@@ -236,3 +263,127 @@ def test_oracle_counts_accept_numpy_integers():
     assert brute_force_unentangled(prob, np.int64(3)) == brute_force_unentangled(prob, 3)
     assert brute_force_entangled(prob, np.int32(2)) == brute_force_entangled(prob, 2)
     assert brute_force_entangled(prob, 2, seed=np.uint8(5)) == brute_force_entangled(prob, 2, seed=5)
+
+
+# --- fuzz: malformed values through every public entry point ---
+
+QUBIT = pauli_channel(Q_ID)
+PROBLEM = DiscriminationProblem(QUBIT, pauli_channel([0.25] * 4), 0.5)
+FAMILY = weyl_channel(2, Q_ID)
+
+# every public constructor and validator, every public linalg helper; counts
+# take only small or malformed values, since a valid huge count is legal
+FUZZ_LIBRARY = {
+    "QuantumOperation.dim": lambda v: QuantumOperation(dim=v, kraus=(IDENTITY,)),
+    "QuantumOperation.kraus": lambda v: QuantumOperation(dim=2, kraus=v),
+    "QuantumOperation.kraus[0]": lambda v: QuantumOperation(dim=2, kraus=(v,)),
+    "make_operation": make_operation,
+    "make_operation.kraus[0]": lambda v: make_operation([v]),
+    "RandomUnitaryChannel.dim": lambda v: RandomUnitaryChannel(v, (IDENTITY,), [1.0]),
+    "RandomUnitaryChannel.unitaries": lambda v: RandomUnitaryChannel(2, v, [1.0]),
+    "RandomUnitaryChannel.unitaries[0]": lambda v: RandomUnitaryChannel(2, (v,), [1.0]),
+    "RandomUnitaryChannel.weights": lambda v: RandomUnitaryChannel(2, (IDENTITY,), v),
+    "pauli_channel": pauli_channel,
+    "weyl_unitaries": weyl_unitaries,
+    "weyl_channel.d": lambda v: weyl_channel(v, Q_ID),
+    "weyl_channel.q": lambda v: weyl_channel(2, v),
+    "check_probability_vector": check_probability_vector,
+    "check_density_matrix": lambda v: check_density_matrix(v, 2),
+    "apply_extended": lambda v: apply_extended(QUBIT, v),
+    "DiscriminationProblem.p1": lambda v: DiscriminationProblem(QUBIT, QUBIT, v),
+    "OptimizerConfig.num_starts": lambda v: OptimizerConfig(num_starts=v),
+    "OptimizerConfig.seed": lambda v: OptimizerConfig(seed=v),
+    "TwoOutcomePovm.pi1": lambda v: TwoOutcomePovm(v, IDENTITY),
+    "TwoOutcomePovm.pi2": lambda v: TwoOutcomePovm(IDENTITY, v),
+    "helstrom.rho1": lambda v: helstrom(v, IDENTITY / 2, 0.5),
+    "helstrom.rho2": lambda v: helstrom(IDENTITY / 2, v, 0.5),
+    "helstrom.p1": lambda v: helstrom(IDENTITY / 2, IDENTITY / 2, v),
+    "povm_error.rho1": lambda v: povm_error(v, IDENTITY / 2, 0.5, GUESS_FIRST),
+    "povm_error.rho2": lambda v: povm_error(IDENTITY / 2, v, 0.5, GUESS_FIRST),
+    "povm_error.p1": lambda v: povm_error(IDENTITY / 2, IDENTITY / 2, v, GUESS_FIRST),
+    "pauli_delta_summary.q1": lambda v: pauli_delta_summary(v, Q_ID, 0.5),
+    "pauli_delta_summary.p1": lambda v: pauli_delta_summary(Q_ID, Q_ID, v),
+    "pe_random_unitary_exact.p1": lambda v: pe_random_unitary_exact(FAMILY, FAMILY, v),
+    "pe_random_unitary_bounds.p1": lambda v: pe_random_unitary_bounds(FAMILY, FAMILY, v),
+    "brute_force_unentangled.grid_density": lambda v: brute_force_unentangled(PROBLEM, v),
+    "brute_force_unentangled.seed": lambda v: brute_force_unentangled(PROBLEM, 2, seed=v),
+    "brute_force_entangled.samples": lambda v: brute_force_entangled(PROBLEM, v),
+    "brute_force_entangled.seed": lambda v: brute_force_entangled(PROBLEM, 1, seed=v),
+    "eig_hermitian": eig_hermitian,
+    "trace_norm": trace_norm,
+    "partial_trace": lambda v: partial_trace(v, (2, 2), 0),
+    "mat_to_biket": mat_to_biket,
+    "biket_to_mat": lambda v: biket_to_mat(v, 2),
+    "is_hermitian": is_hermitian,
+    "is_unitary": is_unitary,
+    "require_finite": lambda v: require_finite(v, "value", complex),
+    "require_matrix": lambda v: require_matrix(v, "value", 2),
+    "check_prior": check_prior,
+    "check_count": lambda v: check_count(v, "count", 0),
+}
+
+# the CLI's five spec kinds, each value in every place it can stand, and --p1
+FUZZ_SPECS = {
+    "cli kind kraus.kraus": lambda v: {"dim": 2, "kind": "kraus", "kraus": v},
+    "cli kind kraus.kraus[0]": lambda v: {"dim": 2, "kind": "kraus", "kraus": [v]},
+    "cli kind kraus.entry": lambda v: {"dim": 2, "kind": "kraus", "kraus": [[[[v, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+    "cli kind kraus.dim": lambda v: {"dim": v, "kind": "kraus", "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+    "cli kind pauli.q": lambda v: {"dim": 2, "kind": "pauli", "q": v},
+    "cli kind pauli.q[0]": lambda v: {"dim": 2, "kind": "pauli", "q": [v, 0, 0, 1]},
+    "cli kind weyl.q": lambda v: {"dim": 2, "kind": "weyl", "q": v},
+    "cli kind weyl.dim": lambda v: {"dim": v, "kind": "weyl", "q": Q_ID},
+    "cli kind depolarizing.dim": lambda v: {"dim": v, "kind": "depolarizing"},
+    "cli kind unitary.u": lambda v: {"dim": 2, "kind": "unitary", "u": v},
+    "cli kind unitary.entry": lambda v: {"dim": 2, "kind": "unitary", "u": [[[1, 0], [0, 0]], [[0, 0], [v, 0]]]},
+}
+
+_SCALARS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), None, True, False, object()]),
+    st.integers(-3, 3),
+    st.floats(-2.0, 2.0),
+    st.complex_numbers(max_magnitude=2.0),
+    st.text(max_size=3),
+)
+# ragged and too-deep lists, lists and arrays where a scalar belongs, complex
+# where a real belongs, dicts and other non-sequences
+MALFORMED = st.one_of(
+    st.recursive(
+        _SCALARS | st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2),
+        lambda inner: st.lists(inner, max_size=4),
+        max_leaves=10,
+    ),
+    _SCALARS.map(lambda x: [[x, 0.0], [0.0, 1.0]]),
+    st.lists(st.floats(-2.0, 2.0) | st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=4).map(np.array),
+)
+
+
+def _fuzz_cli(case, value, workdir):
+    """Exit code of `main` on one spec file built from `value`, or on `pauli --p1 value`."""
+    if case == "cli --p1":
+        args = ["pauli", "--q1", "1,0,0,0", "--q2", "0,1,0,0", "--p1", str(value)]
+    else:
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(FUZZ_SPECS[case](value), default=repr))
+        ok = workdir / "ok.json"
+        ok.write_text(json.dumps({"dim": 2, "kind": "depolarizing"}))
+        args = ["general", "--file1", str(bad), "--file2", str(ok), "--starts", "1"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(sorted(FUZZ_LIBRARY) + sorted(FUZZ_SPECS) + ["cli --p1"]), value=MALFORMED)
+def test_malformed_input_is_refused_with_a_typed_error(case, value, tmp_path_factory):
+    """A refusal is an OpdiscError or exactly ValueError, never TypeError, IndexError, LinAlgError, ...
+
+    The CLI turns both into exit code 2; anything else escapes main.
+    """
+    if case in FUZZ_LIBRARY:
+        try:
+            FUZZ_LIBRARY[case](value)
+        except OpdiscError:
+            pass
+        except ValueError as exc:
+            assert type(exc) is ValueError, f"{case}({value!r}) raised {type(exc).__name__}: {exc}"
+    else:
+        assert _fuzz_cli(case, value, tmp_path_factory.getbasetemp()) in (0, 2)
