@@ -11,7 +11,6 @@ import numpy as np
 
 from opdisc import (
     DiscriminationProblem,
-    OptimizerConfig,
     bound_max_entangled,
     pauli_channel,
     pauli_delta_summary,
@@ -32,9 +31,9 @@ print(f"  best product input  eigenstate of sigma_{summary.optimal_unentangled_a
 
 prob = DiscriminationProblem(pauli_channel(q_id), pauli_channel(q_dep), 0.5)
 # pe_entangled has no settings (it runs its 4 qubit seed starts);
-# OptimizerConfig sets pe_unentangled's starts
+# pe_unentangled takes its number of starts and their seed
 res_e = pe_entangled(prob)
-res_u = pe_unentangled(prob, OptimizerConfig(num_starts=8))
+res_u = pe_unentangled(prob, num_starts=8)
 
 print()
 print("numeric optimizers")

@@ -11,7 +11,6 @@ import numpy as np
 
 from opdisc import (
     DiscriminationProblem,
-    OptimizerConfig,
     brute_force_entangled,
     brute_force_unentangled,
     make_operation,
@@ -28,8 +27,8 @@ angle = 0.4
 op2 = make_operation([np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]], dtype=complex)])
 prob = DiscriminationProblem(op1, op2, 0.5)
 
-# OptimizerConfig sets pe_unentangled's starts; pe_entangled has no settings
-lib_u = pe_unentangled(prob, OptimizerConfig(num_starts=8)).pe_unentangled
+# num_starts sets pe_unentangled's starts; pe_entangled has no settings
+lib_u = pe_unentangled(prob, num_starts=8).pe_unentangled
 lib_e = pe_entangled(prob).pe_entangled
 
 oracle_u = brute_force_unentangled(prob, grid_density=120)

@@ -166,7 +166,7 @@ def weyl_channel(d: int, q) -> RandomUnitaryChannel:
 
 def check_density_matrix(rho, d: int) -> np.ndarray:
     """Validate a d x d density matrix (Hermitian, unit trace, positive within tolerance)."""
-    rho = require_matrix(rho, "state", d)
+    rho = require_matrix(rho, "state", check_count(d, "d", 1))
     if not is_hermitian(rho, HERMITICITY_TOL):
         raise InvalidState("state is not Hermitian within tolerance")
     trace = complex(np.trace(rho))

@@ -53,7 +53,6 @@ from .discrimination import (
 )
 from .errors import OpdiscError, OptimizerFailure
 from .linalg import check_prior, is_unitary, require_finite, require_matrix
-from .optimizer import OptimizerConfig
 from .oracle import brute_force_entangled, brute_force_unentangled
 
 # Weight vectors typed on a command line get this much slack before rejection.
@@ -252,7 +251,6 @@ def cmd_general(args: argparse.Namespace) -> dict:
     """Discrimination report for two channels given as spec files."""
     ch1 = parse_channel_file(args.file1)
     ch2 = parse_channel_file(args.file2)
-    config = OptimizerConfig(num_starts=args.starts, seed=args.seed)
     prob = DiscriminationProblem(ch1.operation, ch2.operation, args.p1)
 
     if ch1.pauli_q is not None and ch2.pauli_q is not None:
@@ -266,13 +264,13 @@ def cmd_general(args: argparse.Namespace) -> dict:
         ent = pe_random_unitary_exact(ch1.family, ch2.family, prob.p1)
         lower = ent
         # no closed form for the unentangled value above the qubit case
-        result_u = pe_unentangled(prob, config)
+        result_u = pe_unentangled(prob, num_starts=args.starts, seed=args.seed)
         unent = result_u.pe_unentangled
         results = {"unentangled": result_u}
     else:
         method = "numeric"
         result_e = pe_entangled(prob)
-        result_u = pe_unentangled(prob, config)
+        result_u = pe_unentangled(prob, num_starts=args.starts, seed=args.seed)
         ent, unent = result_e.pe_entangled, result_u.pe_unentangled
         lower = result_e.lower_bound
         results = {"entangled": result_e, "unentangled": result_u}

@@ -37,6 +37,7 @@ from .config import CERTIFIED_GAP, ORTHOGONALITY_TOL
 from .errors import DimensionMismatch, FamilyMismatch, NotOrthogonal
 from .linalg import (
     biket_to_mat,
+    check_count,
     check_prior,
     dagger,
     eig_hermitian,
@@ -45,7 +46,7 @@ from .linalg import (
     require_matrix,
     trace_norm,
 )
-from .optimizer import MaximizeSummary, OptimizerConfig, decode_p, decode_pure_state, maximize
+from .optimizer import MaximizeSummary, decode_p, decode_pure_state, maximize
 from .oracle import TwoOutcomePovm
 
 # Unitary lists count as "the same family" only when equal entry by entry.
@@ -261,17 +262,18 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     """Numerically minimal error with an entangled input, by see-saw over |xi>>, certified.
 
     Maximizes the output trace norm over inputs |xi>> with Tr[xi^dag xi] = 1,
-    stepping with A_k = K_k x I; starts are |xi>> with xi^T = P for the
-    decode_p directions. An ancilla unitary, which no output trace norm sees,
-    turns the best input into optimal_xi with xi^T = P >= 0, so the optimum
-    is max ||(I x P) Delta (I x P)||_1 over positive P with Tr[P^2] = 1.
+    stepping with A_k = K_k x I from one start |xi>> with xi^T = P per
+    decode_p seed direction. An ancilla unitary, which no output trace norm
+    sees, turns the best input into optimal_xi with xi^T = P >= 0, so the
+    optimum is max ||(I x P) Delta (I x P)||_1 over positive P with
+    Tr[P^2] = 1.
 
     There are no settings: the value is concave in the reduced input state
-    P^2, so the seed starts alone run, all of them (4 at d = 2, 2 at d >= 3),
-    and OptimizerConfig does not enter. lower_bound is the dual bound built
-    on the best input's P^2. CERTIFIED_GAP is a reporting target:
-    diagnostics.converged is False when the bracket is wider, as it can be
-    when the best input is a product state.
+    P^2, so the seed starts alone run, all of them (4 at d = 2, 2 at d >= 3).
+    lower_bound is the dual bound built on the best input's P^2.
+    CERTIFIED_GAP is a reporting target: diagnostics.converged is False when
+    the bracket is wider, as it can be when the best input is a product
+    state.
     """
     d = prob.op1.dim
     if _degenerate_prior(prob):
@@ -280,13 +282,9 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
             lower_bound=0.0,
             optimal_xi=np.eye(d, dtype=complex) / np.sqrt(d),
         )
-    seeds = _p_seed_points(d)
     value, x, summary = maximize(
         _seesaw_step(prob, ancilla=d),
-        lambda theta: mat_to_biket(decode_p(theta, d).T),
-        d * d,
-        OptimizerConfig(num_starts=len(seeds)),
-        seeds,
+        np.stack([mat_to_biket(decode_p(theta, d).T) for theta in _p_seed_points(d)]),
     )
     # polar decomposition xi^T = W P; dropping W leaves xi^T = P
     _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
@@ -304,27 +302,36 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     )
 
 
-def pe_unentangled(prob: DiscriminationProblem, config: OptimizerConfig | None = None) -> DiscriminationResult:
+def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: int = 0) -> DiscriminationResult:
     """Numerically minimal error with a single pure input state (no ancilla).
 
     Maximizes ||p1 E1(psi) - p2 E2(psi)||_1 over pure states by see-saw with
     A_k = K_k; convexity makes pure inputs sufficient. The value is an
     uncertified multi-start heuristic: the objective is not concave in the
-    input, no dual bound is known here, and all config.num_starts starts run,
-    the random ones drawn from config.seed.
+    input, and no dual bound is known here. All num_starts starts run: the
+    first are the fixed seed states (3 at d = 2, 2 at d >= 3), and start i
+    after them is decoded from 2d uniform reals in [-1, 1) drawn by the
+    counter-based generator Philox keyed (seed << 64) + i, so any start can
+    be reproduced on its own. num_starts must be an integer >= 1, seed an
+    integer in [0, 2**64).
     """
-    config = config or OptimizerConfig()
+    num_starts = check_count(num_starts, "num_starts", 1)
+    seed = check_count(seed, "seed", 0)
+    if seed >= 2**64:
+        raise ValueError(f"seed must be below 2**64, got {seed!r}")
     d = prob.op1.dim
     if _degenerate_prior(prob):
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
         return DiscriminationResult(pe_unentangled=0.0, optimal_pure_input=psi)
+    seeds = _state_seed_points(d)
+    thetas = seeds[:num_starts] + [
+        np.random.Generator(np.random.Philox(key=(seed << 64) + i)).uniform(-1.0, 1.0, 2 * d)
+        for i in range(len(seeds), num_starts)
+    ]
     value, psi, summary = maximize(
         _seesaw_step(prob, ancilla=1),
-        lambda theta: decode_pure_state(theta, d),
-        2 * d,
-        config,
-        _state_seed_points(d),
+        np.stack([decode_pure_state(theta, d) for theta in thetas]),
     )
     return DiscriminationResult(
         pe_unentangled=_error(value),

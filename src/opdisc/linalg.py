@@ -135,9 +135,14 @@ def trace_norm(a) -> float:
 def partial_trace(a, dims: tuple[int, int], which: int) -> np.ndarray:
     """Trace out subsystem `which` (0 or 1) of a (d1*d2) x (d1*d2) matrix.
 
-    Returns the reduced matrix on the surviving subsystem.
+    Returns the reduced matrix on the surviving subsystem. dims must be a
+    pair of integers >= 1.
     """
-    d1, d2 = int(dims[0]), int(dims[1])
+    try:
+        d1, d2 = dims
+    except (TypeError, ValueError):
+        raise ValueError(f"dims must be a pair of integers, got {dims!r}") from None
+    d1, d2 = check_count(d1, "dims", 1), check_count(d2, "dims", 1)
     a = require_matrix(a, f"matrix on {d1}x{d2} subsystems", d1 * d2)
     if which not in (0, 1):
         raise ValueError("which must be 0 (trace out first) or 1 (trace out second)")
@@ -153,7 +158,8 @@ def mat_to_biket(a) -> np.ndarray:
 
 
 def biket_to_mat(v, d: int) -> np.ndarray:
-    """Inverse of mat_to_biket for a given dimension d."""
+    """Inverse of mat_to_biket for a given dimension d (an integer >= 1)."""
+    d = check_count(d, "d", 1)
     v = require_finite(v, "vector", complex).reshape(-1)
     if v.size != d * d:
         raise DimensionMismatch(f"vector of length {v.size} is not {d}x{d}")

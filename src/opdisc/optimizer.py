@@ -1,47 +1,24 @@
 """Multi-start see-saw maximization, every start stepped in lockstep.
 
-The caller supplies the step: it takes a stack of inputs (one per row) and
-returns their values and the next inputs. Starts are deterministic, keyed by
-(seed, start index). Each start stops on its own test, so with a step that
-works row by row a start's trajectory depends only on its start input, and
-adding starts never changes the ones already there. decode_p and
-decode_pure_state turn start vectors into start inputs: decode_p maps any real
-vector to a positive matrix with Tr[P^2] = 1, and decode_pure_state maps any
-real vector to a normalized state vector.
+The caller supplies the step and a stack of start inputs, one per row: the
+step takes a stack of inputs and returns their values and the next inputs.
+Each start stops on its own test, so with a step that works row by row a
+start's trajectory depends only on its start input, and adding rows never
+changes the ones already there. decode_p and decode_pure_state build start
+inputs for the callers: decode_p maps any real vector to a positive matrix
+with Tr[P^2] = 1, and decode_pure_state maps any real vector to a normalized
+state vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import FTOL, MAX_STEPS
 from .errors import DimensionMismatch, OptimizerFailure
-from .linalg import check_count
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """How many starts maximize runs, and the seed of their generators.
-
-    Of the two optima it configures pe_unentangled alone, which runs all
-    num_starts starts; pe_entangled has no settings and always runs its seed
-    starts (4 at d = 2, 2 at d >= 3). The stopping policy is not set here:
-    config.FTOL and config.MAX_STEPS hold for every call. num_starts must be
-    an integer >= 1, seed an integer in [0, 2**64), since the per-start
-    generator's key is (seed << 64) + index.
-    """
-
-    num_starts: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "num_starts", check_count(self.num_starts, "num_starts", 1))
-        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
-        if self.seed >= 2**64:
-            raise ValueError(f"seed must be below 2**64, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -69,46 +46,21 @@ class MaximizeResult(NamedTuple):
     summary: MaximizeSummary
 
 
-def _start_point(seed: int, index: int, dim_params: int) -> np.ndarray:
-    # Counter-based generator keyed by (seed, start index): no sequential state
-    # shared between starts, so any start can be reproduced in isolation.
-    rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(index)))
-    return rng.uniform(-1.0, 1.0, size=dim_params)
-
-
-def maximize(
-    step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    start_input: Callable[[np.ndarray], np.ndarray],
-    dim_params: int,
-    config: OptimizerConfig | None = None,
-    seed_points: Sequence[np.ndarray] = (),
-) -> MaximizeResult:
-    """Best value over num_starts runs of `step`, all starts advanced together.
+def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts) -> MaximizeResult:
+    """Best value over runs of `step` from each row of `starts`, all advanced together.
 
     step(x) takes a stack of inputs and returns (values at x, next inputs).
-    Start i begins at start_input(v), where v is seed_points[i] for the first
-    starts and uniform in [-1, 1]^dim_params from the per-start generator for
-    the rest. A start stops once a step gains no more than FTOL (converged)
-    or after MAX_STEPS steps, and keeps the last input it has a value for.
-    The result is the lowest-index start within FTOL of the best value, so a
-    rounding-level tie never moves it off a seed point. Raises
-    OptimizerFailure only if no start reaches a finite value.
+    Start i begins at starts[i]. A start stops once a step gains no more
+    than FTOL (converged) or after MAX_STEPS steps, and keeps the last input
+    it has a value for. The result is the lowest-index start within FTOL of
+    the best value, so a rounding-level tie never moves it off an earlier
+    row. Raises OptimizerFailure only if no start reaches a finite value.
     """
-    config = config or OptimizerConfig()
-    vectors = []
-    for index in range(config.num_starts):
-        if index < len(seed_points):
-            v = np.asarray(seed_points[index], dtype=float).reshape(-1)
-            if v.size != dim_params:
-                raise DimensionMismatch(f"seed point of length {v.size}, expected {dim_params}")
-        else:
-            v = _start_point(config.seed, index, dim_params)
-        vectors.append(v)
-    x = np.stack([start_input(v) for v in vectors])
-
-    values = np.full(config.num_starts, -np.inf)
-    converged = np.zeros(config.num_starts, dtype=bool)
-    active = np.arange(config.num_starts)
+    x = np.array(starts)  # a copy: moved rows are written into it
+    n_starts = len(x)
+    values = np.full(n_starts, -np.inf)
+    converged = np.zeros(n_starts, dtype=bool)
+    active = np.arange(n_starts)
     steps = n_evaluations = 0
     while active.size and steps < MAX_STEPS:
         new_values, moved = step(x[active])
@@ -126,7 +78,7 @@ def maximize(
         raise OptimizerFailure("no start reached a finite value")
     best = int(np.flatnonzero(values >= np.max(values[finite]) - FTOL)[0])
     summary = MaximizeSummary(
-        n_starts=config.num_starts,
+        n_starts=n_starts,
         best_start=best,
         converged=bool(converged[best]),
         n_evaluations=n_evaluations,

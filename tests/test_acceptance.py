@@ -11,7 +11,6 @@ import numpy as np
 
 from opdisc import (
     DiscriminationProblem,
-    OptimizerConfig,
     PAULI_MATRICES,
     RandomUnitaryChannel,
     apply_extended,
@@ -223,14 +222,13 @@ def test_criterion_8_property_suites():
 
     # ordering chain pe_entangled <= pe_unentangled <= min(p1, p2)
     rng = np.random.default_rng(84)
-    config = OptimizerConfig(num_starts=8)
     worst_order = -np.inf
     worst_cap = -np.inf
     min_pe = np.inf
     for _ in range(100):
         prob = random_qubit_problem(rng)
         ent = pe_entangled(prob).pe_entangled
-        unent = pe_unentangled(prob, config).pe_unentangled
+        unent = pe_unentangled(prob, num_starts=8).pe_unentangled
         worst_order = max(worst_order, ent - unent)
         worst_cap = max(worst_cap, unent - min(prob.p1, prob.p2))
         min_pe = min(min_pe, ent)

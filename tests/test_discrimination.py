@@ -11,7 +11,6 @@ from opdisc import (
     InvalidProbabilityVector,
     InvalidState,
     NotOrthogonal,
-    OptimizerConfig,
     PAULI_MATRICES,
     RandomUnitaryChannel,
     bound_max_entangled,
@@ -48,7 +47,7 @@ KET0 = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 # pe_unentangled's module-level searches keep the full seeded-start block
-FAST = OptimizerConfig(num_starts=8)
+FAST = 8
 
 Q_ID = [1, 0, 0, 0]
 Q_DEP = [0.25, 0.25, 0.25, 0.25]
@@ -201,7 +200,7 @@ def test_pe_entangled_worked_example():
 
 
 def test_pe_unentangled_worked_example():
-    result = pe_unentangled(_identity_vs_depolarizing(), FAST)
+    result = pe_unentangled(_identity_vs_depolarizing(), num_starts=FAST)
     assert abs(result.pe_unentangled - 0.25) < 1e-9
     assert abs(np.linalg.norm(result.optimal_pure_input) - 1.0) < 1e-12
 
@@ -210,13 +209,13 @@ def test_pe_identical_channels():
     op = pauli_channel(Q_DEP)
     prob = DiscriminationProblem(op, op, 0.3)
     assert abs(pe_entangled(prob).pe_entangled - 0.3) < 1e-9
-    assert abs(pe_unentangled(prob, FAST).pe_unentangled - 0.3) < 1e-9
+    assert abs(pe_unentangled(prob, num_starts=FAST).pe_unentangled - 0.3) < 1e-9
 
 
 def test_pe_perfect_discrimination_family():
     prob = DiscriminationProblem(pauli_channel(Q_XYZ), pauli_channel(Q_ID), 0.5)
     assert pe_entangled(prob).pe_entangled < 1e-9
-    assert abs(pe_unentangled(prob, FAST).pe_unentangled - 1 / 6) < 1e-9
+    assert abs(pe_unentangled(prob, num_starts=FAST).pe_unentangled - 1 / 6) < 1e-9
 
 
 def test_pe_degenerate_priors_short_circuit():
@@ -232,7 +231,7 @@ def test_entanglement_needed_numeric():
     """Entanglement helps where pe_unentangled - pe_entangled exceeds 1e-7."""
 
     def gain(prob):
-        return pe_unentangled(prob, FAST).pe_unentangled - pe_entangled(prob).pe_entangled
+        return pe_unentangled(prob, num_starts=FAST).pe_unentangled - pe_entangled(prob).pe_entangled
 
     rng = np.random.default_rng(55)
     u_pair = DiscriminationProblem(
@@ -299,10 +298,12 @@ def test_pe_entangled_runs_only_its_seed_starts_when_the_seeds_do_not_certify(mo
     assert seeded.diagnostics.n_starts == 4 and seeded.diagnostics.converged
     monkeypatch.setattr(discrimination, "CERTIFIED_GAP", -1.0)
     calls, maximize = [], discrimination.maximize
-    monkeypatch.setattr(discrimination, "maximize", lambda *args: calls.append(args[3]) or maximize(*args))
+    monkeypatch.setattr(
+        discrimination, "maximize", lambda step, starts: calls.append(starts.shape) or maximize(step, starts)
+    )
     missed = pe_entangled(prob)
-    # a missed target is reported, not chased with more starts
-    assert calls == [OptimizerConfig(num_starts=4)]
+    # a missed target is reported, not chased with more starts: one stack of the 4 qubit seed inputs
+    assert calls == [(4, 4)]
     assert missed.diagnostics.n_starts == 4
     assert missed.pe_entangled == seeded.pe_entangled
     assert missed.lower_bound == seeded.lower_bound
@@ -515,7 +516,7 @@ def test_pauli_closed_forms_match_numeric():
         prob = DiscriminationProblem(pauli_channel(q1), pauli_channel(q2), p1)
         s = pauli_delta_summary(q1, q2, p1)
         assert abs(pe_entangled(prob).pe_entangled - s.pe_entangled) < 1e-6
-        assert abs(pe_unentangled(prob, FAST).pe_unentangled - s.pe_unentangled) < 1e-6
+        assert abs(pe_unentangled(prob, num_starts=FAST).pe_unentangled - s.pe_unentangled) < 1e-6
 
 
 def test_pauli_summary_rejects_bad_inputs():
@@ -530,11 +531,10 @@ def test_pauli_summary_rejects_bad_inputs():
 
 def test_ordering_chain_random_problems():
     rng = np.random.default_rng(61)
-    cfg = OptimizerConfig(num_starts=6)
     for _ in range(5):
         prob = random_qubit_problem(rng)
         ent = pe_entangled(prob).pe_entangled
-        unent = pe_unentangled(prob, cfg).pe_unentangled
+        unent = pe_unentangled(prob, num_starts=6).pe_unentangled
         assert 0.0 <= ent <= unent + 1e-9
         assert unent <= min(prob.p1, prob.p2) + 1e-9
 
@@ -548,7 +548,8 @@ def test_swapping_hypotheses_changes_nothing():
             pe_entangled(prob).pe_entangled - pe_entangled(swapped).pe_entangled
         ) < 1e-9
         assert abs(
-            pe_unentangled(prob, FAST).pe_unentangled - pe_unentangled(swapped, FAST).pe_unentangled
+            pe_unentangled(prob, num_starts=FAST).pe_unentangled
+            - pe_unentangled(swapped, num_starts=FAST).pe_unentangled
         ) < 1e-9
 
 
@@ -568,7 +569,8 @@ def test_conjugation_covariance():
             pe_entangled(prob).pe_entangled - pe_entangled(conj).pe_entangled
         ) < 1e-7
         assert abs(
-            pe_unentangled(prob, FAST).pe_unentangled - pe_unentangled(conj, FAST).pe_unentangled
+            pe_unentangled(prob, num_starts=FAST).pe_unentangled
+            - pe_unentangled(conj, num_starts=FAST).pe_unentangled
         ) < 1e-7
 
 

@@ -14,7 +14,6 @@ import opdisc
 from opdisc import (
     DimensionMismatch,
     DiscriminationProblem,
-    OptimizerConfig,
     OptimizerFailure,
     decode_p,
     decode_pure_state,
@@ -27,7 +26,7 @@ from opdisc import (
 from opdisc import optimizer
 from opdisc.discrimination import _p_seed_points, _seesaw_step
 
-from helpers import random_qubit_problem
+from helpers import random_kraus_operation, random_qubit_problem
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -93,36 +92,22 @@ def _halving(x):
     return -np.sum(x * x, axis=1), x / 2
 
 
+def _uniform(rows, n, seed=0):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, n))
+
+
+def _unit_rows(rows, n, seed):
+    z = np.random.default_rng(seed).standard_normal((rows, n, 2)) @ [1.0, 1j]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def test_maximize_concave_bowl():
-    res = maximize(_halving, lambda v: v, 3, OptimizerConfig(num_starts=4))
+    res = maximize(_halving, _uniform(4, 3))
     assert abs(res.value) < 1e-8
     assert np.max(np.abs(res.argmax)) < 1e-3
     assert res.summary.converged
     assert len(res.summary.start_values) == 4
     assert res.summary.n_evaluations > 0
-
-
-def _gradient_step(x):
-    # a fixed-rate gradient ascent step on a bumpy landscape
-    values = np.sin(3.0 * x[:, 0]) - 0.1 * x[:, 0] ** 2 + np.cos(2.0 * x[:, 1])
-    grad = np.stack([3.0 * np.cos(3.0 * x[:, 0]) - 0.2 * x[:, 0], -2.0 * np.sin(2.0 * x[:, 1])], axis=1)
-    return values, x + 0.05 * grad
-
-
-def test_maximize_is_deterministic():
-    a = maximize(_gradient_step, lambda v: 2 * v, 2, OptimizerConfig(num_starts=6, seed=3))
-    b = maximize(_gradient_step, lambda v: 2 * v, 2, OptimizerConfig(num_starts=6, seed=3))
-    assert a.value == b.value
-    assert np.array_equal(a.argmax, b.argmax)
-    assert a.summary.best_start == b.summary.best_start
-
-
-def test_maximize_monotone_in_starts():
-    values = [
-        maximize(_gradient_step, lambda v: 3 * v, 2, OptimizerConfig(num_starts=k, seed=9)).value
-        for k in (1, 2, 4, 8)
-    ]
-    assert all(values[i] <= values[i + 1] + 1e-15 for i in range(len(values) - 1))
 
 
 def test_maximize_prefers_seed_point_on_tie():
@@ -131,7 +116,7 @@ def test_maximize_prefers_seed_point_on_tie():
     def toward_target(x):
         return -np.sum((x - target) ** 2, axis=1), (x + target) / 2
 
-    res = maximize(toward_target, lambda v: v, 2, OptimizerConfig(num_starts=4), seed_points=(target,))
+    res = maximize(toward_target, np.vstack([target, _uniform(3, 2)]))
     assert res.summary.best_start == 0
     assert abs(res.value) < 1e-12
 
@@ -148,13 +133,7 @@ def test_maximize_reports_seed_start_when_a_later_one_edges_ahead_by_rounding(mo
         values = np.where(x[:, 0] == 0, best, np.where(x[:, 1] == 0, best - 1, best + 1.1e-16))
         return values, x + [0, 1]
 
-    res = maximize(
-        step,
-        lambda v: np.array([float(np.any(v != 0)), 0.0]),
-        2,
-        OptimizerConfig(num_starts=4),
-        seed_points=(np.zeros(2),),
-    )
+    res = maximize(step, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
     assert max(res.summary.start_values) > best
     assert res.summary.best_start == 0
     assert res.value == best
@@ -163,71 +142,47 @@ def test_maximize_reports_seed_start_when_a_later_one_edges_ahead_by_rounding(mo
 
 def test_maximize_raises_when_every_start_fails():
     with pytest.raises(OptimizerFailure):
-        maximize(lambda x: (np.full(len(x), np.nan), x), lambda v: v, 2, OptimizerConfig(num_starts=3))
+        maximize(lambda x: (np.full(len(x), np.nan), x), np.zeros((3, 2)))
 
 
 def test_maximize_records_partial_failures():
-    # the seeded start sits in the broken region; random starts never get there
+    # the first start sits in the broken region; the others never get there
     def broken_far_out(x):
         values, moved = _halving(x)
         return np.where(np.max(np.abs(x), axis=1) >= 2.0, np.nan, values), moved
 
-    res = maximize(
-        broken_far_out, lambda v: v, 2, OptimizerConfig(num_starts=6, seed=1), seed_points=(np.array([5.0, 5.0]),)
-    )
+    res = maximize(broken_far_out, np.vstack([[5.0, 5.0], _uniform(5, 2, seed=1)]))
     assert res.summary.failed_starts == (0,)
     assert abs(res.value) < 1e-8
 
 
 def test_maximize_caps_steps_at_max_iters(monkeypatch):
     monkeypatch.setattr(optimizer, "MAX_STEPS", 2)
-    res = maximize(_halving, lambda v: v, 2, OptimizerConfig(num_starts=3))
+    res = maximize(_halving, _uniform(3, 2))
     assert res.summary.n_evaluations == 6
     assert not res.summary.converged
     # the reported value is the value of the reported input
     assert res.value == -float(np.sum(res.argmax**2))
 
 
-def test_optimizer_config_validates():
-    with pytest.raises(ValueError, match="num_starts must be at least 1"):
-        OptimizerConfig(num_starts=0)
-    with pytest.raises(ValueError, match="seed must be at least 0"):
-        OptimizerConfig(seed=-1)
-    # the per-start generator's key is (seed << 64) + start index
-    with pytest.raises(ValueError, match="seed must be below 2\\*\\*64"):
-        OptimizerConfig(seed=2**64)
-    config = OptimizerConfig(num_starts=np.int64(3), seed=2**64 - 1)
-    assert type(config.num_starts) is int and maximize(_halving, lambda v: v, 2, config).summary.n_starts == 3
-
-
 # --- the two discrimination see-saw steps on the known worked example ---
 
-def _identity_vs_depolarizing():
+def _identity_vs_depolarizing(p1=0.5):
     return DiscriminationProblem(
-        pauli_channel([1, 0, 0, 0]), pauli_channel([0.25] * 4), 0.5
+        pauli_channel([1, 0, 0, 0]), pauli_channel([0.25] * 4), p1
     )
 
 
 def test_maximize_entangled_objective_worked_example():
     """Identity vs depolarizing: the ancilla objective peaks at 0.75, at the maximally entangled input."""
-    res = maximize(
-        _seesaw_step(_identity_vs_depolarizing(), ancilla=2),
-        lambda theta: mat_to_biket(decode_p(theta, 2).T),
-        4,
-        OptimizerConfig(num_starts=8),
-        seed_points=(np.array([1.0, 1.0, 0.0, 0.0]),),
-    )
+    phi = mat_to_biket(np.eye(2)) / np.sqrt(2)
+    res = maximize(_seesaw_step(_identity_vs_depolarizing(), ancilla=2), np.vstack([phi, _unit_rows(7, 4, 1)]))
     assert abs(res.value - 0.75) < 1e-8
-    assert abs(abs(np.vdot(mat_to_biket(np.eye(2)) / np.sqrt(2), res.argmax)) - 1.0) < 1e-6
+    assert abs(abs(np.vdot(phi, res.argmax)) - 1.0) < 1e-6
 
 
 def test_maximize_unentangled_objective_worked_example():
-    res = maximize(
-        _seesaw_step(_identity_vs_depolarizing(), ancilla=1),
-        lambda theta: decode_pure_state(theta, 2),
-        4,
-        OptimizerConfig(num_starts=8),
-    )
+    res = maximize(_seesaw_step(_identity_vs_depolarizing(), ancilla=1), _unit_rows(8, 2, 2))
     assert abs(res.value - 0.5) < 1e-8
 
 
@@ -235,19 +190,54 @@ def test_maximize_start_trajectories_ignore_num_starts():
     prob = random_qubit_problem(np.random.default_rng(11))
 
     # pe_entangled runs only its seed starts, so drive its step directly
-    def entangled(config):
-        return maximize(
-            _seesaw_step(prob, ancilla=2),
-            lambda theta: mat_to_biket(decode_p(theta, 2).T),
-            4,
-            config,
-            _p_seed_points(2),
-        ).summary
+    seeds = np.stack([mat_to_biket(decode_p(theta, 2).T) for theta in _p_seed_points(2)])
+    starts = np.vstack([seeds, _unit_rows(8, 4, 3)])
+    step = _seesaw_step(prob, ancilla=2)
+    assert maximize(step, starts[:4]).summary.start_values == maximize(step, starts).summary.start_values[:4]
 
-    for solve in (entangled, lambda config: pe_unentangled(prob, config).diagnostics):
-        few = solve(OptimizerConfig(num_starts=4)).start_values
-        many = solve(OptimizerConfig(num_starts=12)).start_values
-        assert few == many[:4]
+    few = pe_unentangled(prob, num_starts=4).diagnostics.start_values
+    many = pe_unentangled(prob, num_starts=12).diagnostics.start_values
+    assert few == many[:4]
+
+
+# --- pe_unentangled's starts ---
+
+def test_pe_unentangled_is_deterministic():
+    rng = np.random.default_rng(5)
+    prob = DiscriminationProblem(random_kraus_operation(3, 2, rng), random_kraus_operation(3, 3, rng), 0.4)
+    a = pe_unentangled(prob, num_starts=6, seed=3)
+    b = pe_unentangled(prob, num_starts=6, seed=3)
+    assert a.pe_unentangled == b.pe_unentangled
+    assert np.array_equal(a.optimal_pure_input, b.optimal_pure_input)
+    assert a.diagnostics == b.diagnostics
+    # the seed moves only the random starts, which follow the 2 qutrit seed states
+    other = pe_unentangled(prob, num_starts=6, seed=4).diagnostics.start_values
+    assert other[:2] == a.diagnostics.start_values[:2] and other[2:] != a.diagnostics.start_values[2:]
+
+
+def test_pe_unentangled_monotone_in_starts():
+    prob = random_qubit_problem(np.random.default_rng(9))
+    errors = [pe_unentangled(prob, num_starts=k, seed=9).pe_unentangled for k in (1, 2, 4, 8)]
+    assert all(errors[i + 1] <= errors[i] + 1e-15 for i in range(len(errors) - 1))
+
+
+def test_pe_unentangled_validates_num_starts_and_seed():
+    prob = _identity_vs_depolarizing()
+    with pytest.raises(ValueError, match="num_starts must be at least 1"):
+        pe_unentangled(prob, num_starts=0)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        pe_unentangled(prob, seed=-1)
+    # the per-start generator's key is (seed << 64) + start index
+    with pytest.raises(ValueError, match="seed must be below 2\\*\\*64"):
+        pe_unentangled(prob, seed=2**64)
+    assert pe_unentangled(prob, num_starts=np.int64(3), seed=2**64 - 1).diagnostics.n_starts == 3
+
+
+def test_pe_unentangled_validates_num_starts_when_the_prior_decides():
+    prob = _identity_vs_depolarizing(p1=0.0)
+    assert pe_unentangled(prob).pe_unentangled == 0.0
+    with pytest.raises(ValueError, match="num_starts must be at least 1, got 0"):
+        pe_unentangled(prob, num_starts=0)
 
 
 def test_import_loads_no_scipy():

@@ -14,7 +14,6 @@ from opdisc import (
     DimensionMismatch,
     DiscriminationProblem,
     InvalidPovm,
-    OptimizerConfig,
     TwoOutcomePovm,
     brute_force_entangled,
     brute_force_unentangled,
@@ -106,7 +105,7 @@ def test_sampled_qutrit_never_undercuts_library():
     ch_dep = weyl_channel(3, np.full(9, 1.0 / 9.0)).as_operation()
     prob = DiscriminationProblem(ch_id, ch_dep, 0.5)
     oracle = brute_force_unentangled(prob, 6, seed=5)
-    library = pe_unentangled(prob, OptimizerConfig(num_starts=8)).pe_unentangled
+    library = pe_unentangled(prob, num_starts=8).pe_unentangled
     assert oracle >= library - 1e-9
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import opdisc
-from opdisc import OptimizerConfig, pe_entangled, pe_unentangled
+from opdisc import pe_entangled, pe_unentangled
 
 from helpers import random_qubit_problem
 
@@ -38,12 +38,11 @@ def test_tracer_wraps_the_numeric_optima_and_restores_them():
     before = _bindings(spans.TRACED)
     tracer = spans.Tracer()
     prob = random_qubit_problem(np.random.default_rng(3))
-    config = OptimizerConfig(num_starts=6)
     try:
         tracer.install(opdisc)
         assert hasattr(opdisc.discrimination.pe_entangled, "__wrapped__")
         traced_e = opdisc.pe_entangled(prob)
-        traced_u = opdisc.pe_unentangled(prob, config)
+        traced_u = opdisc.pe_unentangled(prob, num_starts=6)
     finally:
         tracer.uninstall()
 
@@ -59,4 +58,4 @@ def test_tracer_wraps_the_numeric_optima_and_restores_them():
     assert all(not hasattr(obj, "__wrapped__") for obj in before.values())
     # tracing does not change a result
     assert traced_e.pe_entangled == pe_entangled(prob).pe_entangled
-    assert traced_u.pe_unentangled == pe_unentangled(prob, config).pe_unentangled
+    assert traced_u.pe_unentangled == pe_unentangled(prob, num_starts=6).pe_unentangled

@@ -2,8 +2,8 @@
 
 The library's constructors also refuse input that is no number at all
 (strings, None, bools, dicts, ragged lists) by name. The oracles' state
-counts and seeds, OptimizerConfig's fields and every dimension refuse
-anything but an integer, also by name. A hypothesis fuzz test sends
+counts and seeds, pe_unentangled's num_starts and seed and every dimension
+refuse anything but an integer, also by name. A hypothesis fuzz test sends
 malformed values through every public entry point and checks that each
 refusal is typed.
 """
@@ -21,7 +21,6 @@ from opdisc import (
     DimensionMismatch,
     DiscriminationProblem,
     OpdiscError,
-    OptimizerConfig,
     QuantumOperation,
     RandomUnitaryChannel,
     TwoOutcomePovm,
@@ -40,6 +39,7 @@ from opdisc import (
     pauli_delta_summary,
     pe_random_unitary_bounds,
     pe_random_unitary_exact,
+    pe_unentangled,
     povm_error,
     trace_norm,
     weyl_channel,
@@ -234,14 +234,19 @@ def test_a_spec_file_that_is_not_json_is_refused_by_path(tmp_path):
     [
         (brute_force_unentangled, "grid_density"),
         (brute_force_entangled, "samples"),
-        pytest.param(lambda _, n: OptimizerConfig(num_starts=n), "num_starts", id="OptimizerConfig-num_starts"),
-        pytest.param(lambda _, n: OptimizerConfig(seed=n), "seed", id="OptimizerConfig-seed"),
+        # the two settings lived on OptimizerConfig; the ids keep these cases' names
+        pytest.param(lambda p, n: pe_unentangled(p, num_starts=n), "num_starts", id="OptimizerConfig-num_starts"),
+        pytest.param(lambda p, n: pe_unentangled(p, seed=n), "seed", id="OptimizerConfig-seed"),
         pytest.param(lambda p, n: brute_force_unentangled(p, 4, seed=n), "seed", id="brute_force_unentangled-seed"),
         pytest.param(lambda p, n: brute_force_entangled(p, 2, seed=n), "seed", id="brute_force_entangled-seed"),
         pytest.param(lambda _, n: QuantumOperation(dim=n, kraus=(IDENTITY,)), "dim", id="QuantumOperation-dim"),
         pytest.param(lambda _, n: RandomUnitaryChannel(n, (IDENTITY,), [1.0]), "dim", id="RandomUnitaryChannel-dim"),
         pytest.param(lambda _, n: weyl_unitaries(n), "d", id="weyl_unitaries-d"),
         pytest.param(lambda _, n: weyl_channel(n, Q_ID), "d", id="weyl_channel-d"),
+        pytest.param(lambda _, n: partial_trace(np.eye(4), n, 0), "dims", id="partial_trace-dims"),
+        pytest.param(lambda _, n: partial_trace(np.eye(4), (n, 2), 0), "dims", id="partial_trace-dims[0]"),
+        pytest.param(lambda _, n: biket_to_mat(np.ones(4), n), "d", id="biket_to_mat-d"),
+        pytest.param(lambda _, n: check_density_matrix(IDENTITY / 2, n), "d", id="check_density_matrix-d"),
     ],
 )
 def test_oracle_counts_must_be_integers(oracle, name, count):
@@ -256,6 +261,13 @@ def test_oracle_seeds_must_be_non_negative(oracle):
     prob = DiscriminationProblem(pauli_channel(Q_ID), pauli_channel([0.25] * 4), 0.5)
     with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
         oracle(prob, 2, seed=-1)
+
+
+def test_dimensions_must_be_at_least_1():
+    with pytest.raises(ValueError, match="dims must be at least 1, got -2"):
+        partial_trace(np.eye(4), (-2, -2), 0)
+    with pytest.raises(ValueError, match="d must be at least 1, got -2"):
+        biket_to_mat(np.ones(4), -2)
 
 
 def test_oracle_counts_accept_numpy_integers():
@@ -289,10 +301,11 @@ FUZZ_LIBRARY = {
     "weyl_channel.q": lambda v: weyl_channel(2, v),
     "check_probability_vector": check_probability_vector,
     "check_density_matrix": lambda v: check_density_matrix(v, 2),
+    "check_density_matrix.d": lambda v: check_density_matrix(IDENTITY / 2, v),
     "apply_extended": lambda v: apply_extended(QUBIT, v),
     "DiscriminationProblem.p1": lambda v: DiscriminationProblem(QUBIT, QUBIT, v),
-    "OptimizerConfig.num_starts": lambda v: OptimizerConfig(num_starts=v),
-    "OptimizerConfig.seed": lambda v: OptimizerConfig(seed=v),
+    "pe_unentangled.num_starts": lambda v: pe_unentangled(PROBLEM, num_starts=v),
+    "pe_unentangled.seed": lambda v: pe_unentangled(PROBLEM, seed=v),
     "TwoOutcomePovm.pi1": lambda v: TwoOutcomePovm(v, IDENTITY),
     "TwoOutcomePovm.pi2": lambda v: TwoOutcomePovm(IDENTITY, v),
     "helstrom.rho1": lambda v: helstrom(v, IDENTITY / 2, 0.5),
@@ -312,8 +325,11 @@ FUZZ_LIBRARY = {
     "eig_hermitian": eig_hermitian,
     "trace_norm": trace_norm,
     "partial_trace": lambda v: partial_trace(v, (2, 2), 0),
+    "partial_trace.dims": lambda v: partial_trace(np.eye(4), v, 0),
+    "partial_trace.dims[0]": lambda v: partial_trace(np.eye(4), (v, 2), 0),
     "mat_to_biket": mat_to_biket,
     "biket_to_mat": lambda v: biket_to_mat(v, 2),
+    "biket_to_mat.d": lambda v: biket_to_mat(np.ones(4), v),
     "is_hermitian": is_hermitian,
     "is_unitary": is_unitary,
     "require_finite": lambda v: require_finite(v, "value", complex),
