@@ -52,7 +52,7 @@ from .discrimination import (
     pe_unentangled,
 )
 from .errors import OpdiscError, OptimizerFailure
-from .linalg import check_prior, is_unitary, require_finite, require_matrix
+from .linalg import check_count, check_prior, is_unitary, require_finite
 from .oracle import brute_force_entangled, brute_force_unentangled
 
 # Weight vectors typed on a command line get this much slack before rejection.
@@ -79,28 +79,16 @@ class ParsedChannel:
     family: RandomUnitaryChannel | None = None
 
 
-def _number(value, what: str) -> float:
-    """`value` as a float if it is a JSON number (bool is not); else ValueError naming `what`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what}: integer too large for a float") from None
-
-
 def _normalize_weights(q, length: int, what: str) -> np.ndarray:
-    if not isinstance(q, list):
-        raise ValueError(f"{what}: expected a list of {length} numbers, got {q!r}")
-    q = require_finite([_number(x, f"{what}[{i}]") for i, x in enumerate(q)], what, float)
-    if q.size != length:
-        raise ValueError(f"{what}: expected {length} entries, got {q.size}")
-    if not np.min(q) >= 0.0:
-        raise ValueError(f"{what}: negative entry {float(np.min(q))!r}")
-    total = float(np.sum(q))
+    values = require_finite(q, what, float)
+    if values.shape != (length,):
+        raise ValueError(f"{what}: expected {length} entries, got {q!r}")
+    if not np.min(values) >= 0.0:
+        raise ValueError(f"{what}: negative entry {float(np.min(values))!r}")
+    total = float(np.sum(values))
     if not abs(total - 1.0) <= _CLI_SUM_TOL:
         raise ValueError(f"{what}: entries sum to {total!r}, not 1")
-    return q / total
+    return values / total
 
 
 def _parse_weights_arg(text: str, what: str, length: int) -> np.ndarray:
@@ -132,25 +120,10 @@ def _prior_arg(text: str) -> float:
 
 
 def _parse_matrix(entries, what: str, dim: int) -> np.ndarray:
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{what}: expected a list of rows")
-    rows = []
-    width = None
-    for row in entries:
-        if not isinstance(row, list) or not row:
-            raise ValueError(f"{what}: each row must be a nonempty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(f"{what}: ragged rows")
-        parsed = []
-        for c, entry in enumerate(row):
-            at = f"{what}[{len(rows)}][{c}]"
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ValueError(f"{at}: entries must be [re, im] pairs")
-            parsed.append(complex(_number(entry[0], f"{at}[0]"), _number(entry[1], f"{at}[1]")))
-        rows.append(parsed)
-    return require_matrix(rows, what, dim)
+    pairs = require_finite(entries, what, float)
+    if pairs.shape != (dim, dim, 2):
+        raise ValueError(f"{what}: expected {dim} rows of {dim} [re, im] pairs, got shape {pairs.shape}")
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 def parse_channel_file(path: str) -> ParsedChannel:
@@ -165,9 +138,7 @@ def parse_channel_file(path: str) -> ParsedChannel:
     kind = doc.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"{path}: kind must be one of {', '.join(_KINDS)}; got {kind!r}")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 2:
-        raise ValueError(f"{path}: dim must be an integer >= 2, got {dim!r}")
+    dim = check_count(doc.get("dim"), f"{path}: dim", 2)
 
     if kind == "kraus":
         if "kraus" not in doc:

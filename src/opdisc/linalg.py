@@ -4,11 +4,13 @@ All matrices are plain numpy arrays with dtype complex128. Dimensions stay
 small (d <= 16 or so), so clarity wins over asymptotic speed everywhere.
 Input from outside the package enters through require_finite, require_matrix,
 check_prior and check_count, which decide for every module what a valid
-array, matrix, prior or count is.
+array, matrix, prior or count is. require_finite is the one rule for what a
+number is, for library calls and spec files alike.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -18,24 +20,48 @@ from .config import HERMITICITY_TOL, UNITARITY_TOL
 from .errors import DimensionMismatch, NonFinite, NonHermitian, NonSquare
 
 
-def require_finite(a, what: str, dtype) -> np.ndarray:
-    """`a` as an array of `dtype` (float or complex), or NonFinite naming what is wrong.
+_REAL = (int, float, np.integer, np.floating)
+_COMPLEX = (*_REAL, complex, np.complexfloating)
 
-    Only integer, float and, for a complex dtype, complex entries convert:
-    strings, None, bools, other objects and ragged lists are refused, and so
-    is the first NaN or infinite entry.
+
+def _first_bad_entry(a, real: bool) -> tuple[str, str] | None:
+    """(index path, complaint) for the first entry of `a` that is no (real) number, or None."""
+    if isinstance(a, np.ndarray):
+        if a.dtype.kind in ("iuf" if real else "iufc"):
+            return None
+        a = a.tolist()
+    if isinstance(a, (list, tuple)):
+        for i, x in enumerate(a):
+            if type(x) is not float and (bad := _first_bad_entry(x, real)) is not None:
+                return f"[{i}]{bad[0]}", bad[1]
+        return None
+    if isinstance(a, bool) or not isinstance(a, _REAL if real else _COMPLEX):
+        return "", f"expected a {'real ' if real else ''}number, got {a!r}"
+    if isinstance(a, int) and abs(a) > sys.float_info.max:
+        return "", f"integer too large for a float, got {a!r}"
+    return None
+
+
+def require_finite(a, what: str, dtype) -> np.ndarray:
+    """`a` as an array of `dtype` (the type float or complex), or NonFinite naming what is wrong.
+
+    Only integer, float and, for a complex dtype, complex entries convert, at any
+    depth: a bool, None, a string, a dict, any other object, an integer too large
+    for a float, a ragged list and a NaN or infinite entry are refused, a bad
+    entry named by its index path, as in `Kraus operator 0[1][1]`.
     """
-    real = np.dtype(dtype).kind != "c"
+    real = dtype is not complex
+    if type(a) is not float and (bad := _first_bad_entry(a, real)) is not None:
+        raise NonFinite(f"{what}{bad[0]}: {bad[1]}")
     try:
-        values = np.asarray(a)
-    except ValueError:  # ragged nesting; refused below as an object array
-        values = np.asarray(None)
-    if values.dtype.kind not in ("iuf" if real else "iufc"):
-        raise NonFinite(f"{what} must hold {'real ' if real else ''}numbers, got {a!r}")
-    if not np.isfinite(values).all():
-        bad = values[~np.isfinite(values)].flat[0].item()
-        raise NonFinite(f"{what} has a non-finite entry {bad!r}")
-    return values.astype(dtype, copy=False)
+        values = np.asarray(a, dtype=dtype)
+    except ValueError:  # every entry is a number, so the nesting is ragged
+        raise NonFinite(f"{what}: lists of unequal length, got {a!r}") from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = "".join(f"[{i}]" for i in np.argwhere(~finite)[0])
+        raise NonFinite(f"{what}{at}: non-finite entry {values[~finite][0].item()!r}")
+    return values
 
 
 def require_matrix(a, what: str, d: int | None = None) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import HERMITICITY_TOL, POVM_TOL
+from .config import HERMITICITY_TOL, POVM_TOL, STATE_POSITIVITY_FLOOR
 from .errors import InvalidPovm, InvalidState, UnsupportedDimension
 from .linalg import check_count, check_prior, is_hermitian, require_matrix
 
@@ -72,6 +72,8 @@ def _check_state(rho, d: int) -> np.ndarray:
         raise InvalidState("state is not Hermitian within tolerance")
     if not abs(complex(np.trace(rho)) - 1.0) <= 1e-9:
         raise InvalidState(f"state trace is {complex(np.trace(rho))}, not 1")
+    if not float(np.min(np.linalg.eigvalsh(rho))) >= -STATE_POSITIVITY_FLOOR:
+        raise InvalidState("state has an eigenvalue below the positivity floor")
     return rho
 
 

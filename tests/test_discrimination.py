@@ -261,6 +261,33 @@ def test_pe_entangled_reaches_the_optimum_on_a_rank_4_vs_1_qudit_pair():
     assert result.diagnostics.n_starts == 2
 
 
+# --- known misses of pe_unentangled (ROADMAP item 1) ---
+
+ITEM_1 = "ROADMAP item 1: the see-saw stops on a sign-definite plateau or at a local maximum"
+
+
+def _rng7_problem(index):
+    """Problem `index` of random_qubit_problem drawn in sequence from default_rng(7)."""
+    rng = np.random.default_rng(7)
+    for _ in range(index):
+        random_qubit_problem(rng)
+    return random_qubit_problem(rng)
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1)
+def test_pe_unentangled_steps_off_the_sign_definite_plateau():
+    """The default call returns min(p1, p2) = 0.1065102630 with converged True;
+    brute_force_unentangled at grid 200 gives 0.0994877."""
+    assert pe_unentangled(_rng7_problem(118)).pe_unentangled <= 0.0995
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1)
+def test_pe_unentangled_escapes_a_local_maximum():
+    """The default call returns 0.0736907887; pe_entangled gives 0.0714411167, reached
+    by a product input, and brute_force_unentangled at grid 200 gives 0.0714504."""
+    assert pe_unentangled(_rng7_problem(197)).pe_unentangled <= 0.07146
+
+
 # --- the dual certificate of pe_entangled ---
 
 @pytest.mark.parametrize("d", [2, 3, 4])

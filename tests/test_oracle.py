@@ -14,6 +14,7 @@ from opdisc import (
     DimensionMismatch,
     DiscriminationProblem,
     InvalidPovm,
+    InvalidState,
     TwoOutcomePovm,
     brute_force_entangled,
     brute_force_unentangled,
@@ -79,6 +80,20 @@ def test_povm_error_rejects_bad_measurements():
         TwoOutcomePovm(pi1=np.eye(2), pi2=np.eye(3))
     with pytest.raises(ValueError):
         povm_error(KET0, PLUS, 1.5, TwoOutcomePovm(pi1=np.eye(2), pi2=np.zeros((2, 2))))
+
+
+# Hermitian with unit trace, but an eigenvalue of -0.5
+NOT_POSITIVE = np.diag([-0.5, 1.5]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "rho1, rho2", [(NOT_POSITIVE, KET0), (KET0, NOT_POSITIVE)], ids=["rho1", "rho2"]
+)
+def test_povm_error_rejects_states_that_are_not_positive(rho1, rho2):
+    """Unchecked, povm_error(diag(-0.5, 1.5), diag(1.5, -0.5), 0.5, ...) returned 1.5."""
+    povm = TwoOutcomePovm(pi1=np.diag([1.0, 0.0]), pi2=np.diag([0.0, 1.0]))
+    with pytest.raises(InvalidState, match="eigenvalue"):
+        povm_error(rho1, rho2, 0.5, povm)
 
 
 # --- unentangled brute force ---

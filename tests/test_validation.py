@@ -1,11 +1,16 @@
 """Every public constructor and every CLI spec kind refuses NaN and infinities by name.
 
 The library's constructors also refuse input that is no number at all
-(strings, None, bools, dicts, ragged lists) by name. The oracles' state
-counts and seeds, pe_unentangled's num_starts and seed and every dimension
-refuse anything but an integer, also by name. A hypothesis fuzz test sends
-malformed values through every public entry point and checks that each
-refusal is typed.
+(strings, None, bools, dicts, ragged lists) by name. One rule,
+linalg.require_finite, decides what a number is for library calls and spec
+files alike, and names one bad entry in a list by its index path, such as
+`Kraus operator 0[1][1]` or `bad.json: q[3]`. The oracles' state counts and
+seeds, pe_unentangled's num_starts and seed and every dimension (a spec's
+dim included) refuse anything but an integer, also by name. A hypothesis
+fuzz test sends malformed values through every public entry point and checks
+that each refusal is typed; since that alone cannot see a value accepted
+that should have been refused, a second test places one bad entry at several
+index paths of otherwise valid input and requires NonFinite naming it.
 """
 
 import contextlib
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 from opdisc import (
     DimensionMismatch,
     DiscriminationProblem,
+    NonFinite,
     OpdiscError,
     QuantumOperation,
     RandomUnitaryChannel,
@@ -145,33 +151,107 @@ def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case, value",
+    "case, value, named",
     [
-        pytest.param("DiscriminationProblem", "0.5", id="p1-string"),
-        pytest.param("DiscriminationProblem", True, id="p1-bool"),
-        pytest.param("helstrom.p1", None, id="helstrom-p1-None"),
-        pytest.param("povm_error.p1", "0.5", id="povm_error-p1-string"),
-        pytest.param("pe_random_unitary_exact.p1", "x", id="pe_random_unitary_exact-p1-string"),
-        pytest.param("make_operation.kraus[0]", [[1, 0], [0, "a"]], id="kraus-string-entry"),
-        pytest.param("make_operation.kraus[0]", [["1", "0"], ["0", "1"]], id="kraus-numeric-strings"),
-        pytest.param("make_operation.kraus[0]", [[1, 0], [0]], id="kraus-ragged"),
-        pytest.param("TwoOutcomePovm.pi1", "x", id="povm-string"),
-        pytest.param("weyl_channel.q", "abcd", id="weyl-q-string"),
-        pytest.param("pauli_channel.q", {"a": 1}, id="pauli-q-dict"),
-        pytest.param("pauli_channel.q", ["1", "0", "0", "0"], id="pauli-q-numeric-strings"),
-        pytest.param("pauli_delta_summary.q1", None, id="pauli_delta_summary-q1-None"),
-        pytest.param("trace_norm.a", [[1, "a"], [0, 1]], id="trace_norm-string-entry"),
-        pytest.param("eig_hermitian.a", [[1, None], [None, 1]], id="eig_hermitian-None-entries"),
-        pytest.param("biket_to_mat.v", ["1", "0", "0", "1"], id="biket_to_mat-numeric-strings"),
-        pytest.param("DiscriminationProblem", [0.5], id="p1-list"),
-        pytest.param("helstrom.p1", [0.3, 0.1], id="helstrom-p1-list"),
-        pytest.param("povm_error.p1", [0.3], id="povm_error-p1-list"),
-        pytest.param("pauli_delta_summary.p1", [0.5], id="pauli_delta_summary-p1-list"),
+        pytest.param("DiscriminationProblem", "0.5", None, id="p1-string"),
+        pytest.param("DiscriminationProblem", True, None, id="p1-bool"),
+        pytest.param("helstrom.p1", None, None, id="helstrom-p1-None"),
+        pytest.param("povm_error.p1", "0.5", None, id="povm_error-p1-string"),
+        pytest.param("pe_random_unitary_exact.p1", "x", None, id="pe_random_unitary_exact-p1-string"),
+        pytest.param(
+            "make_operation.kraus[0]",
+            [[1, 0], [0, "a"]],
+            "[1][1]: expected a number, got 'a'",
+            id="kraus-string-entry",
+        ),
+        pytest.param(
+            "make_operation.kraus[0]",
+            [["1", "0"], ["0", "1"]],
+            "[0][0]: expected a number, got '1'",
+            id="kraus-numeric-strings",
+        ),
+        pytest.param("make_operation.kraus[0]", [[1, 0], [0]], None, id="kraus-ragged"),
+        pytest.param("TwoOutcomePovm.pi1", "x", None, id="povm-string"),
+        pytest.param("weyl_channel.q", "abcd", None, id="weyl-q-string"),
+        pytest.param("pauli_channel.q", {"a": 1}, None, id="pauli-q-dict"),
+        pytest.param(
+            "pauli_channel.q",
+            ["1", "0", "0", "0"],
+            "[0]: expected a real number, got '1'",
+            id="pauli-q-numeric-strings",
+        ),
+        pytest.param("pauli_delta_summary.q1", None, None, id="pauli_delta_summary-q1-None"),
+        pytest.param(
+            "trace_norm.a",
+            [[1, "a"], [0, 1]],
+            "[0][1]: expected a number, got 'a'",
+            id="trace_norm-string-entry",
+        ),
+        pytest.param(
+            "eig_hermitian.a",
+            [[1, None], [None, 1]],
+            "[0][1]: expected a number, got None",
+            id="eig_hermitian-None-entries",
+        ),
+        pytest.param(
+            "biket_to_mat.v",
+            ["1", "0", "0", "1"],
+            "[0]: expected a number, got '1'",
+            id="biket_to_mat-numeric-strings",
+        ),
+        pytest.param("DiscriminationProblem", [0.5], None, id="p1-list"),
+        pytest.param("helstrom.p1", [0.3, 0.1], None, id="helstrom-p1-list"),
+        pytest.param("povm_error.p1", [0.3], None, id="povm_error-p1-list"),
+        pytest.param("pauli_delta_summary.p1", [0.5], None, id="pauli_delta_summary-p1-list"),
     ],
 )
-def test_wrong_kind_input_is_refused_by_name(case, value, tmp_path):
+def test_wrong_kind_input_is_refused_by_name(case, value, named, tmp_path):
+    """The message holds the value, or for one bad entry in a list, its index path and repr."""
     message = CASES[case](value, tmp_path)
-    assert repr(value) in message
+    assert (named or repr(value)) in message
+
+
+# one entry that is no number, among numbers
+BAD_ENTRIES = [True, False, None, "1", object(), 10**400]
+MATRIX_AT = [(0, 0), (1, 0), (1, 1)]
+VECTOR_AT = [(0,), (3,)]
+# (valid nested input, positions, call) for every entry point that takes numbers
+NUMBER_INPUTS = {
+    "kraus-matrix": ([[1, 0], [0, 1]], MATRIX_AT, lambda v: make_operation([v])),
+    "unitary": ([[1, 0], [0, 1]], MATRIX_AT, lambda v: RandomUnitaryChannel(2, (v,), [1.0])),
+    "state": ([[0.5, 0], [0, 0.5]], MATRIX_AT, lambda v: helstrom(v, IDENTITY / 2, 0.5)),
+    "povm-element": ([[1, 0], [0, 1]], MATRIX_AT, lambda v: TwoOutcomePovm(v, np.zeros((2, 2)))),
+    "weight-vector": ([1, 0, 0, 0], VECTOR_AT, pauli_channel),
+    "trace_norm": ([[1, 0], [0, 1]], MATRIX_AT, trace_norm),
+    "eig_hermitian": ([[1, 0], [0, 1]], MATRIX_AT, eig_hermitian),
+    "biket_to_mat": ([1, 0, 0, 1], VECTOR_AT, lambda v: biket_to_mat(v, 2)),
+}
+
+
+def _placed(nested, at, leaf):
+    """A copy of the nested list `nested` with `leaf` at the index path `at`."""
+    out = [list(row) if isinstance(row, list) else row for row in nested]
+    inner = out
+    for i in at[:-1]:
+        inner = inner[i]
+    inner[at[-1]] = leaf
+    return out
+
+
+@pytest.mark.parametrize("leaf", BAD_ENTRIES, ids=["True", "False", "None", "string", "object", "huge-int"])
+@pytest.mark.parametrize(
+    "entry, at",
+    [(entry, at) for entry, (_, positions, _) in NUMBER_INPUTS.items() for at in positions],
+    ids=lambda x: "".join(f"[{i}]" for i in x) if isinstance(x, tuple) else x,
+)
+def test_a_bad_entry_is_refused_by_its_index_path(entry, at, leaf):
+    """numpy would turn a bool into 1 or 0 and accept it; the message names the entry and its path."""
+    nested, _, call = NUMBER_INPUTS[entry]
+    with pytest.raises(NonFinite) as info:
+        call(_placed(nested, at, leaf))
+    path = "".join(f"[{i}]" for i in at)
+    assert f"{path}: " in str(info.value)
+    assert repr(leaf) in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -194,8 +274,9 @@ def test_scalar_states_are_refused_as_a_dimension_mismatch(call):
         pytest.param({"dim": 2, "kind": "pauli", "q": [None, 0, 0, 1]}, "q[0]", id="pauli-null"),
         pytest.param({"dim": 2, "kind": "weyl", "q": [0, 0, 0, "x"]}, "q[3]", id="weyl-string"),
         pytest.param({"dim": 2, "kind": "pauli", "q": [True, False, False, False]}, "q[0]", id="pauli-bools"),
+        pytest.param({"dim": 2, "kind": "pauli", "q": [1, 0, 0, True]}, "q[3]", id="pauli-bool-last"),
         pytest.param(
-            {"dim": 2, "kind": "pauli", "q": [[0.25, 0.25], [0.25, 0.25]]}, "q[0]", id="pauli-nested"
+            {"dim": 2, "kind": "pauli", "q": [[0.25, 0.25], [0.25, 0.25]]}, "q", id="pauli-nested"
         ),
         pytest.param(
             {"dim": 2, "kind": "unitary", "u": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
