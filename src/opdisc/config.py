@@ -24,9 +24,12 @@ ORTHOGONALITY_TOL = 1e-8
 # POVM elements may dip this far below positivity / completeness.
 POVM_TOL = 1e-9
 
-# The optimizer's stopping policy: a start stops once one see-saw step gains at
-# most FTOL (converged) or after MAX_STEPS steps. Gains shrink by only ~0.8 a
-# step, so at FTOL = 1e-9 a random qubit pair's dual certificate read 6e-6.
+# The optimizer's stopping policy: a start stops once one evaluation gains at
+# most FTOL over its best (converged) or after MAX_STEPS step calls. A plain
+# see-saw step's gains shrink by only ~0.8 to ~0.95 a step, so a small gain can
+# sit far from the optimum: stopping at FTOL = 1e-9, the plain see-saw left a
+# random qubit pair's dual certificate 6e-6 wide. maximize's extrapolation
+# takes fewer steps to reach a gain of FTOL, not a looser stop.
 MAX_STEPS = 2000
 FTOL = 1e-12
 

@@ -195,14 +195,21 @@ def _state_seed_points(d: int) -> list[np.ndarray]:
 def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
     """The see-saw step for maximizing ||p1 (E1 x I)(x x^dag) - p2 (E2 x I)(x x^dag)||_1.
 
-    Inputs x are unit vectors on system x ancilla (ancilla = 1: no ancilla).
-    The output difference is sum_k w_k A_k x x^dag A_k^dag with A_k = K_k x I
-    over both Kraus lists, w_k = p1 or -p2. With its sign S fixed, the value
-    at x' is at least x'^dag M x' with M = sum_k w_k A_k^dag S A_k, and equal
-    at x' = x; so the top eigenvector of M does at least as well as x. The
-    step maps a stack of inputs to (their values, those eigenvectors). Every
-    product and eigensolver call works row by row, so a row's result does not
-    depend on the stack it comes in.
+    Inputs x are nonzero vectors on system x ancilla (ancilla = 1: no
+    ancilla), each standing for the unit vector x / |x|. The output
+    difference is sum_k w_k A_k x x^dag A_k^dag with A_k = K_k x I over both
+    Kraus lists, w_k = p1 or -p2. Its sign S is +-1 on its positive and
+    negative eigenvectors and 0 on its kernel, which has dimension at least
+    d e - (number of Kraus operators): eigenvalues within numpy's matrix_rank
+    tolerance (d e eps times the largest) count as 0, so rounding signs never
+    enter S, and a product input steps to a product input. With S fixed, the
+    value at a unit x' is at least x'^dag M x' with M = sum_k w_k A_k^dag S A_k,
+    and equal at x' = x, since |S| <= 1; so the top eigenvector of M does at
+    least as well as x. The step maps a stack of inputs to (their values,
+    those eigenvectors), each turned so that <x, x'> is real and nonnegative:
+    that makes the step a smooth map near a fixed point, which maximize's
+    extrapolation needs. Every product and eigensolver call works row by row,
+    so a row's result does not depend on the stack it comes in.
     """
     kraus = np.stack(prob.op1.kraus + prob.op2.kraus)
     weights = np.array([prob.p1] * len(prob.op1.kraus) + [-prob.p2] * len(prob.op2.kraus))
@@ -210,18 +217,28 @@ def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
     e = int(ancilla)
     # X -> sum_k w_k K_k^dag X K_k acting on row-major vec(X) from the right
     adjoint = np.einsum("k,kip,kjq->ijpq", weights, kraus.conj(), kraus).reshape(d * d, d * d)
+    kernel_tol = d * e * np.finfo(float).eps
 
     def step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b = len(x)
         y = (kraus @ x.reshape(b, 1, d, e)).reshape(b, n, d * e)  # A_k x, one row per k
         out = (y.transpose(0, 2, 1) * weights) @ y.conj()
         evals, evecs = np.linalg.eigh(out)
-        sign = (evecs * np.sign(evals)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+        size = np.abs(evals)
+        # numpy's matrix_rank tolerance: S is 0, not a rounding sign, on the kernel;
+        # eigh sorts the eigenvalues, so the largest |lambda| is at one end
+        signs = np.sign(evals)
+        signs[size <= kernel_tol * np.maximum(size[:, :1], size[:, -1:])] = 0.0
+        sign = (evecs * signs[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
         # M applies the adjoint map to each ancilla block of S
         blocks = sign.reshape(b, d, e, d, e).transpose(0, 2, 4, 1, 3).reshape(b, e * e, d * d)
         m = (blocks @ adjoint).reshape(b, e, e, d, d).transpose(0, 3, 1, 4, 2).reshape(b, d * e, d * e)
-        _, top = np.linalg.eigh(m)
-        return np.sum(np.abs(evals), axis=-1), top[..., -1]
+        top = np.linalg.eigh(m)[1][..., -1]
+        # the output is quadratic in x, so its value at x / |x| is ||out||_1 / |x|^2;
+        # the phase of x' makes <x, x'> >= 0
+        overlap = np.vecdot(top, x)
+        overlap[overlap == 0] = 1.0
+        return np.sum(size, axis=-1) / np.vecdot(x, x).real, top * (overlap / np.abs(overlap))[:, None]
 
     return step
 
@@ -270,7 +287,12 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
 
     There are no settings: the value is concave in the reduced input state
     P^2, so the seed starts alone run, all of them (4 at d = 2, 2 at d >= 3).
-    lower_bound is the dual bound built on the best input's P^2.
+    The full-rank seed I/sqrt(d) carries the entangled search. The rank-one
+    seeds are product inputs, and the step keeps a product input a product
+    input, so they end at the best product input they reach: on a d = 4
+    pair of Kraus ranks 4 and 1 the rank-one start ends at 0.966847, below
+    the entangled optimum 0.968331. lower_bound is the dual bound built on
+    the best input's P^2.
     CERTIFIED_GAP is a reporting target: diagnostics.converged is False when
     the bracket is wider, as it can be when the best input is a product
     state.
@@ -286,6 +308,7 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
         _seesaw_step(prob, ancilla=d),
         np.stack([mat_to_biket(decode_p(theta, d).T) for theta in _p_seed_points(d)]),
     )
+    x = x / np.linalg.norm(x)
     # polar decomposition xi^T = W P; dropping W leaves xi^T = P
     _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
     p_opt = (dagger(vh) * s) @ vh
@@ -335,7 +358,7 @@ def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: i
     )
     return DiscriminationResult(
         pe_unentangled=_error(value),
-        optimal_pure_input=psi,
+        optimal_pure_input=psi / np.linalg.norm(psi),
         diagnostics=summary,
     )
 

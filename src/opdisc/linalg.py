@@ -10,6 +10,7 @@ number is, for library calls and spec files alike.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from numbers import Integral
@@ -38,8 +39,21 @@ def _first_bad_entry(a, real: bool) -> tuple[str, str] | None:
     if isinstance(a, bool) or not isinstance(a, _REAL if real else _COMPLEX):
         return "", f"expected a {'real ' if real else ''}number, got {a!r}"
     if isinstance(a, int) and abs(a) > sys.float_info.max:
-        return "", f"integer too large for a float, got {a!r}"
+        return "", f"integer too large for a float, got one of {_digits(abs(a))} digits"
     return None
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of the integer n > 0; str(n) refuses more than 4,300 of them."""
+    k = int(math.log10(n))  # off by at most one near a power of ten
+    return k + (n >= 10**k) + (n >= 10 ** (k + 1))
+
+
+def _depth(a) -> int:
+    """How deep lists, tuples and arrays nest in `a`."""
+    if isinstance(a, np.ndarray):
+        return a.ndim
+    return 1 + max(map(_depth, a), default=0) if isinstance(a, (list, tuple)) else 0
 
 
 def require_finite(a, what: str, dtype) -> np.ndarray:
@@ -47,7 +61,8 @@ def require_finite(a, what: str, dtype) -> np.ndarray:
 
     Only integer, float and, for a complex dtype, complex entries convert, at any
     depth: a bool, None, a string, a dict, any other object, an integer too large
-    for a float, a ragged list and a NaN or infinite entry are refused, a bad
+    for a float (named by its digit count), a ragged list, lists nested deeper
+    than numpy's 64 dimensions and a NaN or infinite entry are refused, a bad
     entry named by its index path, as in `Kraus operator 0[1][1]`.
     """
     real = dtype is not complex
@@ -55,7 +70,9 @@ def require_finite(a, what: str, dtype) -> np.ndarray:
         raise NonFinite(f"{what}{bad[0]}: {bad[1]}")
     try:
         values = np.asarray(a, dtype=dtype)
-    except ValueError:  # every entry is a number, so the nesting is ragged
+    except ValueError:  # every entry is a number, so the nesting is ragged or too deep
+        if (depth := _depth(a)) > 64:
+            raise NonFinite(f"{what}: lists nested {depth} deep, more dimensions than numpy's 64") from None
         raise NonFinite(f"{what}: lists of unequal length, got {a!r}") from None
     finite = np.isfinite(values)
     if not finite.all():

@@ -1,13 +1,16 @@
-"""Multi-start see-saw maximization, every start stepped in lockstep.
+"""Multi-start see-saw maximization, every start stepped in lockstep, with SQUAREM extrapolation.
 
 The caller supplies the step and a stack of start inputs, one per row: the
 step takes a stack of inputs and returns their values and the next inputs.
-Each start stops on its own test, so with a step that works row by row a
-start's trajectory depends only on its start input, and adding rows never
-changes the ones already there. decode_p and decode_pure_state build start
-inputs for the callers: decode_p maps any real vector to a positive matrix
-with Tr[P^2] = 1, and decode_pure_state maps any real vector to a normalized
-state vector.
+A see-saw step gains only linearly, so maximize runs SQUAREM cycles
+(Varadhan & Roland, Scand. J. Stat. 35, 2008): two steps, then one
+extrapolated input, kept only when it is at least as good as the second
+step's input. Each start stops on its own test, so with a step that works
+row by row a start's trajectory depends only on its start input, and adding
+rows never changes the ones already there. decode_p and decode_pure_state
+build start inputs for the callers: decode_p maps any real vector to a
+positive matrix with Tr[P^2] = 1, and decode_pure_state maps any real vector
+to a normalized state vector.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ class MaximizeSummary:
     """What happened across all starts of one maximize call.
 
     best_start is the start reported; converged is that start's own flag:
-    its last step gained at most config.FTOL before config.MAX_STEPS steps
-    ran out. pe_entangled, which runs only its seed starts, also sets it
-    False when its certified bracket is wider than config.CERTIFIED_GAP.
-    n_evaluations counts input evaluations over all starts and steps.
+    an evaluation gained at most config.FTOL over its best before
+    config.MAX_STEPS step calls ran out. pe_entangled, which runs only its
+    seed starts, also sets it False when its certified bracket is wider than
+    config.CERTIFIED_GAP. n_evaluations counts input evaluations over all
+    starts and steps; start_values holds each start's best value, -inf for a
+    start that never reached a finite one.
     """
 
     n_starts: int
@@ -49,43 +54,79 @@ class MaximizeResult(NamedTuple):
 def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts) -> MaximizeResult:
     """Best value over runs of `step` from each row of `starts`, all advanced together.
 
-    step(x) takes a stack of inputs and returns (values at x, next inputs).
-    Start i begins at starts[i]. A start stops once a step gains no more
-    than FTOL (converged) or after MAX_STEPS steps, and keeps the last input
-    it has a value for. The result is the lowest-index start within FTOL of
-    the best value, so a rounding-level tie never moves it off an earlier
-    row. Raises OptimizerFailure only if no start reaches a finite value.
+    step(x) takes a stack of input rows and returns (values at x, next
+    inputs). Start i begins at x0 = starts[i] and runs SQUAREM cycles: with
+    x1 = step(x0) and x2 = step(x1), r = x1 - x0, v = x2 - 2 x1 + x0 and
+    a = -max(1, |r| / |v|), it evaluates x0 - 2 a r + a^2 v. The next cycle
+    starts there if its value is at least the value at x1; otherwise it
+    starts at x1, so x2 is evaluated next. A start keeps the best input it
+    evaluated, and stops once an evaluation gains no more than FTOL over its
+    best (converged) or after MAX_STEPS step calls; a rejected extrapolated
+    input does not stop it. The first two step calls evaluate only the
+    starts and their steps, so a start that stops there never extrapolates.
+    The result is the lowest-index start within FTOL of the best value, so a
+    rounding-level tie never moves it off an earlier row. Raises
+    OptimizerFailure only if no start reaches a finite value.
     """
-    x = np.array(starts)  # a copy: moved rows are written into it
-    n_starts = len(x)
-    values = np.full(n_starts, -np.inf)
+    x0 = np.array(starts)  # each active start's cycle base
+    x0 = x0.astype(np.result_type(x0, float), copy=False)  # steps move integer rows off the integers
+    n_starts = len(x0)
+    best = np.full(n_starts, -np.inf)
+    argmax = x0.copy()
     converged = np.zeros(n_starts, dtype=bool)
     active = np.arange(n_starts)
+    x1 = x2 = None
     steps = n_evaluations = 0
     while active.size and steps < MAX_STEPS:
-        new_values, moved = step(x[active])
+        # the starts, then x1 = step(x0), then the extrapolated input, then x1 again, ...
+        x = x0 if x1 is None else x1 if x2 is None else _extrapolate(x0, x1, x2)
+        values, moved = step(x)
+        values = np.asarray(values)
         steps += 1
         n_evaluations += active.size
-        gained = np.asarray(new_values) - values[active] > FTOL  # False for NaN
-        values[active] = new_values
-        converged[active] = ~gained
-        active = active[gained]
-        if steps < MAX_STEPS:
-            x[active] = moved[gained]
+        gain = values - best[active]
+        better = gain > 0  # False for NaN
+        best[active[better]] = values[better]
+        argmax[active[better]] = x[better]
+        going = gain > FTOL
+        if x1 is None:
+            x1 = moved
+        elif x2 is None:
+            x2 = moved
+        else:  # x was extrapolated: at least as good as x1 is kept, else x1 is the next base
+            kept = gain >= 0
+            going |= ~kept
+            x0, x1, x2 = np.where(kept[:, None], x, x1), np.where(kept[:, None], moved, x2), None
+        converged[active] = ~going
+        active, x0, x1 = active[going], x0[going], x1[going]
+        if x2 is not None:
+            x2 = x2[going]
 
-    finite = np.isfinite(values)
+    finite = np.isfinite(best)
     if not finite.any():
         raise OptimizerFailure("no start reached a finite value")
-    best = int(np.flatnonzero(values >= np.max(values[finite]) - FTOL)[0])
+    top = int(np.flatnonzero(best >= np.max(best[finite]) - FTOL)[0])
     summary = MaximizeSummary(
         n_starts=n_starts,
-        best_start=best,
-        converged=bool(converged[best]),
+        best_start=top,
+        converged=bool(converged[top]),
         n_evaluations=n_evaluations,
-        start_values=tuple(float(v) for v in values),
+        start_values=tuple(float(v) for v in best),
         failed_starts=tuple(int(i) for i in np.flatnonzero(~finite)),
     )
-    return MaximizeResult(value=float(values[best]), argmax=x[best], summary=summary)
+    return MaximizeResult(value=float(best[top]), argmax=argmax[top], summary=summary)
+
+
+def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """SQUAREM's point x0 - 2 a r + a^2 v per row: r = x1 - x0, v = x2 - 2 x1 + x0, a = -max(1, |r| / |v|).
+
+    a = -1, which gives x2, where v = 0.
+    """
+    r = x1 - x0
+    v = x2 - x1 - r
+    rr, vv = np.vecdot(r, r).real, np.vecdot(v, v).real
+    a = -np.sqrt(np.maximum(1.0, np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0)))[:, None]
+    return x0 - 2 * a * r + a * a * v
 
 
 def decode_p(theta, d: int) -> np.ndarray:

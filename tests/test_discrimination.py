@@ -259,6 +259,8 @@ def test_pe_entangled_reaches_the_optimum_on_a_rank_4_vs_1_qudit_pair():
     # the two d = 4 seed starts certify the optimum
     assert 0.0 <= result.pe_entangled - result.lower_bound <= 1e-6
     assert result.diagnostics.n_starts == 2
+    # a plain see-saw took 985 evaluations here; the extrapolated one takes 144
+    assert result.diagnostics.n_evaluations <= 200
 
 
 # --- known misses of pe_unentangled (ROADMAP item 1) ---

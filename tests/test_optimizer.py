@@ -15,6 +15,7 @@ from opdisc import (
     DimensionMismatch,
     DiscriminationProblem,
     OptimizerFailure,
+    biket_to_mat,
     decode_p,
     decode_pure_state,
     is_hermitian,
@@ -120,6 +121,11 @@ def test_maximize_prefers_seed_point_on_tie():
     assert res.summary.best_start == 0
     assert abs(res.value) < 1e-12
 
+    # integer start rows move to, and report, non-integer inputs
+    res = maximize(toward_target, np.array([[3, 5]]))
+    assert abs(res.value) < 1e-12
+    assert np.allclose(res.argmax, target)
+
 
 def test_maximize_reports_seed_start_when_a_later_one_edges_ahead_by_rounding(monkeypatch):
     """A later, unconverged start one ulp above the seed start must not be reported."""
@@ -156,6 +162,27 @@ def test_maximize_records_partial_failures():
     assert abs(res.value) < 1e-8
 
 
+def test_maximize_halving_reaches_0_within_one_cycle(monkeypatch):
+    """halving is linear, so the first extrapolated point, the third input evaluated, is its fixed point."""
+    monkeypatch.setattr(optimizer, "MAX_STEPS", 3)
+    res = maximize(_halving, _uniform(4, 3))
+    assert res.value == 0.0
+    assert not np.any(res.argmax)
+
+
+def test_maximize_goes_on_from_x2_when_the_extrapolated_point_fails():
+    def halving_undefined_at_0(x):
+        values, moved = _halving(x)
+        return np.where(np.any(x, axis=1), values, np.nan), moved
+
+    res = maximize(halving_undefined_at_0, np.array([[1.0, -2.0]]))
+    # every extrapolated point is 0, where the step fails, so only plain steps move the start
+    assert res.summary.failed_starts == ()
+    assert res.summary.converged
+    assert -1e-11 < res.value < 0.0
+    assert res.value == -float(np.sum(res.argmax**2))
+
+
 def test_maximize_caps_steps_at_max_iters(monkeypatch):
     monkeypatch.setattr(optimizer, "MAX_STEPS", 2)
     res = maximize(_halving, _uniform(3, 2))
@@ -184,6 +211,33 @@ def test_maximize_entangled_objective_worked_example():
 def test_maximize_unentangled_objective_worked_example():
     res = maximize(_seesaw_step(_identity_vs_depolarizing(), ancilla=1), _unit_rows(8, 2, 2))
     assert abs(res.value - 0.5) < 1e-8
+
+
+def test_seesaw_step_is_scale_free_and_phase_aligned():
+    step = _seesaw_step(random_qubit_problem(np.random.default_rng(12)), ancilla=2)
+    x = _unit_rows(6, 4, 4)
+    values, moved = step(x)
+    scaled_values, scaled_moved = step(3.0 * np.exp(0.7j) * x)
+    np.testing.assert_allclose(scaled_values, values, rtol=1e-12)
+    # each next input is turned so that <x, x'> is real and nonnegative
+    for rows, out in ((x, moved), (3.0 * np.exp(0.7j) * x, scaled_moved)):
+        overlap = np.sum(rows.conj() * out, axis=1)
+        assert np.all(overlap.real > 0) and np.max(np.abs(overlap.imag)) < 1e-12
+
+
+def test_a_rank_one_seed_stays_a_product_input():
+    """The sign operator is 0 on the output's kernel, so a product input steps to a product input.
+
+    With rounding signs there, this rank-4 vs rank-1 qudit pair's rank-one seed
+    climbed to the entangled optimum 0.9683308.
+    """
+    rng = np.random.default_rng(2)
+    prob = DiscriminationProblem(random_kraus_operation(4, 4, rng), random_kraus_operation(4, 1, rng), 0.516)
+    seed = mat_to_biket(decode_p(_p_seed_points(4)[1], 4).T)
+    res = maximize(_seesaw_step(prob, ancilla=4), seed[None])
+    schmidt = np.linalg.svd(biket_to_mat(res.argmax / np.linalg.norm(res.argmax), 4), compute_uv=False)
+    assert schmidt[1] <= 1e-12
+    assert abs(res.value - 0.9668471213) < 1e-9
 
 
 def test_maximize_start_trajectories_ignore_num_starts():

@@ -14,6 +14,7 @@ index paths of otherwise valid input and requires NonFinite naming it.
 """
 
 import contextlib
+import functools
 import io
 import json
 
@@ -171,6 +172,12 @@ def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
             id="kraus-numeric-strings",
         ),
         pytest.param("make_operation.kraus[0]", [[1, 0], [0]], None, id="kraus-ragged"),
+        pytest.param(
+            "pauli_channel.q",
+            functools.reduce(lambda inner, _: [inner], range(70), 0.25),
+            "lists nested 70 deep, more dimensions than numpy's 64",
+            id="pauli-q-too-deep",
+        ),
         pytest.param("TwoOutcomePovm.pi1", "x", None, id="povm-string"),
         pytest.param("weyl_channel.q", "abcd", None, id="weyl-q-string"),
         pytest.param("pauli_channel.q", {"a": 1}, None, id="pauli-q-dict"),
@@ -211,8 +218,18 @@ def test_wrong_kind_input_is_refused_by_name(case, value, named, tmp_path):
     assert (named or repr(value)) in message
 
 
-# one entry that is no number, among numbers
-BAD_ENTRIES = [True, False, None, "1", object(), 10**400]
+# one entry that is no number, among numbers, and how its refusal shows it: by repr, but an
+# integer too large for a float by its digit count, since repr refuses more than 4,300 digits
+_OBJECT = object()
+BAD_ENTRIES = {
+    "True": (True, "True"),
+    "False": (False, "False"),
+    "None": (None, "None"),
+    "string": ("1", "'1'"),
+    "object": (_OBJECT, repr(_OBJECT)),
+    "huge-int": (10**400, "one of 401 digits"),
+    "int-beyond-repr": (10**5000, "one of 5001 digits"),
+}
 MATRIX_AT = [(0, 0), (1, 0), (1, 1)]
 VECTOR_AT = [(0,), (3,)]
 # (valid nested input, positions, call) for every entry point that takes numbers
@@ -238,20 +255,20 @@ def _placed(nested, at, leaf):
     return out
 
 
-@pytest.mark.parametrize("leaf", BAD_ENTRIES, ids=["True", "False", "None", "string", "object", "huge-int"])
+@pytest.mark.parametrize("leaf, shown", BAD_ENTRIES.values(), ids=BAD_ENTRIES)
 @pytest.mark.parametrize(
     "entry, at",
     [(entry, at) for entry, (_, positions, _) in NUMBER_INPUTS.items() for at in positions],
     ids=lambda x: "".join(f"[{i}]" for i in x) if isinstance(x, tuple) else x,
 )
-def test_a_bad_entry_is_refused_by_its_index_path(entry, at, leaf):
+def test_a_bad_entry_is_refused_by_its_index_path(entry, at, leaf, shown):
     """numpy would turn a bool into 1 or 0 and accept it; the message names the entry and its path."""
     nested, _, call = NUMBER_INPUTS[entry]
     with pytest.raises(NonFinite) as info:
         call(_placed(nested, at, leaf))
     path = "".join(f"[{i}]" for i in at)
     assert f"{path}: " in str(info.value)
-    assert repr(leaf) in str(info.value)
+    assert shown in str(info.value)
 
 
 @pytest.mark.parametrize(
