@@ -12,13 +12,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .config import (
-    COMPLETENESS_TOL,
-    HERMITICITY_TOL,
-    PROBABILITY_TOL,
-    STATE_POSITIVITY_FLOOR,
-    UNITARITY_TOL,
-)
+from .config import INPUT_TOL, PROBABILITY_TOL
 from .errors import (
     CompletenessViolation,
     DimensionMismatch,
@@ -76,7 +70,7 @@ class QuantumOperation:
             raise CompletenessViolation("an operation needs at least one Kraus operator")
         total = sum(dagger(k) @ k for k in kraus)
         deviation = float(np.max(np.abs(total - np.eye(d))))
-        if not deviation <= COMPLETENESS_TOL:
+        if not deviation <= INPUT_TOL:
             raise CompletenessViolation(
                 f"sum K^dag K deviates from identity by {deviation:.3e}"
             )
@@ -108,7 +102,7 @@ class RandomUnitaryChannel:
         if not unitaries:
             raise CompletenessViolation("a random-unitary channel needs at least one unitary")
         for u in unitaries:
-            if not is_unitary(u, UNITARITY_TOL):
+            if not is_unitary(u):
                 raise InvalidState("matrix in the unitary list is not unitary within tolerance")
         weights = check_probability_vector(self.weights)
         if weights.size != len(unitaries):
@@ -167,12 +161,12 @@ def weyl_channel(d: int, q) -> RandomUnitaryChannel:
 def check_density_matrix(rho, d: int) -> np.ndarray:
     """Validate a d x d density matrix (Hermitian, unit trace, positive within tolerance)."""
     rho = require_matrix(rho, "state", check_count(d, "d", 1))
-    if not is_hermitian(rho, HERMITICITY_TOL):
+    if not is_hermitian(rho):
         raise InvalidState("state is not Hermitian within tolerance")
     trace = complex(np.trace(rho))
-    if not (abs(trace.real - 1.0) <= 1e-9 and abs(trace.imag) <= 1e-9):
+    if not (abs(trace.real - 1.0) <= INPUT_TOL and abs(trace.imag) <= INPUT_TOL):
         raise InvalidState(f"state trace is {complex(np.trace(rho))}, not 1")
-    if not float(np.min(np.linalg.eigvalsh(rho))) >= -STATE_POSITIVITY_FLOOR:
+    if not float(np.min(np.linalg.eigvalsh(rho))) >= -INPUT_TOL:
         raise InvalidState("state has an eigenvalue below the positivity floor")
     return rho
 
@@ -200,7 +194,7 @@ def apply_extended(op: QuantumOperation, xi) -> np.ndarray:
     d = op.dim
     xi = require_matrix(xi, "input operator", d)
     norm2 = float(np.trace(dagger(xi) @ xi).real)
-    if not abs(norm2 - 1.0) <= 1e-9:
+    if not abs(norm2 - 1.0) <= INPUT_TOL:
         raise InvalidState(f"Tr[xi^dag xi] is {norm2!r}, not 1")
     eye = np.eye(d)
     left = np.kron(eye, xi.T)

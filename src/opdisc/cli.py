@@ -19,10 +19,11 @@ Channel spec files are JSON documents:
 
 Results are printed as a JSON document with a fixed key order; numbers are
 decimal strings with 10 significant digits so output is diff-stable. Weight
-vectors are accepted when they sum to 1 within 1e-9 and are renormalized
-exactly before use. Exit codes: 0 on success, 1 when the reader of stdout
-has gone away (a closed pipe), 2 on any parse or validation problem, 3 when
-the optimizer fails outright.
+vectors are accepted when they sum to 1 within config.INPUT_TOL (1e-9) and
+are renormalized exactly before use. Exit codes: 0 on success, 1 when the
+reader of stdout has gone away (a closed pipe), 2 on any parse or validation
+problem (a spec nested too deep for json or numpy included), 3 when the
+optimizer fails outright.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .channels import (
     pauli_channel,
     weyl_channel,
 )
-from .config import CERTIFIED_GAP, FTOL, HERMITICITY_TOL
+from .config import CERTIFIED_GAP, FTOL, INPUT_TOL
 from .discrimination import (
     DiscriminationProblem,
     bound_max_entangled,
@@ -54,9 +55,6 @@ from .discrimination import (
 from .errors import OpdiscError, OptimizerFailure
 from .linalg import check_count, check_prior, is_unitary, require_finite
 from .oracle import brute_force_entangled, brute_force_unentangled
-
-# Weight vectors typed on a command line get this much slack before rejection.
-_CLI_SUM_TOL = 1e-9
 
 _KINDS = ("kraus", "pauli", "weyl", "depolarizing", "unitary")
 
@@ -86,7 +84,7 @@ def _normalize_weights(q, length: int, what: str) -> np.ndarray:
     if not np.min(values) >= 0.0:
         raise ValueError(f"{what}: negative entry {float(np.min(values))!r}")
     total = float(np.sum(values))
-    if not abs(total - 1.0) <= _CLI_SUM_TOL:
+    if not abs(total - 1.0) <= INPUT_TOL:
         raise ValueError(f"{what}: entries sum to {total!r}, not 1")
     return values / total
 
@@ -99,13 +97,15 @@ def _parse_weights_arg(text: str, what: str, length: int) -> np.ndarray:
     return _normalize_weights(values, length, what)
 
 
-def _count_arg(least: int):
-    """argparse type for an integer flag of at least `least`; argparse names the flag on error."""
+def _count_arg(least: int, bits: int | None = None):
+    """argparse type for an integer flag of at least `least` (and below 2**bits); argparse names the flag on error."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if bits is not None and value >= 2**bits:
+            raise argparse.ArgumentTypeError(f"must be below 2**{bits}, got {value}")
         return value
 
     return count
@@ -131,7 +131,7 @@ def parse_channel_file(path: str) -> ParsedChannel:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # undecodable bytes or malformed JSON
+        except (ValueError, RecursionError) as exc:  # undecodable bytes, malformed JSON, too deep for json
             raise ValueError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -188,7 +188,7 @@ def operation_to_spec(op: QuantumOperation) -> dict:
 def _tolerances_doc(optimized: bool = False, certified: bool = False) -> dict:
     """The tolerances in force: hermiticity always, the optimizer's FTOL when it
     ran, and the certified gap pe_entangled aims for when it ran."""
-    doc = {"hermiticity": _fmt(HERMITICITY_TOL)}
+    doc = {"hermiticity": _fmt(INPUT_TOL)}
     if optimized:
         doc["optimizer"] = _fmt(FTOL)
     if certified:
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "its seed starts (4 at d = 2, 2 at d >= 3)",
     )
     general.add_argument(
-        "--seed", type=_count_arg(0), default=0, help="optimizer seed (pe_unentangled's random starts)"
+        "--seed", type=_count_arg(0, bits=64), default=0, help="optimizer seed (pe_unentangled's random starts)"
     )
     general.add_argument("--dump-spec", action="store_true", help="embed Kraus spec documents in the output")
     general.set_defaults(handler=cmd_general)

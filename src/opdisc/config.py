@@ -1,28 +1,27 @@
-"""Numerical tolerances, kept in one place so tests and the CLI report the values in force."""
+"""Numerical tolerances and the optimizer's stopping policy, kept in one place so
+tests and the CLI report the values in force. Outside input is held to one
+tolerance, INPUT_TOL; each tolerance kept apart from it says why it differs.
+"""
 
 from __future__ import annotations
 
-# Hermiticity checks allow this much max-entry deviation in ||A - A^dag||.
-HERMITICITY_TOL = 1e-9
+# Outside input may miss an exact property by this much: Hermiticity
+# (||A - A^dag||_max), Kraus completeness and unitarity (||sum K^dag K - I||_max,
+# ||U^dag U - I||_max), a state's or POVM element's lowest eigenvalue (down to
+# -INPUT_TOL), a state's unit trace, a bipartite input's unit norm, a POVM's
+# completeness and a command-line weight vector's sum, so matrices and weights
+# written out to ten decimals pass. linalg.trace_norm takes its Hermitian path
+# within it too.
+INPUT_TOL = 1e-9
 
-# Probability vectors must sum to 1 this tightly.
+# Probability vectors passed to the library must sum to 1 this tightly: they
+# are used as given, where the CLI renormalizes the weights it reads.
 PROBABILITY_TOL = 1e-12
 
-# Kraus completeness: ||sum K^dag K - I||_max must stay below this.
-COMPLETENESS_TOL = 1e-9
-
-# Density matrices may have eigenvalues down to -STATE_POSITIVITY_FLOOR.
-STATE_POSITIVITY_FLOOR = 1e-9
-
-# Matrices claimed unitary must satisfy ||U^dag U - I||_max below this.
-UNITARITY_TOL = 1e-9
-
 # Unitary families count as orthogonal when |Tr[U_m^dag U_n]| (m != n)
-# stays below this.
+# stays below this: a Gram entry sums d entries of U_m^dag U_n, so it is
+# looser than INPUT_TOL.
 ORTHOGONALITY_TOL = 1e-8
-
-# POVM elements may dip this far below positivity / completeness.
-POVM_TOL = 1e-9
 
 # The optimizer's stopping policy: a start stops once one evaluation gains at
 # most FTOL over its best (converged) or after MAX_STEPS step calls. A plain

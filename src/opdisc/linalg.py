@@ -5,7 +5,8 @@ small (d <= 16 or so), so clarity wins over asymptotic speed everywhere.
 Input from outside the package enters through require_finite, require_matrix,
 check_prior and check_count, which decide for every module what a valid
 array, matrix, prior or count is. require_finite is the one rule for what a
-number is, for library calls and spec files alike.
+number is, for library calls and spec files alike, at any depth of nesting.
+Matrices are held to config.INPUT_TOL, the one tolerance for outside input.
 """
 
 from __future__ import annotations
@@ -17,23 +18,28 @@ from numbers import Integral
 
 import numpy as np
 
-from .config import HERMITICITY_TOL, UNITARITY_TOL
+from .config import INPUT_TOL
 from .errors import DimensionMismatch, NonFinite, NonHermitian, NonSquare
 
 
 _REAL = (int, float, np.integer, np.floating)
 _COMPLEX = (*_REAL, complex, np.complexfloating)
+_MAX_NDIM = 64  # numpy's limit on an array's dimensions
 
 
-def _first_bad_entry(a, real: bool) -> tuple[str, str] | None:
-    """(index path, complaint) for the first entry of `a` that is no (real) number, or None."""
+def _first_bad_entry(a, real: bool, depth: int = 0) -> tuple[str, str] | None:
+    """(index path, complaint) for the first entry of `a`, inside `depth` lists, that is no
+    (real) number, or None; a list that would be numpy's 65th dimension is one, so the
+    walk never recurses more than 65 calls deep."""
     if isinstance(a, np.ndarray):
-        if a.dtype.kind in ("iuf" if real else "iufc"):
+        if a.dtype.kind in ("iuf" if real else "iufc") and depth + a.ndim <= _MAX_NDIM:
             return None
         a = a.tolist()
     if isinstance(a, (list, tuple)):
+        if depth == _MAX_NDIM:
+            return "", f"lists nested deeper than numpy's {_MAX_NDIM} dimensions"
         for i, x in enumerate(a):
-            if type(x) is not float and (bad := _first_bad_entry(x, real)) is not None:
+            if type(x) is not float and (bad := _first_bad_entry(x, real, depth + 1)) is not None:
                 return f"[{i}]{bad[0]}", bad[1]
         return None
     if isinstance(a, bool) or not isinstance(a, _REAL if real else _COMPLEX):
@@ -49,30 +55,22 @@ def _digits(n: int) -> int:
     return k + (n >= 10**k) + (n >= 10 ** (k + 1))
 
 
-def _depth(a) -> int:
-    """How deep lists, tuples and arrays nest in `a`."""
-    if isinstance(a, np.ndarray):
-        return a.ndim
-    return 1 + max(map(_depth, a), default=0) if isinstance(a, (list, tuple)) else 0
-
-
 def require_finite(a, what: str, dtype) -> np.ndarray:
     """`a` as an array of `dtype` (the type float or complex), or NonFinite naming what is wrong.
 
     Only integer, float and, for a complex dtype, complex entries convert, at any
     depth: a bool, None, a string, a dict, any other object, an integer too large
-    for a float (named by its digit count), a ragged list, lists nested deeper
-    than numpy's 64 dimensions and a NaN or infinite entry are refused, a bad
-    entry named by its index path, as in `Kraus operator 0[1][1]`.
+    for a float (named by its digit count), a ragged list, a list at the 65th level
+    of nesting (past numpy's 64 dimensions, refused before the walk goes deeper, so
+    no nesting reaches the recursion limit) and a NaN or infinite entry are refused,
+    a bad entry named by its index path, as in `Kraus operator 0[1][1]`.
     """
     real = dtype is not complex
     if type(a) is not float and (bad := _first_bad_entry(a, real)) is not None:
         raise NonFinite(f"{what}{bad[0]}: {bad[1]}")
     try:
         values = np.asarray(a, dtype=dtype)
-    except ValueError:  # every entry is a number, so the nesting is ragged or too deep
-        if (depth := _depth(a)) > 64:
-            raise NonFinite(f"{what}: lists nested {depth} deep, more dimensions than numpy's 64") from None
+    except ValueError:  # every entry is a number nested at most 64 deep, so the nesting is ragged
         raise NonFinite(f"{what}: lists of unequal length, got {a!r}") from None
     finite = np.isfinite(values)
     if not finite.all():
@@ -119,23 +117,23 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    """True when ||A - A^dag||_max <= tol; False for anything but a square matrix."""
+def is_hermitian(a) -> bool:
+    """True when ||A - A^dag||_max <= INPUT_TOL; False for anything but a square matrix."""
     try:
         a = require_matrix(a, "matrix")
     except NonSquare:
         return False
-    return float(np.max(np.abs(a - dagger(a)))) <= tol
+    return float(np.max(np.abs(a - dagger(a)))) <= INPUT_TOL
 
 
-def is_unitary(a, tol: float = UNITARITY_TOL) -> bool:
-    """True when ||A^dag A - I||_max <= tol; False for anything but a square matrix."""
+def is_unitary(a) -> bool:
+    """True when ||A^dag A - I||_max <= INPUT_TOL; False for anything but a square matrix."""
     try:
         a = require_matrix(a, "matrix")
     except NonSquare:
         return False
     eye = np.eye(a.shape[0])
-    return float(np.max(np.abs(dagger(a) @ a - eye))) <= tol
+    return float(np.max(np.abs(dagger(a) @ a - eye))) <= INPUT_TOL
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def eig_hermitian(a) -> EigDecomposition:
     a = require_matrix(a, "matrix")
     h = dagger(a)
     deviation = float(np.max(np.abs(a - h)))
-    if not deviation <= HERMITICITY_TOL:
+    if not deviation <= INPUT_TOL:
         raise NonHermitian(f"matrix deviates from Hermitian by {deviation:.3e}")
     # eigh works on the Hermitian average, so tolerance-level asymmetry is ironed out
     w, v = np.linalg.eigh((a + h) / 2)
@@ -170,7 +168,7 @@ def trace_norm(a) -> float:
     """
     a = require_matrix(a, "matrix")
     h = dagger(a)
-    if float(np.max(np.abs(a - h))) <= HERMITICITY_TOL:
+    if float(np.max(np.abs(a - h))) <= INPUT_TOL:
         return float(np.sum(np.abs(np.linalg.eigvalsh((a + h) / 2))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import HERMITICITY_TOL, POVM_TOL, STATE_POSITIVITY_FLOOR
+from .config import INPUT_TOL
 from .errors import InvalidPovm, InvalidState, UnsupportedDimension
 from .linalg import check_count, check_prior, is_hermitian, require_matrix
 
@@ -57,22 +57,22 @@ class TwoOutcomePovm:
 def _check_povm(povm: TwoOutcomePovm) -> None:
     d = povm.pi1.shape[0]
     for name, pi in (("pi1", povm.pi1), ("pi2", povm.pi2)):
-        if not is_hermitian(pi, POVM_TOL):
+        if not is_hermitian(pi):
             raise InvalidPovm(f"{name} is not Hermitian within tolerance")
-        if not float(np.min(np.linalg.eigvalsh(pi))) >= -POVM_TOL:
-            raise InvalidPovm(f"{name} has an eigenvalue below -{POVM_TOL}")
+        if not float(np.min(np.linalg.eigvalsh(pi))) >= -INPUT_TOL:
+            raise InvalidPovm(f"{name} has an eigenvalue below -{INPUT_TOL}")
     deviation = float(np.max(np.abs(povm.pi1 + povm.pi2 - np.eye(d))))
-    if not deviation <= POVM_TOL:
+    if not deviation <= INPUT_TOL:
         raise InvalidPovm(f"pi1 + pi2 deviates from identity by {deviation:.3e}")
 
 
 def _check_state(rho, d: int) -> np.ndarray:
     rho = require_matrix(rho, "state", d)
-    if not is_hermitian(rho, HERMITICITY_TOL):
+    if not is_hermitian(rho):
         raise InvalidState("state is not Hermitian within tolerance")
-    if not abs(complex(np.trace(rho)) - 1.0) <= 1e-9:
+    if not abs(complex(np.trace(rho)) - 1.0) <= INPUT_TOL:
         raise InvalidState(f"state trace is {complex(np.trace(rho))}, not 1")
-    if not float(np.min(np.linalg.eigvalsh(rho))) >= -STATE_POSITIVITY_FLOOR:
+    if not float(np.min(np.linalg.eigvalsh(rho))) >= -INPUT_TOL:
         raise InvalidState("state has an eigenvalue below the positivity floor")
     return rho
 

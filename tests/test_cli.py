@@ -239,6 +239,16 @@ def test_general_rejects_malformed_spec_files(tmp_path):
     assert code == 2 and "not unitary" in err
 
 
+@pytest.mark.parametrize("depth", [600, 5000], ids=["numpy-too-deep", "json-too-deep"])
+def test_deeply_nested_spec_is_refused_without_a_traceback(depth, tmp_path):
+    """json reads 600 levels and numpy's 64 dimensions refuse them; 5000 is past json's own limit."""
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"dim": 2, "kind": "pauli", "q": ' + "[" * depth + "0.25" + "]" * depth + "}")
+    code, out, err = run_cli(["general", "--file1", str(bad), "--file2", str(DEMO_CHANNELS / "hadamard.json")])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_dump_spec_round_trips_through_parser(tmp_path):
     f1 = write_spec(tmp_path / "id.json", {"dim": 2, "kind": "pauli", "q": [1, 0, 0, 0]})
     f2 = write_spec(tmp_path / "dep.json", {"dim": 2, "kind": "depolarizing"})
@@ -290,19 +300,19 @@ def test_oracle_rejects_large_dimensions(tmp_path):
 # --- parser plumbing ---
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, refusal",
     [
-        ["general", "--starts", "0"],
-        ["general", "--seed", "-1"],
-        ["oracle", "--grid", "1"],
-        ["oracle", "--samples", "0"],
+        pytest.param(["general", "--starts", "0"], "must be at least 1", id="starts"),
+        pytest.param(["general", "--seed", "-1"], "must be at least 0", id="seed"),
+        pytest.param(["general", "--seed", str(2**64)], "must be below 2**64", id="seed-2**64"),
+        pytest.param(["oracle", "--grid", "1"], "must be at least 2", id="grid"),
+        pytest.param(["oracle", "--samples", "0"], "must be at least 1", id="samples"),
     ],
-    ids=["starts", "seed", "grid", "samples"],
 )
-def test_out_of_range_counts_are_refused_by_flag(argv):
+def test_out_of_range_counts_are_refused_by_flag(argv, refusal):
     code, out, err = run_cli([*argv, *ID_VS_HADAMARD])
     assert code == 2 and out == ""
-    assert f"argument {argv[1]}: must be at least" in err
+    assert f"argument {argv[1]}: {refusal}" in err
 
 
 def test_help_and_missing_subcommand_exit_codes():

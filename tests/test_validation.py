@@ -11,12 +11,15 @@ fuzz test sends malformed values through every public entry point and checks
 that each refusal is typed; since that alone cannot see a value accepted
 that should have been refused, a second test places one bad entry at several
 index paths of otherwise valid input and requires NonFinite naming it.
+Every check that holds outside input to config.INPUT_TOL is run just inside
+and just outside that tolerance.
 """
 
 import contextlib
 import functools
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +57,7 @@ from opdisc import (
 )
 from opdisc.channels import check_density_matrix, check_probability_vector
 from opdisc.cli import main
+from opdisc.config import INPUT_TOL
 from opdisc.linalg import check_count, check_prior, require_finite, require_matrix
 
 IDENTITY = np.eye(2, dtype=complex)
@@ -175,8 +179,26 @@ def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
         pytest.param(
             "pauli_channel.q",
             functools.reduce(lambda inner, _: [inner], range(70), 0.25),
-            "lists nested 70 deep, more dimensions than numpy's 64",
+            "lists nested deeper than numpy's 64 dimensions",
             id="pauli-q-too-deep",
+        ),
+        pytest.param(
+            "pauli_channel.q",
+            functools.reduce(lambda inner, _: [inner], range(497), 0.25),
+            "lists nested deeper than numpy's 64 dimensions",
+            id="pauli-q-nested-497",
+        ),
+        pytest.param(
+            "pauli_channel.q",
+            functools.reduce(lambda inner, _: [inner], range(3000), 0.25),
+            "lists nested deeper than numpy's 64 dimensions",
+            id="pauli-q-nested-3000",
+        ),
+        pytest.param(
+            "pauli_channel.q",
+            [np.full((1,) * 64, 0.25)],
+            "lists nested deeper than numpy's 64 dimensions",
+            id="pauli-q-array-too-deep",
         ),
         pytest.param("TwoOutcomePovm.pi1", "x", None, id="povm-string"),
         pytest.param("weyl_channel.q", "abcd", None, id="weyl-q-string"),
@@ -216,6 +238,113 @@ def test_wrong_kind_input_is_refused_by_name(case, value, named, tmp_path):
     """The message holds the value, or for one bad entry in a list, its index path and repr."""
     message = CASES[case](value, tmp_path)
     assert (named or repr(value)) in message
+
+
+def _holds(predicate):
+    """A call of eps that raises ValueError when predicate(eps) is False."""
+
+    def call(eps):
+        if not predicate(eps):
+            raise ValueError("predicate is False")
+
+    return call
+
+
+def _off_diagonal(base, eps):
+    """`base` with eps added above the diagonal: that far from Hermitian."""
+    return np.asarray(base, dtype=complex) + np.array([[0, eps], [0, 0]])
+
+
+def _stretched(eps):
+    """diag(1, sqrt(1 + eps)): U^dag U misses I by eps."""
+    return np.diag([1.0, np.sqrt(1.0 + eps)])
+
+
+def _povm_error_state(state):
+    return lambda eps: povm_error(state(eps), IDENTITY / 2, 0.5, GUESS_FIRST)
+
+
+def _povm_error_povm(pi1, pi2):
+    return lambda eps: povm_error(IDENTITY / 2, IDENTITY / 2, 0.5, TwoOutcomePovm(pi1(eps), pi2(eps)))
+
+
+def _cli_pauli_q1(eps):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["pauli", "--q1", f"{1.0 + eps!r},0,0,0", "--q2", "1,0,0,0"])
+    if code:
+        raise ValueError(err.getvalue())
+
+
+def _non_hermitian_state(eps):
+    return _off_diagonal(IDENTITY / 2, eps)
+
+
+def _heavy_state(eps):
+    """Trace 1 + eps."""
+    return np.diag([0.5 + eps, 0.5])
+
+
+def _negative_state(eps):
+    """Lowest eigenvalue -eps."""
+    return np.diag([1.0 + eps, -eps])
+
+
+# (call of the deviation eps, what its refusal says) for every check held to INPUT_TOL
+TOLERANCE_CHECKS = {
+    "is_hermitian": (_holds(lambda eps: is_hermitian(_off_diagonal(IDENTITY, eps))), "is False"),
+    "is_unitary": (_holds(lambda eps: is_unitary(_stretched(eps))), "is False"),
+    "eig_hermitian": (lambda eps: eig_hermitian(_off_diagonal(IDENTITY, eps)), "deviates from Hermitian"),
+    "QuantumOperation.completeness": (
+        lambda eps: QuantumOperation(dim=2, kraus=(_stretched(eps),)),
+        "deviates from identity",
+    ),
+    "RandomUnitaryChannel.unitarity": (
+        lambda eps: RandomUnitaryChannel(dim=2, unitaries=(_stretched(eps),), weights=[1.0]),
+        "not unitary",
+    ),
+    "check_density_matrix.hermiticity": (
+        lambda eps: check_density_matrix(_non_hermitian_state(eps), 2),
+        "not Hermitian",
+    ),
+    "check_density_matrix.trace": (lambda eps: check_density_matrix(_heavy_state(eps), 2), "trace"),
+    "check_density_matrix.eigenvalue": (
+        lambda eps: check_density_matrix(_negative_state(eps), 2),
+        "positivity floor",
+    ),
+    "apply_extended.norm": (
+        lambda eps: apply_extended(pauli_channel(Q_ID), IDENTITY * np.sqrt((1.0 + eps) / 2)),
+        "Tr[xi^dag xi]",
+    ),
+    "povm_error.state.hermiticity": (_povm_error_state(_non_hermitian_state), "not Hermitian"),
+    "povm_error.state.trace": (_povm_error_state(_heavy_state), "trace"),
+    "povm_error.state.eigenvalue": (_povm_error_state(_negative_state), "positivity floor"),
+    # the POVMs below complete to I exactly, so each refusal is its own check's
+    "povm_error.povm.hermiticity": (
+        _povm_error_povm(
+            lambda eps: _off_diagonal([[1, 0], [0, 0]], eps), lambda eps: _off_diagonal([[0, 0], [0, 1]], -eps)
+        ),
+        "pi1 is not Hermitian",
+    ),
+    "povm_error.povm.eigenvalue": (
+        _povm_error_povm(lambda eps: np.diag([1.0 + eps, -eps]), lambda eps: np.diag([-eps, 1.0 + eps])),
+        "pi1 has an eigenvalue below",
+    ),
+    "povm_error.povm.completeness": (
+        _povm_error_povm(lambda eps: np.diag([1.0 + eps, 0.0]), lambda eps: np.diag([0.0, 1.0])),
+        "deviates from identity",
+    ),
+    "cli pauli --q1": (_cli_pauli_q1, "--q1: entries sum to"),
+}
+
+
+@pytest.mark.parametrize("case", list(TOLERANCE_CHECKS))
+def test_input_off_by_half_the_tolerance_passes_and_by_twice_is_refused(case):
+    """Every check on outside input allows config.INPUT_TOL, no less and not twice as much."""
+    call, reason = TOLERANCE_CHECKS[case]
+    call(0.5 * INPUT_TOL)
+    with pytest.raises((OpdiscError, ValueError), match=re.escape(reason)):
+        call(2.0 * INPUT_TOL)
 
 
 # one entry that is no number, among numbers, and how its refusal shows it: by repr, but an
