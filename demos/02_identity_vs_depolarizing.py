@@ -30,7 +30,7 @@ print(f"  sign of r0*r1*r2*r3 {summary.det_sign}   -> entanglement needed: {summ
 print(f"  best product input  eigenstate of sigma_{summary.optimal_unentangled_axis}")
 
 prob = DiscriminationProblem(pauli_channel(q_id), pauli_channel(q_dep), 0.5)
-# pe_entangled has no settings (it runs its 4 qubit seed starts);
+# pe_entangled has no settings (it runs its 2 seed starts);
 # pe_unentangled takes its number of starts and their seed
 res_e = pe_entangled(prob)
 res_u = pe_unentangled(prob, num_starts=8)

@@ -29,7 +29,7 @@ lower, upper = pe_random_unitary_bounds(ch_id, ch_dep, 0.5)
 print(f"bounds collapse for an orthogonal family: lower {lower:.12f}, upper {upper:.12f}")
 
 prob = DiscriminationProblem(ch_id.as_operation(), ch_dep.as_operation(), 0.5)
-# pe_entangled has no settings: it runs its two qutrit seed starts
+# pe_entangled has no settings: it runs its two seed starts
 numeric = pe_entangled(prob).pe_entangled
 print(f"numeric optimizer over 9x9 inputs:  {numeric:.12f}   (dev {abs(numeric - exact):.1e})")
 

@@ -32,8 +32,10 @@ PAULI_MATRICES: tuple[np.ndarray, ...] = (
 
 
 def check_probability_vector(q, length: int | None = None) -> np.ndarray:
-    """Validate nonnegative entries summing to 1; returns the vector as floats."""
-    q = require_finite(q, "probability vector", float).reshape(-1)
+    """Validate a 1-D list of nonnegative entries summing to 1; returns the vector as floats."""
+    q = require_finite(q, "probability vector", float)
+    if q.ndim != 1:
+        raise InvalidProbabilityVector(f"expected a flat list of weights, got shape {q.shape}")
     if length is not None and q.size != length:
         raise InvalidProbabilityVector(f"expected {length} entries, got {q.size}")
     if not np.min(q, initial=np.inf) >= -PROBABILITY_TOL:  # an empty q fails the sum below

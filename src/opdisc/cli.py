@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_count_arg(1),
         default=32,
         help="pe_unentangled's optimizer starts; pe_entangled has no settings and always runs "
-        "its seed starts (4 at d = 2, 2 at d >= 3)",
+        "its 2 seed starts",
     )
     general.add_argument(
         "--seed", type=_count_arg(0, bits=64), default=0, help="optimizer seed (pe_unentangled's random starts)"

@@ -174,12 +174,7 @@ def _p_seed_points(d: int) -> list[np.ndarray]:
     identity = np.concatenate([np.ones(d), np.zeros(d * d - d)])
     rank_one = np.zeros(d * d)
     rank_one[0] = 1.0
-    seeds = [identity, rank_one]
-    if d == 2:
-        # rank-one directions along the other two qubit axes
-        seeds.append(np.array([1.0, 0.0, 1.0, 0.0]))
-        seeds.append(np.array([1.0, 0.0, 0.0, 1.0]))
-    return seeds
+    return [identity, rank_one]
 
 
 def _state_seed_points(d: int) -> list[np.ndarray]:
@@ -286,13 +281,12 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     Tr[P^2] = 1.
 
     There are no settings: the value is concave in the reduced input state
-    P^2, so the seed starts alone run, all of them (4 at d = 2, 2 at d >= 3).
-    The full-rank seed I/sqrt(d) carries the entangled search. The rank-one
-    seeds are product inputs, and the step keeps a product input a product
-    input, so they end at the best product input they reach: on a d = 4
-    pair of Kraus ranks 4 and 1 the rank-one start ends at 0.966847, below
-    the entangled optimum 0.968331. lower_bound is the dual bound built on
-    the best input's P^2.
+    P^2, so the two seed starts alone run, at every d. The full-rank seed
+    I/sqrt(d) carries the entangled search. The rank-one seed |0><0| is a
+    product input, and the step keeps a product input a product input, so
+    it ends at the best product input it reaches: on a d = 4 pair of Kraus
+    ranks 4 and 1 it ends at 0.966847, below the entangled optimum
+    0.968331. lower_bound is the dual bound built on the best input's P^2.
     CERTIFIED_GAP is a reporting target: diagnostics.converged is False when
     the bracket is wider, as it can be when the best input is a product
     state.

@@ -21,7 +21,7 @@ class DimensionMismatch(OpdiscError):
 
 
 class NonSquare(DimensionMismatch):
-    """An input that must be a square matrix is not: a scalar, a vector, a d1 x d2 matrix with d1 != d2."""
+    """An input that must be a square matrix is not: a scalar, a vector, a 0 x 0 or a d1 x d2 (d1 != d2) matrix."""
 
 
 class CompletenessViolation(OpdiscError):

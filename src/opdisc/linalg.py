@@ -80,13 +80,13 @@ def require_finite(a, what: str, dtype) -> np.ndarray:
 
 
 def require_matrix(a, what: str, d: int | None = None) -> np.ndarray:
-    """`a` as a finite complex square matrix, d x d when d is given.
+    """`a` as a finite complex square matrix of at least 1 x 1, d x d when d is given.
 
-    Raises NonFinite, NonSquare or DimensionMismatch, each naming `what`.
+    Raises NonFinite, NonSquare (an empty matrix too) or DimensionMismatch, each naming `what`.
     """
     a = require_finite(a, what, complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquare(f"{what} of shape {a.shape} is not a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise NonSquare(f"{what} of shape {a.shape} is not a nonempty square matrix")
     if d is not None and a.shape[0] != d:
         raise DimensionMismatch(f"{what} of shape {a.shape} is not {d}x{d}")
     return a
@@ -118,7 +118,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a) -> bool:
-    """True when ||A - A^dag||_max <= INPUT_TOL; False for anything but a square matrix."""
+    """True when ||A - A^dag||_max <= INPUT_TOL; False for anything but a nonempty square matrix."""
     try:
         a = require_matrix(a, "matrix")
     except NonSquare:
@@ -127,7 +127,7 @@ def is_hermitian(a) -> bool:
 
 
 def is_unitary(a) -> bool:
-    """True when ||A^dag A - I||_max <= INPUT_TOL; False for anything but a square matrix."""
+    """True when ||A^dag A - I||_max <= INPUT_TOL; False for anything but a nonempty square matrix."""
     try:
         a = require_matrix(a, "matrix")
     except NonSquare:
@@ -199,9 +199,9 @@ def mat_to_biket(a) -> np.ndarray:
 
 
 def biket_to_mat(v, d: int) -> np.ndarray:
-    """Inverse of mat_to_biket for a given dimension d (an integer >= 1)."""
+    """Inverse of mat_to_biket for a given dimension d (an integer >= 1) and a 1-D v."""
     d = check_count(d, "d", 1)
-    v = require_finite(v, "vector", complex).reshape(-1)
-    if v.size != d * d:
-        raise DimensionMismatch(f"vector of length {v.size} is not {d}x{d}")
+    v = require_finite(v, "vector", complex)
+    if v.shape != (d * d,):
+        raise DimensionMismatch(f"vector of shape {v.shape} is not a length-{d * d} vector for {d}x{d}")
     return v.reshape(d, d).copy()

@@ -167,10 +167,10 @@ def test_general_numeric_on_kraus_files(tmp_path):
     assert abs(float(doc["pe_unentangled"]) - 1 / 6) < 1e-6
     # the certified lower bound brackets the numeric value from below
     assert 0.0 <= float(doc["pe_entangled"]) - float(doc["lower_bound"]) <= 1e-6
-    # --starts sets pe_unentangled's starts; pe_entangled runs its 4 qubit seed starts
+    # --starts sets pe_unentangled's starts; pe_entangled runs its 2 seed starts
     assert doc["optimizer"] == {
         "starts": 8,
-        "starts_run": {"entangled": 4, "unentangled": 8},
+        "starts_run": {"entangled": 2, "unentangled": 8},
         "seed": 0,
         "converged": True,
     }
@@ -182,7 +182,7 @@ def test_general_starts_below_the_seed_count_leave_pe_entangled_alone(tmp_path):
     f2 = write_spec(tmp_path / "b.json", operation_to_spec(pauli_channel([0.25] * 4)))
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--starts", "1"])
     assert doc["method"] == "numeric"
-    assert doc["optimizer"]["starts_run"] == {"entangled": 4, "unentangled": 1}
+    assert doc["optimizer"]["starts_run"] == {"entangled": 2, "unentangled": 1}
 
 
 def test_general_numeric_qutrit_identity_vs_depolarizing_converges(tmp_path):

@@ -194,8 +194,10 @@ def test_pe_entangled_worked_example():
     assert abs(result.pe_entangled - 0.125) < 1e-9
     # the optimum sits at the maximally entangled input, xi = I/sqrt(2)
     assert np.max(np.abs(result.optimal_xi - np.eye(2) / np.sqrt(2))) < 1e-3
-    # the four qubit seed starts are all that run, and they certify the optimum
-    assert result.diagnostics.n_starts == 4
+    # the two seed starts are all that run, and they certify the optimum
+    assert result.diagnostics.n_starts == 2
+    # the start stack's cost, counted rather than timed: each start stops after its first step
+    assert result.diagnostics.n_evaluations == 4
     assert 0.0 <= result.pe_entangled - result.lower_bound < 1e-12
 
 
@@ -324,19 +326,38 @@ def test_pe_entangled_bracket_is_exact_on_weyl_pairs(d):
 def test_pe_entangled_runs_only_its_seed_starts_when_the_seeds_do_not_certify(monkeypatch):
     prob = random_qubit_problem(np.random.default_rng(7))
     seeded = pe_entangled(prob)
-    assert seeded.diagnostics.n_starts == 4 and seeded.diagnostics.converged
+    assert seeded.diagnostics.n_starts == 2 and seeded.diagnostics.converged
     monkeypatch.setattr(discrimination, "CERTIFIED_GAP", -1.0)
     calls, maximize = [], discrimination.maximize
     monkeypatch.setattr(
         discrimination, "maximize", lambda step, starts: calls.append(starts.shape) or maximize(step, starts)
     )
     missed = pe_entangled(prob)
-    # a missed target is reported, not chased with more starts: one stack of the 4 qubit seed inputs
-    assert calls == [(4, 4)]
-    assert missed.diagnostics.n_starts == 4
+    # a missed target is reported, not chased with more starts: one stack of the 2 seed inputs
+    assert calls == [(2, 4)]
+    assert missed.diagnostics.n_starts == 2
     assert missed.pe_entangled == seeded.pe_entangled
     assert missed.lower_bound == seeded.lower_bound
     assert not missed.diagnostics.converged
+
+
+def test_pe_entangled_matches_the_former_qubit_axis_seeds():
+    """Starting from |+><+| and |+i><+i| as well never beats pe_entangled's two starts.
+
+    The value is concave in the input's reduced state: I/sqrt(2) reaches the
+    entangled optimum and |0><0| covers optima at product inputs.
+    """
+    plus_i = np.array([[1, -1j], [1j, 1]]) / 2
+    seeds = np.stack([mat_to_biket(p.T) for p in (np.eye(2) / np.sqrt(2), KET0, PLUS, plus_i)])
+    rng = np.random.default_rng(5)
+    probs = [random_qubit_problem(rng) for _ in range(20)]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        q1, q2 = random_prob_vector(4, rng), random_prob_vector(4, rng)
+        probs.append(DiscriminationProblem(pauli_channel(q1), pauli_channel(q2), float(rng.uniform(0.05, 0.95))))
+    for prob in probs:
+        four = discrimination.maximize(discrimination._seesaw_step(prob, ancilla=2), seeds)
+        assert 0.5 * (1.0 - four.value) >= pe_entangled(prob).pe_entangled - 1e-11
 
 
 def test_pe_entangled_reports_an_uncertified_bracket_as_not_converged():

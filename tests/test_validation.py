@@ -29,7 +29,9 @@ from hypothesis import strategies as st
 from opdisc import (
     DimensionMismatch,
     DiscriminationProblem,
+    InvalidProbabilityVector,
     NonFinite,
+    NonSquare,
     OpdiscError,
     QuantumOperation,
     RandomUnitaryChannel,
@@ -409,6 +411,60 @@ def test_a_bad_entry_is_refused_by_its_index_path(entry, at, leaf, shown):
 )
 def test_scalar_states_are_refused_as_a_dimension_mismatch(call):
     with pytest.raises(DimensionMismatch, match=r"shape"):
+        call()
+
+
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        pytest.param(lambda: trace_norm(EMPTY), "matrix", id="trace_norm"),
+        pytest.param(lambda: eig_hermitian(EMPTY), "matrix", id="eig_hermitian"),
+        pytest.param(lambda: mat_to_biket(EMPTY), "matrix", id="mat_to_biket"),
+        pytest.param(lambda: helstrom(EMPTY, EMPTY, 0.5), "state", id="helstrom"),
+        pytest.param(lambda: povm_error(EMPTY, EMPTY, 0.5, GUESS_FIRST), "state", id="povm_error"),
+        pytest.param(lambda: TwoOutcomePovm(pi1=EMPTY, pi2=EMPTY), "pi1", id="TwoOutcomePovm"),
+        pytest.param(lambda: make_operation([EMPTY]), "Kraus operator 0", id="make_operation"),
+    ],
+)
+def test_an_empty_matrix_is_refused_as_non_square(call, named):
+    with pytest.raises(NonSquare, match=rf"^{named} of shape \(0, 0\)"):
+        call()
+
+
+@pytest.mark.parametrize("predicate", [is_hermitian, is_unitary], ids=lambda f: f.__name__)
+def test_an_empty_matrix_is_neither_hermitian_nor_unitary(predicate):
+    assert predicate(EMPTY) is False
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: pauli_channel([[0.25, 0.25], [0.25, 0.25]]), InvalidProbabilityVector, id="pauli_channel"),
+        pytest.param(lambda: pauli_channel(np.float64(1.0)), InvalidProbabilityVector, id="pauli_channel-0d"),
+        pytest.param(lambda: weyl_channel(2, [[[0.25]]] * 4), InvalidProbabilityVector, id="weyl_channel"),
+        pytest.param(
+            lambda: pauli_delta_summary([[1, 0], [0, 0]], Q_ID, 0.5), InvalidProbabilityVector, id="pauli_delta_summary"
+        ),
+        pytest.param(
+            lambda: RandomUnitaryChannel(dim=2, unitaries=(IDENTITY,), weights=[[1.0]]),
+            InvalidProbabilityVector,
+            id="RandomUnitaryChannel.weights",
+        ),
+        pytest.param(
+            lambda: RandomUnitaryChannel(dim=1, unitaries=(np.eye(1),), weights=1.0),
+            InvalidProbabilityVector,
+            id="RandomUnitaryChannel.weights-0d",
+        ),
+        pytest.param(lambda: check_probability_vector(1.0), InvalidProbabilityVector, id="check_probability_vector-0d"),
+        pytest.param(lambda: biket_to_mat(np.eye(2), 2), DimensionMismatch, id="biket_to_mat"),
+        pytest.param(lambda: biket_to_mat(1.0, 1), DimensionMismatch, id="biket_to_mat-0d"),
+    ],
+)
+def test_a_weight_or_biket_vector_must_be_1d(call, error):
+    with pytest.raises(error, match=r"shape"):
         call()
 
 
