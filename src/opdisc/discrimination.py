@@ -187,6 +187,32 @@ def _state_seed_points(d: int) -> list[np.ndarray]:
     return seeds
 
 
+def _unentangled_starts(d: int, num_starts: int, seed: int) -> np.ndarray:
+    """pe_unentangled's num_starts start states, one per row, decoded in one decode_pure_state call.
+
+    One Philox, re-keyed per random start i through its state (counter 0, key
+    words (i, seed), an empty buffer), draws exactly what
+    Generator(Philox(key=(seed << 64) + i)) would.
+    """
+    thetas = _state_seed_points(d)[:num_starts]
+    bits = np.random.Philox()
+    draw = np.random.Generator(bits)
+    key = np.array([0, seed], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i in range(len(thetas), num_starts):
+        key[0] = i
+        bits.state = state
+        thetas.append(draw.uniform(-1.0, 1.0, 2 * d))
+    return decode_pure_state(np.stack(thetas), d)
+
+
 def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
     """The see-saw step for maximizing ||p1 (E1 x I)(x x^dag) - p2 (E2 x I)(x x^dag)||_1.
 
@@ -329,8 +355,9 @@ def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: i
     first are the fixed seed states (3 at d = 2, 2 at d >= 3), and start i
     after them is decoded from 2d uniform reals in [-1, 1) drawn by the
     counter-based generator Philox keyed (seed << 64) + i, so any start can
-    be reproduced on its own. num_starts must be an integer >= 1, seed an
-    integer in [0, 2**64).
+    be reproduced on its own. The draws come from one Philox re-keyed per
+    start, and the whole stack is decoded in one decode_pure_state call.
+    num_starts must be an integer >= 1, seed an integer in [0, 2**64).
     """
     num_starts = check_count(num_starts, "num_starts", 1)
     seed = check_count(seed, "seed", 0)
@@ -341,15 +368,7 @@ def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: i
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
         return DiscriminationResult(pe_unentangled=0.0, optimal_pure_input=psi)
-    seeds = _state_seed_points(d)
-    thetas = seeds[:num_starts] + [
-        np.random.Generator(np.random.Philox(key=(seed << 64) + i)).uniform(-1.0, 1.0, 2 * d)
-        for i in range(len(seeds), num_starts)
-    ]
-    value, psi, summary = maximize(
-        _seesaw_step(prob, ancilla=1),
-        np.stack([decode_pure_state(theta, d) for theta in thetas]),
-    )
+    value, psi, summary = maximize(_seesaw_step(prob, ancilla=1), _unentangled_starts(d, num_starts, seed))
     return DiscriminationResult(
         pe_unentangled=_error(value),
         optimal_pure_input=psi / np.linalg.norm(psi),

@@ -10,7 +10,8 @@ row by row a start's trajectory depends only on its start input, and adding
 rows never changes the ones already there. decode_p and decode_pure_state
 build start inputs for the callers: decode_p maps any real vector to a
 positive matrix with Tr[P^2] = 1, and decode_pure_state maps any real vector
-to a normalized state vector.
+to a normalized state vector, or a stack of them to one state per row, so
+that pe_unentangled decodes its whole start stack in one call.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .config import FTOL, MAX_STEPS
 from .errors import DimensionMismatch, OptimizerFailure
+from .linalg import require_finite
 
 
 @dataclass(frozen=True)
@@ -136,12 +138,13 @@ def decode_p(theta, d: int) -> np.ndarray:
     the rest filling the strict lower triangle as re/im pairs, row by row)
     and returns L L^dag normalized in Frobenius norm. theta = (1, 0, ..., 0)
     decodes to the rank-one |0><0|; ones on the first d slots decode to the
-    maximally mixed direction I/sqrt(d).
+    maximally mixed direction I/sqrt(d). theta must be a 1-D array of finite
+    reals (NonFinite, else DimensionMismatch).
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
+    theta = require_finite(theta, "theta", float)
     d = int(d)
-    if theta.size != d * d:
-        raise DimensionMismatch(f"theta of length {theta.size}, expected {d * d}")
+    if theta.shape != (d * d,):
+        raise DimensionMismatch(f"theta of shape {theta.shape}, expected ({d * d},)")
     ell = np.zeros((d, d), dtype=complex)
     for i in range(d):
         ell[i, i] = theta[i] ** 2
@@ -161,22 +164,26 @@ def decode_p(theta, d: int) -> np.ndarray:
 def decode_pure_state(theta, d: int) -> np.ndarray:
     """Map 2d reals (real parts, then imaginary parts) to a normalized state vector.
 
-    The global phase is fixed by making the first nonzero amplitude real and
-    nonnegative. An all-zero theta falls back to the first basis state.
+    theta is one row of 2d finite reals, giving one state, or a 2-D stack of
+    such rows, giving one state per row; each row decodes bit for bit as it
+    would alone. The global phase is fixed by making the first nonzero
+    amplitude real and nonnegative. An all-zero row falls back to the first
+    basis state. Raises NonFinite for an entry that is no finite real, and
+    DimensionMismatch for any other shape.
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
+    theta = require_finite(theta, "theta", float)
     d = int(d)
-    if theta.size != 2 * d:
-        raise DimensionMismatch(f"theta of length {theta.size}, expected {2 * d}")
-    v = theta[:d] + 1j * theta[d:]
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        v = np.zeros(d, dtype=complex)
-        v[0] = 1.0
-        return v
-    v = v / norm
-    for amp in v:
-        if amp != 0:
-            v = v * (amp.conjugate() / abs(amp))
-            break
-    return v
+    if theta.ndim not in (1, 2) or theta.shape[-1] != 2 * d:
+        raise DimensionMismatch(f"theta of shape {theta.shape}, expected rows of length {2 * d}")
+    rows = theta.reshape(-1, 2 * d)
+    v = rows[:, :d] + 1j * rows[:, d:]
+    # np.linalg.norm of one row dots the strided real and imaginary views; norm(axis=-1) rounds differently
+    norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    zero = norm == 0.0
+    v = v / np.where(zero, 1.0, norm)[:, None]
+    lead = v[np.arange(len(v)), np.argmax(v != 0, axis=1)]
+    # hypot is what scalar abs(amp) computes; array np.abs rounds differently
+    modulus = np.hypot(lead.real, lead.imag)
+    v = v * np.divide(lead.conj(), modulus, out=np.ones_like(lead), where=modulus > 0)[:, None]
+    v[zero] = np.eye(1, d)
+    return v if theta.ndim == 2 else v[0]

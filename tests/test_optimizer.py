@@ -25,7 +25,7 @@ from opdisc import (
     pe_unentangled,
 )
 from opdisc import optimizer
-from opdisc.discrimination import _p_seed_points, _seesaw_step
+from opdisc.discrimination import _p_seed_points, _seesaw_step, _state_seed_points, _unentangled_starts
 
 from helpers import random_kraus_operation, random_qubit_problem
 
@@ -84,6 +84,38 @@ def test_decode_pure_state_zero_theta():
 def test_decode_pure_state_rejects_wrong_length():
     with pytest.raises(DimensionMismatch):
         decode_pure_state(np.zeros(3), 2)
+
+
+def _decode_one_row(theta, d):
+    """The one-row decoder as it was before it took stacks: the reference for bit-identity."""
+    v = theta[:d] + 1j * theta[d:]
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return np.eye(1, d, dtype=complex)[0]
+    v = v / norm
+    for amp in v:
+        if amp != 0:
+            return v * (amp.conjugate() / abs(amp))
+    return v
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+def test_decode_pure_state_stack_matches_row_by_row_bit_for_bit(d):
+    thetas = np.random.default_rng(d).uniform(-1.0, 1.0, size=(40, 2 * d))
+    thetas[3] = 0.0  # decodes to |0>
+    for lead in range(1, d):  # leading amplitudes exactly 0: the phase comes from amplitude `lead`
+        thetas[4 + lead, :lead] = thetas[4 + lead, d:d + lead] = 0.0
+    thetas[20, :d] = 0.0  # a purely imaginary row
+    stacked = decode_pure_state(thetas, d)
+    assert stacked.shape == (40, d)
+    for theta, row in zip(thetas, stacked):
+        one = decode_pure_state(theta, d)
+        assert one.tobytes() == row.tobytes()
+        assert _decode_one_row(theta, d).tobytes() == row.tobytes()
+    assert stacked[3].tobytes() == np.eye(1, d, dtype=complex).tobytes()
+    for lead in range(1, d):
+        amp = stacked[4 + lead, lead]
+        assert np.all(stacked[4 + lead, :lead] == 0) and abs(amp.imag) < 1e-15 and amp.real > 0
 
 
 # --- maximize ---
@@ -255,6 +287,24 @@ def test_maximize_start_trajectories_ignore_num_starts():
 
 
 # --- pe_unentangled's starts ---
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_unentangled_start_stack_matches_one_generator_per_start(d, seed):
+    """The one re-keyed Philox draws exactly what Generator(Philox(key=(seed << 64) + i)) draws.
+
+    A change to numpy's Philox state format, which the re-keying writes, fails here.
+    """
+    seeds = _state_seed_points(d)
+    for num_starts in (1, 3, 32, 40):
+        thetas = seeds[:num_starts] + [
+            np.random.Generator(np.random.Philox(key=(seed << 64) + i)).uniform(-1.0, 1.0, 2 * d)
+            for i in range(len(seeds), num_starts)
+        ]
+        old = np.stack([_decode_one_row(theta, d) for theta in thetas])
+        new = _unentangled_starts(d, num_starts, seed)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
 
 def test_pe_unentangled_is_deterministic():
     rng = np.random.default_rng(5)

@@ -40,6 +40,8 @@ from opdisc import (
     biket_to_mat,
     brute_force_entangled,
     brute_force_unentangled,
+    decode_p,
+    decode_pure_state,
     eig_hermitian,
     helstrom,
     is_hermitian,
@@ -138,6 +140,10 @@ CASES = {
     "trace_norm.a": _library(trace_norm),
     "eig_hermitian.a": _library(eig_hermitian),
     "biket_to_mat.v": _library(lambda v: biket_to_mat(v, 2)),
+    "decode_p": _library(lambda v: decode_p([v, 0.0, 0.0, 0.0], 2)),
+    "decode_p.theta": _library(lambda v: decode_p(v, 2)),
+    "decode_pure_state": _library(lambda v: decode_pure_state([[1.0, 0.0, 0.0, 0.0], [0.0, v, 0.0, 0.0]], 2)),
+    "decode_pure_state.theta": _library(lambda v: decode_pure_state(v, 2)),
     "cli kind kraus": _cli(
         spec=lambda v: {"dim": 2, "kind": "kraus", "kraus": [[[[v, 0], [0, 0]], [[0, 0], [1, 0]]]]}
     ),
@@ -234,6 +240,22 @@ def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
         pytest.param("helstrom.p1", [0.3, 0.1], None, id="helstrom-p1-list"),
         pytest.param("povm_error.p1", [0.3], None, id="povm_error-p1-list"),
         pytest.param("pauli_delta_summary.p1", [0.5], None, id="pauli_delta_summary-p1-list"),
+        pytest.param("decode_p", True, "theta[0]: expected a real number, got True", id="decode_p-bool"),
+        pytest.param("decode_p", "1", "theta[0]: expected a real number, got '1'", id="decode_p-string"),
+        pytest.param("decode_p.theta", [[1, 0], [0, 0]], "theta of shape (2, 2)", id="decode_p-matrix"),
+        pytest.param(
+            "decode_pure_state", True, "theta[1][1]: expected a real number, got True", id="decode_pure_state-bool"
+        ),
+        pytest.param(
+            "decode_pure_state", "x", "theta[1][1]: expected a real number, got 'x'", id="decode_pure_state-string"
+        ),
+        pytest.param(
+            "decode_pure_state.theta", [[[1, 0, 0, 0]]], "theta of shape (1, 1, 4)", id="decode_pure_state-3d"
+        ),
+        pytest.param("decode_pure_state.theta", 0.5, "theta of shape ()", id="decode_pure_state-scalar"),
+        pytest.param(
+            "decode_pure_state.theta", np.zeros((2, 3)), "theta of shape (2, 3)", id="decode_pure_state-short-rows"
+        ),
     ],
 )
 def test_wrong_kind_input_is_refused_by_name(case, value, named, tmp_path):
@@ -373,6 +395,8 @@ NUMBER_INPUTS = {
     "trace_norm": ([[1, 0], [0, 1]], MATRIX_AT, trace_norm),
     "eig_hermitian": ([[1, 0], [0, 1]], MATRIX_AT, eig_hermitian),
     "biket_to_mat": ([1, 0, 0, 1], VECTOR_AT, lambda v: biket_to_mat(v, 2)),
+    "decode_p": ([1, 0, 0, 0], VECTOR_AT, lambda v: decode_p(v, 2)),
+    "decode_pure_state": ([1, 0, 0, 0], VECTOR_AT, lambda v: decode_pure_state(v, 2)),
 }
 
 
