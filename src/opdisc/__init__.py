@@ -41,13 +41,7 @@ from .channels import (
     weyl_channel,
     weyl_unitaries,
 )
-from .optimizer import (
-    MaximizeResult,
-    MaximizeSummary,
-    decode_p,
-    decode_pure_state,
-    maximize,
-)
+from .optimizer import MaximizeSummary
 from .discrimination import (
     DiscriminationProblem,
     DiscriminationResult,
@@ -100,11 +94,7 @@ __all__ = [
     "weyl_unitaries",
     "apply_extended",
     "unnormalized_choi",
-    "MaximizeResult",
     "MaximizeSummary",
-    "maximize",
-    "decode_p",
-    "decode_pure_state",
     "DiscriminationProblem",
     "DiscriminationResult",
     "PauliDiscriminationSummary",

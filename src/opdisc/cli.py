@@ -218,33 +218,35 @@ def cmd_pauli(args: argparse.Namespace) -> dict:
     return doc
 
 
-def cmd_general(args: argparse.Namespace) -> dict:
-    """Discrimination report for two channels given as spec files."""
+def _read_pair(args: argparse.Namespace) -> tuple[ParsedChannel, ParsedChannel, DiscriminationProblem]:
+    """The two channels named by --file1 and --file2, and the problem they pose with prior --p1."""
     ch1 = parse_channel_file(args.file1)
     ch2 = parse_channel_file(args.file2)
-    prob = DiscriminationProblem(ch1.operation, ch2.operation, args.p1)
+    return ch1, ch2, DiscriminationProblem(ch1.operation, ch2.operation, args.p1)
 
+
+def cmd_general(args: argparse.Namespace) -> dict:
+    """Discrimination report for two channels given as spec files."""
+    ch1, ch2, prob = _read_pair(args)
+    results = {}
     if ch1.pauli_q is not None and ch2.pauli_q is not None:
         summary = pauli_delta_summary(ch1.pauli_q, ch2.pauli_q, prob.p1)
         method = "closed-form-pauli"
         ent, unent = summary.pe_entangled, summary.pe_unentangled
         lower = ent
-        results = {}
-    elif ch1.family is not None and ch2.family is not None:
-        method = "closed-form-orthogonal"
-        ent = pe_random_unitary_exact(ch1.family, ch2.family, prob.p1)
-        lower = ent
+    else:
+        if ch1.family is not None and ch2.family is not None:
+            method = "closed-form-orthogonal"
+            ent = lower = pe_random_unitary_exact(ch1.family, ch2.family, prob.p1)
+        else:
+            method = "numeric"
+            result_e = pe_entangled(prob)
+            ent, lower = result_e.pe_entangled, result_e.lower_bound
+            results["entangled"] = result_e
         # no closed form for the unentangled value above the qubit case
         result_u = pe_unentangled(prob, num_starts=args.starts, seed=args.seed)
         unent = result_u.pe_unentangled
-        results = {"unentangled": result_u}
-    else:
-        method = "numeric"
-        result_e = pe_entangled(prob)
-        result_u = pe_unentangled(prob, num_starts=args.starts, seed=args.seed)
-        ent, unent = result_e.pe_entangled, result_u.pe_unentangled
-        lower = result_e.lower_bound
-        results = {"entangled": result_e, "unentangled": result_u}
+        results["unentangled"] = result_u
     # only the strategies whose optimizer ran carry diagnostics
     ran = {name: r.diagnostics for name, r in results.items() if r.diagnostics is not None}
 
@@ -260,7 +262,7 @@ def cmd_general(args: argparse.Namespace) -> dict:
             "seed": int(args.seed),
             "converged": all(diag.converged for diag in ran.values()),
         },
-        "tolerances": _tolerances_doc(optimized=bool(results), certified=method == "numeric"),
+        "tolerances": _tolerances_doc(optimized=method != "closed-form-pauli", certified=method == "numeric"),
     }
     if args.dump_spec:
         doc["channel1_spec"] = operation_to_spec(ch1.operation)
@@ -270,9 +272,7 @@ def cmd_general(args: argparse.Namespace) -> dict:
 
 def cmd_oracle(args: argparse.Namespace) -> dict:
     """Brute-force reference values for two channels given as spec files."""
-    ch1 = parse_channel_file(args.file1)
-    ch2 = parse_channel_file(args.file2)
-    prob = DiscriminationProblem(ch1.operation, ch2.operation, args.p1)
+    _, _, prob = _read_pair(args)
     unent = brute_force_unentangled(prob, args.grid, seed=args.seed)
     ent = brute_force_entangled(prob, args.samples, seed=args.seed)
     return {
@@ -348,12 +348,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         doc = args.handler(args)
-    except OptimizerFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (OpdiscError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, OptimizerFailure) else 2
     try:
         print(json.dumps(doc, indent=2))
         sys.stdout.flush()

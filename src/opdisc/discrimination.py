@@ -41,12 +41,11 @@ from .linalg import (
     check_prior,
     dagger,
     eig_hermitian,
-    mat_to_biket,
     partial_trace,
     require_matrix,
     trace_norm,
 )
-from .optimizer import MaximizeSummary, decode_p, decode_pure_state, maximize
+from .optimizer import MaximizeSummary, decode_pure_state, maximize
 from .oracle import TwoOutcomePovm
 
 # Unitary lists count as "the same family" only when equal entry by entry.
@@ -55,6 +54,13 @@ _FAMILY_MATCH_TOL = 1e-12
 # Weight of I/d mixed into the input's reduced state before the dual
 # certificate inverts its square root.
 _CERTIFICATE_EPS = 1e-8
+
+
+def _require_type(value, cls: type, name: str) -> None:
+    """TypeError naming `name` unless `value` is a `cls`; a RandomUnitaryChannel is pointed to .as_operation()."""
+    if not isinstance(value, cls):
+        hint = "; convert it with .as_operation()" if isinstance(value, RandomUnitaryChannel) else ""
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}{hint}")
 
 
 def _error(norm) -> float:
@@ -71,6 +77,8 @@ class DiscriminationProblem:
     p1: float
 
     def __post_init__(self):
+        _require_type(self.op1, QuantumOperation, "op1")
+        _require_type(self.op2, QuantumOperation, "op2")
         if self.op1.dim != self.op2.dim:
             raise DimensionMismatch(f"dimension mismatch: {self.op1.dim} vs {self.op2.dim}")
         object.__setattr__(self, "p1", check_prior(self.p1))
@@ -166,15 +174,6 @@ def bound_max_entangled(prob: DiscriminationProblem) -> float:
     channels mixing one orthogonal unitary family.
     """
     return _error(trace_norm(delta_operator(prob)) / prob.op1.dim)
-
-
-def _p_seed_points(d: int) -> list[np.ndarray]:
-    # start 0: maximally mixed direction (maximally entangled input);
-    # start 1: rank-one direction (product input)
-    identity = np.concatenate([np.ones(d), np.zeros(d * d - d)])
-    rank_one = np.zeros(d * d)
-    rank_one[0] = 1.0
-    return [identity, rank_one]
 
 
 def _state_seed_points(d: int) -> list[np.ndarray]:
@@ -300,15 +299,15 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     """Numerically minimal error with an entangled input, by see-saw over |xi>>, certified.
 
     Maximizes the output trace norm over inputs |xi>> with Tr[xi^dag xi] = 1,
-    stepping with A_k = K_k x I from one start |xi>> with xi^T = P per
-    decode_p seed direction. An ancilla unitary, which no output trace norm
-    sees, turns the best input into optimal_xi with xi^T = P >= 0, so the
-    optimum is max ||(I x P) Delta (I x P)||_1 over positive P with
-    Tr[P^2] = 1.
+    stepping with A_k = K_k x I from two starts: the maximally entangled
+    |phi+> = |I>>/sqrt(d) and the product input |00>. An ancilla unitary,
+    which no output trace norm sees, turns the best input into optimal_xi
+    with xi^T = P >= 0, so the optimum is max ||(I x P) Delta (I x P)||_1
+    over positive P with Tr[P^2] = 1.
 
     There are no settings: the value is concave in the reduced input state
-    P^2, so the two seed starts alone run, at every d. The full-rank seed
-    I/sqrt(d) carries the entangled search. The rank-one seed |0><0| is a
+    P^2, so the two starts alone run, at every d. |phi+>, with P =
+    I/sqrt(d), carries the entangled search. |00>, with P = |0><0|, is a
     product input, and the step keeps a product input a product input, so
     it ends at the best product input it reaches: on a d = 4 pair of Kraus
     ranks 4 and 1 it ends at 0.966847, below the entangled optimum
@@ -324,10 +323,10 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
             lower_bound=0.0,
             optimal_xi=np.eye(d, dtype=complex) / np.sqrt(d),
         )
-    value, x, summary = maximize(
-        _seesaw_step(prob, ancilla=d),
-        np.stack([mat_to_biket(decode_p(theta, d).T) for theta in _p_seed_points(d)]),
-    )
+    starts = np.zeros((2, d * d), dtype=complex)
+    starts[0, :: d + 1] = 1 / np.sqrt(d)  # |phi+> = |I>>/sqrt(d)
+    starts[1, 0] = 1.0  # |00>
+    value, x, summary = maximize(_seesaw_step(prob, ancilla=d), starts)
     x = x / np.linalg.norm(x)
     # polar decomposition xi^T = W P; dropping W leaves xi^T = P
     _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
@@ -378,12 +377,15 @@ def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: i
 
 def is_orthogonal_unitary_family(channel: RandomUnitaryChannel) -> bool:
     """True when the channel's unitaries satisfy Tr[U_m^dag U_n] = d delta_mn within tolerance."""
+    _require_type(channel, RandomUnitaryChannel, "channel")
     flat = np.stack(channel.unitaries).reshape(len(channel.unitaries), -1)
     # one Gram matrix: (flat flat^dag)[m, n] = Tr[U_n^dag U_m]
     return float(np.max(np.abs(flat @ dagger(flat) - channel.dim * np.eye(len(flat))))) <= ORTHOGONALITY_TOL
 
 
 def _check_same_family(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel) -> None:
+    _require_type(ch1, RandomUnitaryChannel, "ch1")
+    _require_type(ch2, RandomUnitaryChannel, "ch2")
     if ch1.dim != ch2.dim:
         raise FamilyMismatch(f"dimension mismatch: {ch1.dim} vs {ch2.dim}")
     if len(ch1.unitaries) != len(ch2.unitaries):

@@ -7,11 +7,12 @@ A see-saw step gains only linearly, so maximize runs SQUAREM cycles
 extrapolated input, kept only when it is at least as good as the second
 step's input. Each start stops on its own test, so with a step that works
 row by row a start's trajectory depends only on its start input, and adding
-rows never changes the ones already there. decode_p and decode_pure_state
-build start inputs for the callers: decode_p maps any real vector to a
-positive matrix with Tr[P^2] = 1, and decode_pure_state maps any real vector
-to a normalized state vector, or a stack of them to one state per row, so
-that pe_unentangled decodes its whole start stack in one call.
+rows never changes the ones already there. decode_pure_state builds
+pe_unentangled's start inputs: it maps any real vector to a normalized state
+vector, or a stack of them to one state per row, so that the whole start
+stack decodes in one call. decode_p, which maps any real vector to a positive
+matrix with Tr[P^2] = 1, has no caller in the library; it is kept only for
+the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return x0 - 2 * a * r + a * a * v
 
 
+# No library code calls decode_p. perfbench/spans.py wraps it by name, and
+# Tracer.install raises AttributeError without it, so it goes when the
+# benchmark stops tracing it.
 def decode_p(theta, d: int) -> np.ndarray:
     """Map d^2 reals to a positive d x d matrix with Tr[P^2] = 1 exactly.
 

@@ -224,6 +224,16 @@ def test_general_reports_dimension_mismatch(tmp_path):
     assert "dimension mismatch: 2 vs 3" in err
 
 
+def test_general_exits_3_when_the_optimizer_fails(monkeypatch):
+    def fail(*args, **kwargs):
+        raise opdisc.OptimizerFailure("no start reached a finite value")
+
+    monkeypatch.setattr(opdisc.cli, "pe_unentangled", fail)
+    code, out, err = run_cli(["general", *ID_VS_HADAMARD])
+    assert code == 3 and out == ""
+    assert err == "error: no start reached a finite value\n"
+
+
 def test_general_rejects_malformed_spec_files(tmp_path):
     bad = write_spec(tmp_path / "bad.json", {"dim": 2, "kind": "pauli", "q": [0.5, 0.5, 0.5]})
     ok = write_spec(tmp_path / "ok.json", {"dim": 2, "kind": "depolarizing"})

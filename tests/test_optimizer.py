@@ -16,16 +16,14 @@ from opdisc import (
     DiscriminationProblem,
     OptimizerFailure,
     biket_to_mat,
-    decode_p,
-    decode_pure_state,
     is_hermitian,
     mat_to_biket,
-    maximize,
     pauli_channel,
     pe_unentangled,
 )
 from opdisc import optimizer
-from opdisc.discrimination import _p_seed_points, _seesaw_step, _state_seed_points, _unentangled_starts
+from opdisc.discrimination import _seesaw_step, _state_seed_points, _unentangled_starts
+from opdisc.optimizer import decode_p, decode_pure_state, maximize
 
 from helpers import random_kraus_operation, random_qubit_problem
 
@@ -265,8 +263,8 @@ def test_a_rank_one_seed_stays_a_product_input():
     """
     rng = np.random.default_rng(2)
     prob = DiscriminationProblem(random_kraus_operation(4, 4, rng), random_kraus_operation(4, 1, rng), 0.516)
-    seed = mat_to_biket(decode_p(_p_seed_points(4)[1], 4).T)
-    res = maximize(_seesaw_step(prob, ancilla=4), seed[None])
+    product = np.eye(1, 16, dtype=complex)  # |00>
+    res = maximize(_seesaw_step(prob, ancilla=4), product)
     schmidt = np.linalg.svd(biket_to_mat(res.argmax / np.linalg.norm(res.argmax), 4), compute_uv=False)
     assert schmidt[1] <= 1e-12
     assert abs(res.value - 0.9668471213) < 1e-9
@@ -275,8 +273,8 @@ def test_a_rank_one_seed_stays_a_product_input():
 def test_maximize_start_trajectories_ignore_num_starts():
     prob = random_qubit_problem(np.random.default_rng(11))
 
-    # pe_entangled runs only its seed starts, so drive its step directly
-    seeds = np.stack([mat_to_biket(decode_p(theta, 2).T) for theta in _p_seed_points(2)])
+    # pe_entangled runs only its two starts, |phi+> and |00>, so drive its step directly
+    seeds = np.stack([mat_to_biket(np.eye(2)) / np.sqrt(2), np.eye(1, 4, dtype=complex)[0]])
     starts = np.vstack([seeds, _unit_rows(8, 4, 3)])
     step = _seesaw_step(prob, ancilla=2)
     assert maximize(step, starts[:4]).summary.start_values == maximize(step, starts).summary.start_values[:4]

@@ -49,7 +49,7 @@ def test_tracer_wraps_the_numeric_optima_and_restores_them():
     for name in ("discrimination.pe_entangled", "discrimination.pe_unentangled"):
         assert tracer.count(name, 2) == 1
     assert tracer.count("optimizer.maximize", 2) == 2
-    assert tracer.count("optimizer.decode_p", 2) == 2  # one per seed start
+    assert tracer.count("optimizer.decode_p", 2) == 0  # pe_entangled writes its two starts directly
     assert tracer.count("optimizer.decode_pure_state", 2) == 1  # one call decodes the whole start stack
     assert tracer.count("optimizer.objective", 2) > 0
     assert tracer.count("discrimination.delta_operator", 2) == 1  # Delta is built once

@@ -40,8 +40,6 @@ from opdisc import (
     biket_to_mat,
     brute_force_entangled,
     brute_force_unentangled,
-    decode_p,
-    decode_pure_state,
     eig_hermitian,
     helstrom,
     is_hermitian,
@@ -63,6 +61,7 @@ from opdisc.channels import check_density_matrix, check_probability_vector
 from opdisc.cli import main
 from opdisc.config import INPUT_TOL
 from opdisc.linalg import check_count, check_prior, require_finite, require_matrix
+from opdisc.optimizer import decode_p, decode_pure_state
 
 IDENTITY = np.eye(2, dtype=complex)
 Q_ID = [1.0, 0.0, 0.0, 0.0]
