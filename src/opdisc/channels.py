@@ -123,6 +123,17 @@ class RandomUnitaryChannel:
         return QuantumOperation(dim=self.dim, kraus=kraus)
 
 
+def require_type(value, cls: type, name: str) -> None:
+    """TypeError naming `name` unless `value` is a `cls`.
+
+    A RandomUnitaryChannel given for a QuantumOperation is pointed to .as_operation().
+    """
+    if not isinstance(value, cls):
+        convertible = cls is QuantumOperation and isinstance(value, RandomUnitaryChannel)
+        hint = "; convert it with .as_operation()" if convertible else ""
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}{hint}")
+
+
 def pauli_channel(q) -> QuantumOperation:
     """Kraus form of the qubit Pauli channel with weights q over {I, x, y, z}.
 

@@ -291,6 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimal-error discrimination of two quantum operations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)  # the two spec files and the prior, for general and oracle
+    pair.add_argument("--file1", required=True, help="channel spec file for the first channel")
+    pair.add_argument("--file2", required=True, help="channel spec file for the second channel")
+    pair.add_argument("--p1", type=_prior_arg, default=0.5, help="prior of the first channel")
 
     pauli = sub.add_parser("pauli", help="closed forms for two qubit Pauli channels")
     pauli.add_argument("--q1", required=True, help="four comma-separated weights over I,x,y,z")
@@ -299,10 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     pauli.add_argument("--dump-spec", action="store_true", help="embed Kraus spec documents in the output")
     pauli.set_defaults(handler=cmd_pauli)
 
-    general = sub.add_parser("general", help="discriminate two channels from spec files")
-    general.add_argument("--file1", required=True, help="channel spec file for the first channel")
-    general.add_argument("--file2", required=True, help="channel spec file for the second channel")
-    general.add_argument("--p1", type=_prior_arg, default=0.5, help="prior of the first channel")
+    general = sub.add_parser("general", parents=[pair], help="discriminate two channels from spec files")
     general.add_argument(
         "--starts",
         type=_count_arg(1),
@@ -316,10 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     general.add_argument("--dump-spec", action="store_true", help="embed Kraus spec documents in the output")
     general.set_defaults(handler=cmd_general)
 
-    oracle = sub.add_parser("oracle", help="brute-force reference values (d <= 4)")
-    oracle.add_argument("--file1", required=True, help="channel spec file for the first channel")
-    oracle.add_argument("--file2", required=True, help="channel spec file for the second channel")
-    oracle.add_argument("--p1", type=_prior_arg, default=0.5, help="prior of the first channel")
+    oracle = sub.add_parser("oracle", parents=[pair], help="brute-force reference values (d <= 4)")
     oracle.add_argument(
         "--grid",
         type=_count_arg(2),

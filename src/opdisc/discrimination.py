@@ -31,6 +31,7 @@ from .channels import (
     RandomUnitaryChannel,
     check_density_matrix,
     check_probability_vector,
+    require_type,
     unnormalized_choi,
 )
 from .config import CERTIFIED_GAP, ORTHOGONALITY_TOL
@@ -56,13 +57,6 @@ _FAMILY_MATCH_TOL = 1e-12
 _CERTIFICATE_EPS = 1e-8
 
 
-def _require_type(value, cls: type, name: str) -> None:
-    """TypeError naming `name` unless `value` is a `cls`; a RandomUnitaryChannel is pointed to .as_operation()."""
-    if not isinstance(value, cls):
-        hint = "; convert it with .as_operation()" if isinstance(value, RandomUnitaryChannel) else ""
-        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}{hint}")
-
-
 def _error(norm) -> float:
     """The error 1/2 (1 - norm) of a trace norm `norm`, clamped at 0 against rounding."""
     return max(0.0, 0.5 * (1.0 - float(norm)))
@@ -77,8 +71,8 @@ class DiscriminationProblem:
     p1: float
 
     def __post_init__(self):
-        _require_type(self.op1, QuantumOperation, "op1")
-        _require_type(self.op2, QuantumOperation, "op2")
+        require_type(self.op1, QuantumOperation, "op1")
+        require_type(self.op2, QuantumOperation, "op2")
         if self.op1.dim != self.op2.dim:
             raise DimensionMismatch(f"dimension mismatch: {self.op1.dim} vs {self.op2.dim}")
         object.__setattr__(self, "p1", check_prior(self.p1))
@@ -163,6 +157,7 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
 
 def delta_operator(prob: DiscriminationProblem) -> np.ndarray:
     """The d^2 x d^2 Hermitian operator p1 sum |K1>><<K1| - p2 sum |K2>><<K2|."""
+    require_type(prob, DiscriminationProblem, "prob")
     return prob.p1 * unnormalized_choi(prob.op1) - prob.p2 * unnormalized_choi(prob.op2)
 
 
@@ -176,24 +171,20 @@ def bound_max_entangled(prob: DiscriminationProblem) -> float:
     return _error(trace_norm(delta_operator(prob)) / prob.op1.dim)
 
 
-def _state_seed_points(d: int) -> list[np.ndarray]:
-    basis = np.zeros(2 * d)
-    basis[0] = 1.0
-    uniform = np.concatenate([np.ones(d), np.zeros(d)])
-    seeds = [basis, uniform]
-    if d == 2:
-        seeds.append(np.array([1.0, 0.0, 0.0, 1.0]))  # (|0> + i|1>)/sqrt(2)
-    return seeds
-
-
 def _unentangled_starts(d: int, num_starts: int, seed: int) -> np.ndarray:
-    """pe_unentangled's num_starts start states, one per row, decoded in one decode_pure_state call.
+    """pe_unentangled's num_starts start states, one per row: the seed states, then the random ones.
 
     One Philox, re-keyed per random start i through its state (counter 0, key
     words (i, seed), an empty buffer), draws exactly what
-    Generator(Philox(key=(seed << 64) + i)) would.
+    Generator(Philox(key=(seed << 64) + i)) would; one decode_pure_state call
+    decodes all the draws.
     """
-    thetas = _state_seed_points(d)[:num_starts]
+    seeds = np.zeros((3 if d == 2 else 2, d), dtype=complex)
+    seeds[0, 0] = 1.0  # |0>
+    seeds[1] = 1 / np.sqrt(d)  # the uniform superposition
+    if d == 2:
+        seeds[2] = [1 / np.sqrt(2), 1j / np.sqrt(2)]  # (|0> + i|1>)/sqrt(2)
+    seeds = seeds[:num_starts]
     bits = np.random.Philox()
     draw = np.random.Generator(bits)
     key = np.array([0, seed], dtype=np.uint64)
@@ -205,11 +196,12 @@ def _unentangled_starts(d: int, num_starts: int, seed: int) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for i in range(len(thetas), num_starts):
+    thetas = []
+    for i in range(len(seeds), num_starts):
         key[0] = i
         bits.state = state
         thetas.append(draw.uniform(-1.0, 1.0, 2 * d))
-    return decode_pure_state(np.stack(thetas), d)
+    return np.vstack([seeds, decode_pure_state(np.reshape(thetas, (-1, 2 * d)), d)])
 
 
 def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
@@ -316,6 +308,7 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     the bracket is wider, as it can be when the best input is a product
     state.
     """
+    require_type(prob, DiscriminationProblem, "prob")
     d = prob.op1.dim
     if _degenerate_prior(prob):
         return DiscriminationResult(
@@ -350,14 +343,15 @@ def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: i
     Maximizes ||p1 E1(psi) - p2 E2(psi)||_1 over pure states by see-saw with
     A_k = K_k; convexity makes pure inputs sufficient. The value is an
     uncertified multi-start heuristic: the objective is not concave in the
-    input, and no dual bound is known here. All num_starts starts run: the
-    first are the fixed seed states (3 at d = 2, 2 at d >= 3), and start i
-    after them is decoded from 2d uniform reals in [-1, 1) drawn by the
-    counter-based generator Philox keyed (seed << 64) + i, so any start can
-    be reproduced on its own. The draws come from one Philox re-keyed per
-    start, and the whole stack is decoded in one decode_pure_state call.
-    num_starts must be an integer >= 1, seed an integer in [0, 2**64).
+    input, and no dual bound is known here. All num_starts starts run: first
+    the seed states |0>, the uniform superposition and, at d = 2, (|0> +
+    i|1>)/sqrt(2), eigenstates of sigma_z, sigma_x and sigma_y, one of which
+    is optimal for a qubit Pauli pair; then start i is decoded from 2d uniform
+    reals in [-1, 1) drawn by Philox keyed (seed << 64) + i, so any start can
+    be reproduced on its own. num_starts must be an integer >= 1, seed an
+    integer in [0, 2**64).
     """
+    require_type(prob, DiscriminationProblem, "prob")
     num_starts = check_count(num_starts, "num_starts", 1)
     seed = check_count(seed, "seed", 0)
     if seed >= 2**64:
@@ -377,15 +371,15 @@ def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: i
 
 def is_orthogonal_unitary_family(channel: RandomUnitaryChannel) -> bool:
     """True when the channel's unitaries satisfy Tr[U_m^dag U_n] = d delta_mn within tolerance."""
-    _require_type(channel, RandomUnitaryChannel, "channel")
+    require_type(channel, RandomUnitaryChannel, "channel")
     flat = np.stack(channel.unitaries).reshape(len(channel.unitaries), -1)
     # one Gram matrix: (flat flat^dag)[m, n] = Tr[U_n^dag U_m]
     return float(np.max(np.abs(flat @ dagger(flat) - channel.dim * np.eye(len(flat))))) <= ORTHOGONALITY_TOL
 
 
 def _check_same_family(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel) -> None:
-    _require_type(ch1, RandomUnitaryChannel, "ch1")
-    _require_type(ch2, RandomUnitaryChannel, "ch2")
+    require_type(ch1, RandomUnitaryChannel, "ch1")
+    require_type(ch2, RandomUnitaryChannel, "ch2")
     if ch1.dim != ch2.dim:
         raise FamilyMismatch(f"dimension mismatch: {ch1.dim} vs {ch2.dim}")
     if len(ch1.unitaries) != len(ch2.unitaries):

@@ -177,7 +177,7 @@ def partial_trace(a, dims: tuple[int, int], which: int) -> np.ndarray:
     """Trace out subsystem `which` (0 or 1) of a (d1*d2) x (d1*d2) matrix.
 
     Returns the reduced matrix on the surviving subsystem. dims must be a
-    pair of integers >= 1.
+    pair of integers >= 1, and which the integer 0 or 1 (numpy's too, bool not).
     """
     try:
         d1, d2 = dims
@@ -185,8 +185,8 @@ def partial_trace(a, dims: tuple[int, int], which: int) -> np.ndarray:
         raise ValueError(f"dims must be a pair of integers, got {dims!r}") from None
     d1, d2 = check_count(d1, "dims", 1), check_count(d2, "dims", 1)
     a = require_matrix(a, f"matrix on {d1}x{d2} subsystems", d1 * d2)
-    if which not in (0, 1):
-        raise ValueError("which must be 0 (trace out first) or 1 (trace out second)")
+    if isinstance(which, bool) or not isinstance(which, Integral) or which not in (0, 1):
+        raise ValueError(f"which must be 0 (trace out first) or 1 (trace out second), got {which!r}")
     t = a.reshape(d1, d2, d1, d2)
     if which == 0:
         return np.einsum("ijik->jk", t)

@@ -7,12 +7,12 @@ A see-saw step gains only linearly, so maximize runs SQUAREM cycles
 extrapolated input, kept only when it is at least as good as the second
 step's input. Each start stops on its own test, so with a step that works
 row by row a start's trajectory depends only on its start input, and adding
-rows never changes the ones already there. decode_pure_state builds
-pe_unentangled's start inputs: it maps any real vector to a normalized state
-vector, or a stack of them to one state per row, so that the whole start
-stack decodes in one call. decode_p, which maps any real vector to a positive
-matrix with Tr[P^2] = 1, has no caller in the library; it is kept only for
-the benchmark's tracer.
+rows never changes the ones already there. decode_pure_state turns
+pe_unentangled's random draws into start states: it maps any real vector
+to a normalized state vector, or a stack of them to one state per row, so
+all the draws decode in one call. decode_p, which maps any real vector to
+a positive matrix with Tr[P^2] = 1, has no caller in the library; it is
+kept only for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import FTOL, MAX_STEPS
-from .errors import DimensionMismatch, OptimizerFailure
+from .errors import DimensionMismatch, NonFinite, OptimizerFailure
 from .linalg import require_finite
 
 
@@ -143,22 +143,26 @@ def decode_p(theta, d: int) -> np.ndarray:
     and returns L L^dag normalized in Frobenius norm. theta = (1, 0, ..., 0)
     decodes to the rank-one |0><0|; ones on the first d slots decode to the
     maximally mixed direction I/sqrt(d). theta must be a 1-D array of finite
-    reals (NonFinite, else DimensionMismatch).
+    reals (NonFinite, else DimensionMismatch) whose L L^dag has a finite
+    norm (NonFinite).
     """
     theta = require_finite(theta, "theta", float)
     d = int(d)
     if theta.shape != (d * d,):
         raise DimensionMismatch(f"theta of shape {theta.shape}, expected ({d * d},)")
     ell = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        ell[i, i] = theta[i] ** 2
-    pos = d
-    for i in range(1, d):
-        for j in range(i):
-            ell[i, j] = theta[pos] + 1j * theta[pos + 1]
-            pos += 2
-    gram = ell @ ell.conj().T
-    norm = float(np.linalg.norm(gram))
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is refused below
+        for i in range(d):
+            ell[i, i] = theta[i] ** 2
+        pos = d
+        for i in range(1, d):
+            for j in range(i):
+                ell[i, j] = theta[pos] + 1j * theta[pos + 1]
+                pos += 2
+        gram = ell @ ell.conj().T
+        norm = float(np.linalg.norm(gram))
+    if not np.isfinite(norm):
+        raise NonFinite("theta: the norm of L L^dag overflows a float")
     if norm == 0.0:
         # all-zero theta carries no direction; fall back to maximally mixed
         return np.eye(d, dtype=complex) / np.sqrt(d)
@@ -172,8 +176,9 @@ def decode_pure_state(theta, d: int) -> np.ndarray:
     such rows, giving one state per row; each row decodes bit for bit as it
     would alone. The global phase is fixed by making the first nonzero
     amplitude real and nonnegative. An all-zero row falls back to the first
-    basis state. Raises NonFinite for an entry that is no finite real, and
-    DimensionMismatch for any other shape.
+    basis state. Raises NonFinite for an entry that is no finite real or a
+    row whose norm overflows a float, and DimensionMismatch for any other
+    shape.
     """
     theta = require_finite(theta, "theta", float)
     d = int(d)
@@ -182,7 +187,11 @@ def decode_pure_state(theta, d: int) -> np.ndarray:
     rows = theta.reshape(-1, 2 * d)
     v = rows[:, :d] + 1j * rows[:, d:]
     # np.linalg.norm of one row dots the strided real and imaginary views; norm(axis=-1) rounds differently
-    norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    with np.errstate(over="ignore"):  # a norm that overflows is refused below
+        norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    if not np.isfinite(norm).all():
+        row = f"[{np.argmin(np.isfinite(norm))}]" if theta.ndim == 2 else ""
+        raise NonFinite(f"theta{row}: the norm overflows a float")
     zero = norm == 0.0
     v = v / np.where(zero, 1.0, norm)[:, None]
     lead = v[np.arange(len(v)), np.argmax(v != 0, axis=1)]

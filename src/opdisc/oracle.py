@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .channels import require_type
 from .config import INPUT_TOL
 from .errors import InvalidPovm, InvalidState, UnsupportedDimension
 from .linalg import check_count, check_prior, is_hermitian, require_matrix
@@ -55,6 +56,7 @@ class TwoOutcomePovm:
 
 
 def _check_povm(povm: TwoOutcomePovm) -> None:
+    require_type(povm, TwoOutcomePovm, "povm")
     d = povm.pi1.shape[0]
     for name, pi in (("pi1", povm.pi1), ("pi2", povm.pi2)):
         if not is_hermitian(pi):
@@ -158,6 +160,13 @@ def _entangled_states(d: int, count: int, rng: np.random.Generator) -> Iterator[
         yield p.transpose(0, 2, 1).reshape(stop - start, d * d)
 
 
+def _require_problem(prob) -> None:
+    """TypeError naming prob unless it is a DiscriminationProblem."""
+    from .discrimination import DiscriminationProblem  # here, since discrimination imports this module
+
+    require_type(prob, DiscriminationProblem, "prob")
+
+
 def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed: int = 0) -> float:
     """Smallest error over unentangled pure inputs found by dense search.
 
@@ -166,6 +175,7 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
     grid_density + 2 states. For d = 3 or 4 grid_density**3 random pure states
     are sampled instead. Dimensions above 4 are refused.
     """
+    _require_problem(prob)
     d = prob.op1.dim
     grid_density = check_count(grid_density, "grid_density", 2)
     seed = check_count(seed, "seed", 0)
@@ -186,6 +196,7 @@ def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int =
     positive directions P with Tr[P^2] = 1 via the correspondence xi^T = P.
     Dimensions above 4 are refused.
     """
+    _require_problem(prob)
     d = prob.op1.dim
     samples = check_count(samples, "samples", 1)
     seed = check_count(seed, "seed", 0)

@@ -17,6 +17,8 @@ from opdisc import (
     PAULI_MATRICES,
     RandomUnitaryChannel,
     bound_max_entangled,
+    brute_force_entangled,
+    brute_force_unentangled,
     delta_operator,
     helstrom,
     is_orthogonal_unitary_family,
@@ -158,10 +160,45 @@ AS_OPERATION = "; convert it with .as_operation()"
             is_orthogonal_unitary_family, (KRAUS_ID,),
             "channel must be a RandomUnitaryChannel, got QuantumOperation", id="orthogonality-kraus",
         ),
+        pytest.param(
+            pe_entangled, ((KRAUS_ID, KRAUS_ID, 0.5),), "prob must be a DiscriminationProblem, got tuple",
+            id="pe_entangled-tuple",
+        ),
+        pytest.param(
+            pe_unentangled, (None,), "prob must be a DiscriminationProblem, got NoneType", id="pe_unentangled-None",
+        ),
+        pytest.param(
+            # the .as_operation() hint is for a QuantumOperation argument only
+            pe_unentangled, (WEYL_ID,), "prob must be a DiscriminationProblem, got RandomUnitaryChannel",
+            id="pe_unentangled-random-unitary",
+        ),
+        pytest.param(
+            bound_max_entangled, (KRAUS_ID,), "prob must be a DiscriminationProblem, got QuantumOperation",
+            id="bound_max_entangled-kraus",
+        ),
+        pytest.param(
+            delta_operator, (KRAUS_ID,), "prob must be a DiscriminationProblem, got QuantumOperation",
+            id="delta_operator-kraus",
+        ),
+        pytest.param(
+            brute_force_unentangled, (KRAUS_ID, 4), "prob must be a DiscriminationProblem, got QuantumOperation",
+            id="brute_force_unentangled-kraus",
+        ),
+        pytest.param(
+            brute_force_entangled, (KRAUS_ID, 4), "prob must be a DiscriminationProblem, got QuantumOperation",
+            id="brute_force_entangled-kraus",
+        ),
+        pytest.param(
+            povm_error, (KET0, KET0, 0.5, (KET0, np.eye(2) - KET0)), "povm must be a TwoOutcomePovm, got tuple",
+            id="povm_error-tuple",
+        ),
     ],
 )
 def test_the_wrong_channel_type_is_refused_by_name(fn, args, message):
-    """Before this check each call failed later with an AttributeError on .kraus, .dim or .unitaries."""
+    """Before this check each call failed later with an AttributeError.
+
+    The missing attribute was .kraus, .dim, .unitaries, .op1, .p1 or .pi1.
+    """
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         fn(*args)
 

@@ -5,6 +5,8 @@ oracles (characteristic polynomial, explicit index loops), so they never
 depend on the code under test.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,19 @@ def test_partial_trace_matches_index_loops(seed):
 def test_partial_trace_rejects_bad_shape():
     with pytest.raises(DimensionMismatch):
         partial_trace(np.eye(5), (2, 2), 0)
+
+
+@pytest.mark.parametrize("which", [True, False, 1.0, np.float64(0.0), np.bool_(True), 2, -1, np.int64(2)], ids=repr)
+def test_partial_trace_which_is_the_integer_0_or_1(which):
+    """A bool or a float used to pass as 1 or 0."""
+    with pytest.raises(ValueError, match=f"^which must be 0 .* or 1 .*, got {re.escape(repr(which))}$"):
+        partial_trace(np.eye(6), (2, 3), which)
+
+
+def test_partial_trace_which_accepts_numpy_integers():
+    a = np.arange(36).reshape(6, 6).astype(complex)
+    for which, same in ((np.int64(1), 1), (np.uint8(0), 0)):
+        assert partial_trace(a, (2, 3), which).tobytes() == partial_trace(a, (2, 3), same).tobytes()
 
 
 # --- double-ket correspondence ---

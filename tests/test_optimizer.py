@@ -22,7 +22,7 @@ from opdisc import (
     pe_unentangled,
 )
 from opdisc import optimizer
-from opdisc.discrimination import _seesaw_step, _state_seed_points, _unentangled_starts
+from opdisc.discrimination import _seesaw_step, _unentangled_starts
 from opdisc.optimizer import decode_p, decode_pure_state, maximize
 
 from helpers import random_kraus_operation, random_qubit_problem
@@ -293,7 +293,10 @@ def test_unentangled_start_stack_matches_one_generator_per_start(d, seed):
 
     A change to numpy's Philox state format, which the re-keying writes, fails here.
     """
-    seeds = _state_seed_points(d)
+    # the seed states |0>, the uniform superposition and, at d = 2, (|0> + i|1>)/sqrt(2), as decoder input
+    seeds = [np.eye(1, 2 * d)[0], np.concatenate([np.ones(d), np.zeros(d)])]
+    if d == 2:
+        seeds.append(np.array([1.0, 0.0, 0.0, 1.0]))
     for num_starts in (1, 3, 32, 40):
         thetas = seeds[:num_starts] + [
             np.random.Generator(np.random.Philox(key=(seed << 64) + i)).uniform(-1.0, 1.0, 2 * d)

@@ -263,6 +263,37 @@ def test_wrong_kind_input_is_refused_by_name(case, value, named, tmp_path):
     assert (named or repr(value)) in message
 
 
+_OVERFLOWS = "the norm overflows a float"
+_GRAM_OVERFLOWS = "the norm of L L^dag overflows a float"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: decode_pure_state([1e300, 0, 0, 0], 2), f"theta: {_OVERFLOWS}", id="pure-state-1e300"),
+        # each square is finite, their sum is not
+        pytest.param(lambda: decode_pure_state([1e154, 0, 0, 1e154], 2), f"theta: {_OVERFLOWS}", id="pure-state-sum"),
+        pytest.param(
+            lambda: decode_pure_state([[1, 0, 0, 0], [0, 1e300, 0, 0]], 2),
+            f"theta[1]: {_OVERFLOWS}",
+            id="pure-state-row-1",
+        ),
+        pytest.param(lambda: decode_p([1e200, 0, 0, 0], 2), f"theta: {_GRAM_OVERFLOWS}", id="decode_p-nan"),
+        pytest.param(lambda: decode_p([1e77, 0, 0, 0], 2), f"theta: {_GRAM_OVERFLOWS}", id="decode_p-inf"),
+        pytest.param(lambda: decode_p([1, 0, 1e200, 0], 2), f"theta: {_GRAM_OVERFLOWS}", id="decode_p-off-diagonal"),
+    ],
+)
+def test_a_finite_theta_whose_norm_overflows_is_refused_by_row(call, message):
+    """These returned the zero vector, the zero matrix or an all-NaN matrix, some with a numpy overflow warning."""
+    with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_large_theta_whose_norm_is_finite_still_decodes():
+    np.testing.assert_allclose(decode_pure_state([1e150, 0, 0, 1e150], 2), [1 / np.sqrt(2), 1j / np.sqrt(2)])
+    np.testing.assert_allclose(decode_p([1e30, 0, 0, 0], 2), np.diag([1.0, 0.0]))
+
+
 def _holds(predicate):
     """A call of eps that raises ValueError when predicate(eps) is False."""
 
@@ -551,6 +582,7 @@ def test_a_spec_file_that_is_not_json_is_refused_by_path(tmp_path):
         pytest.param(lambda _, n: weyl_channel(n, Q_ID), "d", id="weyl_channel-d"),
         pytest.param(lambda _, n: partial_trace(np.eye(4), n, 0), "dims", id="partial_trace-dims"),
         pytest.param(lambda _, n: partial_trace(np.eye(4), (n, 2), 0), "dims", id="partial_trace-dims[0]"),
+        pytest.param(lambda _, n: partial_trace(np.eye(4), (2, 2), n), "which", id="partial_trace-which"),
         pytest.param(lambda _, n: biket_to_mat(np.ones(4), n), "d", id="biket_to_mat-d"),
         pytest.param(lambda _, n: check_density_matrix(IDENTITY / 2, n), "d", id="check_density_matrix-d"),
     ],
@@ -633,6 +665,7 @@ FUZZ_LIBRARY = {
     "partial_trace": lambda v: partial_trace(v, (2, 2), 0),
     "partial_trace.dims": lambda v: partial_trace(np.eye(4), v, 0),
     "partial_trace.dims[0]": lambda v: partial_trace(np.eye(4), (v, 2), 0),
+    "partial_trace.which": lambda v: partial_trace(np.eye(4), (2, 2), v),
     "mat_to_biket": mat_to_biket,
     "biket_to_mat": lambda v: biket_to_mat(v, 2),
     "biket_to_mat.d": lambda v: biket_to_mat(np.ones(4), v),
