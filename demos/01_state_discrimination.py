@@ -9,8 +9,7 @@ never does better.
 
 import numpy as np
 
-from opdisc import helstrom, povm_error
-from opdisc.oracle import TwoOutcomePovm
+from opdisc import TwoOutcomePovm, helstrom, povm_error
 
 rho0 = np.array([[1, 0], [0, 0]], dtype=complex)
 rho_plus = np.full((2, 2), 0.5, dtype=complex)

@@ -32,8 +32,10 @@ from .linalg import (
 )
 from .channels import (
     PAULI_MATRICES,
+    DiscriminationProblem,
     QuantumOperation,
     RandomUnitaryChannel,
+    TwoOutcomePovm,
     apply_extended,
     make_operation,
     pauli_channel,
@@ -43,7 +45,6 @@ from .channels import (
 )
 from .optimizer import MaximizeSummary
 from .discrimination import (
-    DiscriminationProblem,
     DiscriminationResult,
     PauliDiscriminationSummary,
     bound_max_entangled,
@@ -56,12 +57,7 @@ from .discrimination import (
     pe_random_unitary_exact,
     pe_unentangled,
 )
-from .oracle import (
-    TwoOutcomePovm,
-    brute_force_entangled,
-    brute_force_unentangled,
-    povm_error,
-)
+from .oracle import brute_force_entangled, brute_force_unentangled, povm_error
 
 __all__ = [
     "OpdiscError",

@@ -1,4 +1,9 @@
-"""Quantum operations in Kraus form, plus the Pauli / shift-phase channel families.
+"""The validated value types, plus the Pauli / shift-phase channel families.
+
+Quantum operations in Kraus form, random-unitary channels, the two-channel
+DiscriminationProblem and the TwoOutcomePovm measurement live here, with the
+checks every module applies to them. discrimination and oracle both import
+them from this module, so neither imports the other.
 
 The double-ket convention used throughout: a d x d matrix A corresponds to the
 bipartite vector |A>> with component A[n, m] at index n*d + m, so
@@ -21,7 +26,7 @@ from .errors import (
     NonFinite,
     UnsupportedDimension,
 )
-from .linalg import check_count, dagger, is_hermitian, is_unitary, require_finite, require_matrix
+from .linalg import check_count, check_prior, dagger, is_hermitian, is_unitary, require_finite, require_matrix
 
 PAULI_MATRICES: tuple[np.ndarray, ...] = (
     np.eye(2, dtype=complex),
@@ -134,6 +139,40 @@ def require_type(value, cls: type, name: str) -> None:
         raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}{hint}")
 
 
+@dataclass(frozen=True)
+class DiscriminationProblem:
+    """Two same-dimension operations and the prior probability of the first."""
+
+    op1: QuantumOperation
+    op2: QuantumOperation
+    p1: float
+
+    def __post_init__(self):
+        require_type(self.op1, QuantumOperation, "op1")
+        require_type(self.op2, QuantumOperation, "op2")
+        if self.op1.dim != self.op2.dim:
+            raise DimensionMismatch(f"dimension mismatch: {self.op1.dim} vs {self.op2.dim}")
+        object.__setattr__(self, "p1", check_prior(self.p1))
+
+    @property
+    def p2(self) -> float:
+        return 1.0 - self.p1
+
+
+@dataclass(frozen=True)
+class TwoOutcomePovm:
+    """Measurement {pi1, pi2} deciding between two hypotheses."""
+
+    pi1: np.ndarray
+    pi2: np.ndarray
+
+    def __post_init__(self):
+        pi1 = require_matrix(self.pi1, "pi1")
+        pi2 = require_matrix(self.pi2, "pi2", len(pi1))
+        object.__setattr__(self, "pi1", pi1)
+        object.__setattr__(self, "pi2", pi2)
+
+
 def pauli_channel(q) -> QuantumOperation:
     """Kraus form of the qubit Pauli channel with weights q over {I, x, y, z}.
 
@@ -190,6 +229,7 @@ def unnormalized_choi(op: QuantumOperation) -> np.ndarray:
     Invariant under unitary remixing of the Kraus list; equals d times the
     Choi matrix.
     """
+    require_type(op, QuantumOperation, "op")
     d2 = op.dim * op.dim
     out = np.zeros((d2, d2), dtype=complex)
     for k in op.kraus:
@@ -204,6 +244,7 @@ def apply_extended(op: QuantumOperation, xi) -> np.ndarray:
     Computed as (I x xi^T) sum_n |K_n>><<K_n| (I x xi^*), which agrees with
     applying the extended Kraus operators K_n x I directly.
     """
+    require_type(op, QuantumOperation, "op")
     d = op.dim
     xi = require_matrix(xi, "input operator", d)
     norm2 = float(np.trace(dagger(xi) @ xi).real)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    DiscriminationProblem,
     QuantumOperation,
     RandomUnitaryChannel,
     make_operation,
@@ -45,7 +46,6 @@ from .channels import (
 )
 from .config import CERTIFIED_GAP, FTOL, INPUT_TOL
 from .discrimination import (
-    DiscriminationProblem,
     bound_max_entangled,
     pauli_delta_summary,
     pe_entangled,

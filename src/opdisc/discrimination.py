@@ -18,6 +18,10 @@ strictly helps exactly when r0 r1 r2 r3 < 0.
 
 pe_entangled also returns a certified lower bound from the dual of the
 diamond-norm SDP; pe_unentangled is an uncertified multi-start value.
+
+DiscriminationProblem and helstrom's TwoOutcomePovm come from channels. The
+brute-force oracle that checks these values is never imported here, nor does
+it import this module.
 """
 
 from __future__ import annotations
@@ -27,15 +31,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import (
-    QuantumOperation,
+    DiscriminationProblem,
     RandomUnitaryChannel,
+    TwoOutcomePovm,
     check_density_matrix,
     check_probability_vector,
     require_type,
     unnormalized_choi,
 )
-from .config import CERTIFIED_GAP, ORTHOGONALITY_TOL
-from .errors import DimensionMismatch, FamilyMismatch, NotOrthogonal
+from .config import CERTIFIED_GAP, INPUT_TOL, ORTHOGONALITY_TOL
+from .errors import FamilyMismatch, NotOrthogonal
 from .linalg import (
     biket_to_mat,
     check_count,
@@ -47,10 +52,6 @@ from .linalg import (
     trace_norm,
 )
 from .optimizer import MaximizeSummary, decode_pure_state, maximize
-from .oracle import TwoOutcomePovm
-
-# Unitary lists count as "the same family" only when equal entry by entry.
-_FAMILY_MATCH_TOL = 1e-12
 
 # Weight of I/d mixed into the input's reduced state before the dual
 # certificate inverts its square root.
@@ -60,26 +61,6 @@ _CERTIFICATE_EPS = 1e-8
 def _error(norm) -> float:
     """The error 1/2 (1 - norm) of a trace norm `norm`, clamped at 0 against rounding."""
     return max(0.0, 0.5 * (1.0 - float(norm)))
-
-
-@dataclass(frozen=True)
-class DiscriminationProblem:
-    """Two same-dimension operations and the prior probability of the first."""
-
-    op1: QuantumOperation
-    op2: QuantumOperation
-    p1: float
-
-    def __post_init__(self):
-        require_type(self.op1, QuantumOperation, "op1")
-        require_type(self.op2, QuantumOperation, "op2")
-        if self.op1.dim != self.op2.dim:
-            raise DimensionMismatch(f"dimension mismatch: {self.op1.dim} vs {self.op2.dim}")
-        object.__setattr__(self, "p1", check_prior(self.p1))
-
-    @property
-    def p2(self) -> float:
-        return 1.0 - self.p1
 
 
 @dataclass(frozen=True)
@@ -387,7 +368,7 @@ def _check_same_family(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel) -> 
             f"unitary lists of lengths {len(ch1.unitaries)} and {len(ch2.unitaries)}"
         )
     for n, (u1, u2) in enumerate(zip(ch1.unitaries, ch2.unitaries)):
-        if not float(np.max(np.abs(u1 - u2))) <= _FAMILY_MATCH_TOL:
+        if not float(np.max(np.abs(u1 - u2))) <= INPUT_TOL:
             raise FamilyMismatch(f"unitary lists differ at index {n}")
 
 

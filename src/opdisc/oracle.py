@@ -5,8 +5,10 @@ are applied by direct Kraus sums (through explicit K x I on bipartite
 inputs), and each error comes from the eigenvalues of the output difference.
 Only repeats are skipped: each Bloch pole is one state, and |phi+> has the
 error of every maximally entangled input.
-Nothing here calls into the optimizer, the closed forms or linalg.trace_norm,
-so agreement with them is evidence rather than tautology.
+This module imports only channels (for the value types and require_type),
+config, errors and linalg's input checks: never discrimination or the
+optimizer, and it calls neither the closed forms nor linalg.trace_norm, so
+agreement with them is evidence rather than tautology.
 
 Input states are made and evaluated in stacks of at most _STACK at a time:
 one batched product applies every Kraus operator to a whole stack, and one
@@ -17,20 +19,14 @@ one-state-at-a-time loop would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .channels import require_type
+from .channels import DiscriminationProblem, TwoOutcomePovm, require_type
 from .config import INPUT_TOL
 from .errors import InvalidPovm, InvalidState, UnsupportedDimension
 from .linalg import check_count, check_prior, is_hermitian, require_matrix
-
-if TYPE_CHECKING:  # only for annotations; keeps this module import-independent
-    from collections.abc import Iterable, Iterator
-
-    from .discrimination import DiscriminationProblem
 
 # Dense search is honest only at tiny dimension.
 _MAX_ORACLE_DIM = 4
@@ -39,20 +35,6 @@ _MAX_ORACLE_DIM = 4
 # is large enough for a threaded BLAS to split: waking its threads would cost
 # more than the product.
 _STACK = 32
-
-
-@dataclass(frozen=True)
-class TwoOutcomePovm:
-    """Measurement {pi1, pi2} deciding between two hypotheses."""
-
-    pi1: np.ndarray
-    pi2: np.ndarray
-
-    def __post_init__(self):
-        pi1 = require_matrix(self.pi1, "pi1")
-        pi2 = require_matrix(self.pi2, "pi2", len(pi1))
-        object.__setattr__(self, "pi1", pi1)
-        object.__setattr__(self, "pi2", pi2)
 
 
 def _check_povm(povm: TwoOutcomePovm) -> None:
@@ -160,13 +142,6 @@ def _entangled_states(d: int, count: int, rng: np.random.Generator) -> Iterator[
         yield p.transpose(0, 2, 1).reshape(stop - start, d * d)
 
 
-def _require_problem(prob) -> None:
-    """TypeError naming prob unless it is a DiscriminationProblem."""
-    from .discrimination import DiscriminationProblem  # here, since discrimination imports this module
-
-    require_type(prob, DiscriminationProblem, "prob")
-
-
 def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed: int = 0) -> float:
     """Smallest error over unentangled pure inputs found by dense search.
 
@@ -175,7 +150,7 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
     grid_density + 2 states. For d = 3 or 4 grid_density**3 random pure states
     are sampled instead. Dimensions above 4 are refused.
     """
-    _require_problem(prob)
+    require_type(prob, DiscriminationProblem, "prob")
     d = prob.op1.dim
     grid_density = check_count(grid_density, "grid_density", 2)
     seed = check_count(seed, "seed", 0)
@@ -196,7 +171,7 @@ def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int =
     positive directions P with Tr[P^2] = 1 via the correspondence xi^T = P.
     Dimensions above 4 are refused.
     """
-    _require_problem(prob)
+    require_type(prob, DiscriminationProblem, "prob")
     d = prob.op1.dim
     samples = check_count(samples, "samples", 1)
     seed = check_count(seed, "seed", 0)

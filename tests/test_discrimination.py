@@ -16,6 +16,7 @@ from opdisc import (
     OptimizerFailure,
     PAULI_MATRICES,
     RandomUnitaryChannel,
+    apply_extended,
     bound_max_entangled,
     brute_force_entangled,
     brute_force_unentangled,
@@ -32,6 +33,7 @@ from opdisc import (
     pe_unentangled,
     povm_error,
     trace_norm,
+    unnormalized_choi,
     weyl_channel,
     weyl_unitaries,
 )
@@ -191,6 +193,21 @@ AS_OPERATION = "; convert it with .as_operation()"
         pytest.param(
             povm_error, (KET0, KET0, 0.5, (KET0, np.eye(2) - KET0)), "povm must be a TwoOutcomePovm, got tuple",
             id="povm_error-tuple",
+        ),
+        pytest.param(
+            unnormalized_choi, (WEYL_ID,), "op must be a QuantumOperation, got RandomUnitaryChannel" + AS_OPERATION,
+            id="unnormalized_choi-random-unitary",
+        ),
+        pytest.param(
+            unnormalized_choi, (None,), "op must be a QuantumOperation, got NoneType", id="unnormalized_choi-None",
+        ),
+        pytest.param(
+            apply_extended, (WEYL_ID, np.eye(2) / np.sqrt(2)),
+            "op must be a QuantumOperation, got RandomUnitaryChannel" + AS_OPERATION, id="apply_extended-random-unitary",
+        ),
+        pytest.param(
+            apply_extended, ([np.eye(2)], np.eye(2) / np.sqrt(2)), "op must be a QuantumOperation, got list",
+            id="apply_extended-list",
         ),
     ],
 )

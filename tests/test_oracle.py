@@ -5,7 +5,10 @@ against hand arithmetic and trivial identities only, and their stacked
 evaluation against a plain one-state-at-a-time loop.
 """
 
+import ast
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from opdisc import (
     weyl_channel,
 )
 
+from opdisc import discrimination
 from opdisc import oracle as oracle_module
 from opdisc.oracle import _STACK
 
@@ -291,3 +295,26 @@ def test_unentangled_memory_is_flat_in_the_state_count():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+# --- the import rule ---
+
+def _package_imports(module) -> set[str]:
+    """The opdisc modules that any import in `module`'s source names, at call time and under an `if` too.
+
+    A bare `import opdisc`, which loads every module, shows as "opdisc".
+    """
+    names = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), "opdisc")
+            names += [f"{base}.{alias.name}" for alias in node.names] if base == "opdisc" else [base]
+    return {name.split(".")[1] if "." in name else name for name in names if name.split(".")[0] == "opdisc"}
+
+
+def test_the_oracle_and_the_library_never_import_each_other():
+    """The oracle shares only the value types and input checks; discrimination never reaches it."""
+    assert _package_imports(oracle_module) <= {"channels", "config", "errors", "linalg"}
+    assert "oracle" not in _package_imports(discrimination)

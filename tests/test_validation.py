@@ -330,6 +330,12 @@ def _cli_pauli_q1(eps):
         raise ValueError(err.getvalue())
 
 
+def _phased_family(eps):
+    """The qubit Weyl family against itself times exp(i eps): entries differ by eps."""
+    phased = RandomUnitaryChannel(2, tuple(np.exp(1j * eps) * u for u in weyl_unitaries(2)), [0.25] * 4)
+    return pe_random_unitary_exact(weyl_channel(2, Q_ID), phased, 0.5)
+
+
 def _non_hermitian_state(eps):
     return _off_diagonal(IDENTITY / 2, eps)
 
@@ -388,6 +394,7 @@ TOLERANCE_CHECKS = {
         _povm_error_povm(lambda eps: np.diag([1.0 + eps, 0.0]), lambda eps: np.diag([0.0, 1.0])),
         "deviates from identity",
     ),
+    "pe_random_unitary_exact.family": (_phased_family, "unitary lists differ at index 0"),
     "cli pauli --q1": (_cli_pauli_q1, "--q1: entries sum to"),
 }
 
