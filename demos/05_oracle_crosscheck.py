@@ -27,8 +27,8 @@ angle = 0.4
 op2 = make_operation([np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]], dtype=complex)])
 prob = DiscriminationProblem(op1, op2, 0.5)
 
-# num_starts sets pe_unentangled's starts; pe_entangled has no settings
-lib_u = pe_unentangled(prob, num_starts=8).pe_unentangled
+# neither call has a setting here: pe_unentangled solves a qubit pair exactly
+lib_u = pe_unentangled(prob).pe_unentangled
 lib_e = pe_entangled(prob).pe_entangled
 
 oracle_u = brute_force_unentangled(prob, grid_density=120)

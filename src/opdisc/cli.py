@@ -5,8 +5,10 @@ Three subcommands:
 * ``pauli``    closed forms for two qubit Pauli channels given as weight vectors.
 * ``general``  two channels from spec files; closed forms when both are
                recognized as mixtures of one orthogonal unitary family,
-               the multi-start optimizer otherwise; lower_bound is the
-               closed form or pe_entangled's certified dual bound.
+               the multi-start optimizer otherwise; pe_unentangled is
+               solved exactly at d = 2 and by the optimizer at d >= 3;
+               lower_bound is the closed form or pe_entangled's certified
+               dual bound.
 * ``oracle``   naive brute-force reference values for two channels (d <= 4).
 
 Channel spec files are JSON documents:
@@ -243,7 +245,7 @@ def cmd_general(args: argparse.Namespace) -> dict:
             result_e = pe_entangled(prob)
             ent, lower = result_e.pe_entangled, result_e.lower_bound
             results["entangled"] = result_e
-        # no closed form for the unentangled value above the qubit case
+        # exact at d = 2, the multi-start optimizer above
         result_u = pe_unentangled(prob, num_starts=args.starts, seed=args.seed)
         unent = result_u.pe_unentangled
         results["unentangled"] = result_u
@@ -262,7 +264,7 @@ def cmd_general(args: argparse.Namespace) -> dict:
             "seed": int(args.seed),
             "converged": all(diag.converged for diag in ran.values()),
         },
-        "tolerances": _tolerances_doc(optimized=method != "closed-form-pauli", certified=method == "numeric"),
+        "tolerances": _tolerances_doc(optimized=bool(ran), certified=method == "numeric"),
     }
     if args.dump_spec:
         doc["channel1_spec"] = operation_to_spec(ch1.operation)
@@ -308,11 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--starts",
         type=_count_arg(1),
         default=32,
-        help="pe_unentangled's optimizer starts; pe_entangled has no settings and always runs "
-        "its 2 seed starts",
+        help="pe_unentangled's optimizer starts at d >= 3 (d = 2 is solved exactly); pe_entangled "
+        "has no settings and always runs its 2 seed starts",
     )
     general.add_argument(
-        "--seed", type=_count_arg(0, bits=64), default=0, help="optimizer seed (pe_unentangled's random starts)"
+        "--seed",
+        type=_count_arg(0, bits=64),
+        default=0,
+        help="optimizer seed (pe_unentangled's random starts, at d >= 3)",
     )
     general.add_argument("--dump-spec", action="store_true", help="embed Kraus spec documents in the output")
     general.set_defaults(handler=cmd_general)

@@ -17,7 +17,9 @@ product input an eigenstate of sigma_z, sigma_x or sigma_y; entanglement
 strictly helps exactly when r0 r1 r2 r3 < 0.
 
 pe_entangled also returns a certified lower bound from the dual of the
-diamond-norm SDP; pe_unentangled is an uncertified multi-start value.
+diamond-norm SDP. pe_unentangled is exact at d = 2, where it solves the
+maximum over the Bloch sphere directly, and an uncertified multi-start
+value at d >= 3.
 
 DiscriminationProblem and helstrom's TwoOutcomePovm come from channels. The
 brute-force oracle that checks these values is never imported here, nor does
@@ -31,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import (
+    PAULI_MATRICES,
     DiscriminationProblem,
     RandomUnitaryChannel,
     TwoOutcomePovm,
@@ -57,6 +60,12 @@ from .optimizer import MaximizeSummary, decode_pure_state, maximize
 # certificate inverts its square root.
 _CERTIFICATE_EPS = 1e-8
 
+# The qubit sphere solve's Newton iterations stop once a step moves s by at
+# most this relative amount, or after this many steps. Newton converges
+# quadratically, except near the hard case, where s grows by about 1.5 a step.
+_SECULAR_RTOL = 1e-15
+_SECULAR_STEPS = 100
+
 
 def _error(norm) -> float:
     """The error 1/2 (1 - norm) of a trace norm `norm`, clamped at 0 against rounding."""
@@ -71,7 +80,9 @@ class DiscriminationResult:
     realizes pe_entangled; optimal_pure_input is the state vector realizing
     pe_unentangled. pe_entangled sets lower_bound to a certified lower bound
     on the true optimum; bound_max_entangled(prob) is the upper bound, the
-    error at the maximally entangled input.
+    error at the maximally entangled input. pe_unentangled is exact at d = 2
+    and an uncertified multi-start value at d >= 3. diagnostics is set only
+    when an optimizer ran: on pe_entangled, and on pe_unentangled at d >= 3.
     """
 
     pe_entangled: float | None = None
@@ -160,11 +171,9 @@ def _unentangled_starts(d: int, num_starts: int, seed: int) -> np.ndarray:
     Generator(Philox(key=(seed << 64) + i)) would; one decode_pure_state call
     decodes all the draws.
     """
-    seeds = np.zeros((3 if d == 2 else 2, d), dtype=complex)
+    seeds = np.zeros((2, d), dtype=complex)
     seeds[0, 0] = 1.0  # |0>
     seeds[1] = 1 / np.sqrt(d)  # the uniform superposition
-    if d == 2:
-        seeds[2] = [1 / np.sqrt(2), 1j / np.sqrt(2)]  # (|0> + i|1>)/sqrt(2)
     seeds = seeds[:num_starts]
     bits = np.random.Philox()
     draw = np.random.Generator(bits)
@@ -183,6 +192,67 @@ def _unentangled_starts(d: int, num_starts: int, seed: int) -> np.ndarray:
         bits.state = state
         thetas.append(draw.uniform(-1.0, 1.0, 2 * d))
     return np.vstack([seeds, decode_pure_state(np.reshape(thetas, (-1, 2 * d)), d)])
+
+
+def _weighted_kraus(prob: DiscriminationProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Both Kraus lists stacked, and their weights p1 or -p2: the output difference is sum_k w_k K_k rho K_k^dag."""
+    kraus = np.stack(prob.op1.kraus + prob.op2.kraus)
+    weights = np.array([prob.p1] * len(prob.op1.kraus) + [-prob.p2] * len(prob.op2.kraus))
+    return kraus, weights
+
+
+def _sphere_argmax(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The unit n maximizing n.A n + 2 g.n, for a positive semidefinite 3 x 3 A.
+
+    The maximizer solves (lmax + s - A) n = g with s >= 0 (Moré & Sorensen,
+    SIAM J. Sci. Stat. Comput. 4, 1983). In A's eigenbasis |n(s)| falls with s,
+    and 1/|n(s)| is concave, so Newton's method on 1/|n(s)| = 1 started where
+    |n(s)| >= 1 rises monotonically to the root. The hard case, where g has no
+    component on the top eigenspace and (lmax - A)^+ g lies inside the sphere,
+    has s = 0 and n = (lmax - A)^+ g + tau v_top.
+    """
+    lam, v = np.linalg.eigh(a)
+    c, gap = v.T @ g, lam[-1] - lam
+    live = c != 0
+    s = max(0.0, float(np.max(np.abs(c) - gap)))  # one term alone keeps |n(s)| >= 1 up to here
+    for _ in range(_SECULAR_STEPS):
+        n = np.divide(c, s + gap, out=np.zeros(3), where=live)
+        norm2 = float(n @ n)
+        if norm2 <= 1.0:  # at s = 0: the hard case; else the root, to rounding
+            break
+        slope = float(np.sum(np.divide(n * n, s + gap, out=np.zeros(3), where=live)))
+        ds = (np.sqrt(norm2) - 1.0) * norm2 / slope
+        if not ds > _SECULAR_RTOL * s:
+            break
+        s += ds
+    if s == 0.0:
+        n[-1] = np.sqrt(max(0.0, 1.0 - norm2))
+    return v @ (n / np.linalg.norm(n))
+
+
+def _qubit_unentangled(prob: DiscriminationProblem) -> tuple[float, np.ndarray]:
+    """The exact optimum of ||p1 E1(psi) - p2 E2(psi)||_1 over qubit pure states, and its psi.
+
+    With R[i, j] = 1/2 Tr[sigma_i (p1 E1 - p2 E2)(sigma_j)] over {I, x, y, z},
+    the input with Bloch vector n has output difference
+    ((p1 - p2) I + (b + B n).sigma) / 2, b = R[1:, 0], B = R[1:, 1:], whose
+    trace norm is max(|p1 - p2|, |b + B n|): _sphere_argmax maximizes
+    |b + B n|^2 over the unit sphere. The channels are trace-preserving only
+    to INPUT_TOL, so the value is the trace norm of the actual output
+    difference at the returned psi.
+    """
+    kraus, weights = _weighted_kraus(prob)
+    paulis = np.stack(PAULI_MATRICES)
+    images = np.einsum("k,kab,jbc,kdc->jad", weights, kraus, paulis, kraus.conj())
+    r = 0.5 * np.einsum("iab,jba->ij", paulis, images).real
+    b, big_b = r[1:, 0], r[1:, 1:]
+    n = _sphere_argmax(big_b.T @ big_b, big_b.T @ b)
+    # the pure state with Bloch vector n, from whichever pole formula is well conditioned
+    psi = np.array([1 + n[2], n[0] + 1j * n[1]]) if n[2] >= 0 else np.array([n[0] - 1j * n[1], 1 - n[2]])
+    psi = psi / np.linalg.norm(psi)
+    y = kraus @ psi  # K_k psi, one row per k
+    out = (y.T * weights) @ y.conj()
+    return float(np.sum(np.abs(np.linalg.eigvalsh(out)))), psi
 
 
 def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
@@ -204,8 +274,7 @@ def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
     extrapolation needs. Every product and eigensolver call works row by row,
     so a row's result does not depend on the stack it comes in.
     """
-    kraus = np.stack(prob.op1.kraus + prob.op2.kraus)
-    weights = np.array([prob.p1] * len(prob.op1.kraus) + [-prob.p2] * len(prob.op2.kraus))
+    kraus, weights = _weighted_kraus(prob)
     n, d, _ = kraus.shape
     e = int(ancilla)
     # X -> sum_k w_k K_k^dag X K_k acting on row-major vec(X) from the right
@@ -319,18 +388,19 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
 
 
 def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: int = 0) -> DiscriminationResult:
-    """Numerically minimal error with a single pure input state (no ancilla).
+    """Minimal error with a single pure input state (no ancilla): exact at d = 2, multi-start above.
 
-    Maximizes ||p1 E1(psi) - p2 E2(psi)||_1 over pure states by see-saw with
-    A_k = K_k; convexity makes pure inputs sufficient. The value is an
-    uncertified multi-start heuristic: the objective is not concave in the
-    input, and no dual bound is known here. All num_starts starts run: first
-    the seed states |0>, the uniform superposition and, at d = 2, (|0> +
-    i|1>)/sqrt(2), eigenstates of sigma_z, sigma_x and sigma_y, one of which
-    is optimal for a qubit Pauli pair; then start i is decoded from 2d uniform
-    reals in [-1, 1) drawn by Philox keyed (seed << 64) + i, so any start can
-    be reproduced on its own. num_starts must be an integer >= 1, seed an
-    integer in [0, 2**64).
+    Convexity makes pure inputs sufficient. At d = 2 both channels act
+    affinely on the input's Bloch vector, and the optimum over the Bloch
+    sphere is solved exactly (_qubit_unentangled); no optimizer runs, so
+    diagnostics is None. At d >= 3 it maximizes ||p1 E1(psi) - p2 E2(psi)||_1
+    by see-saw with A_k = K_k, an uncertified multi-start value: the
+    objective is not concave in the input, and no dual bound is known here.
+    All num_starts starts run: first the seed states |0> and the uniform
+    superposition, then start i is decoded from 2d uniform reals in [-1, 1)
+    drawn by Philox keyed (seed << 64) + i, so any start can be reproduced on
+    its own. num_starts must be an integer >= 1, seed an integer in
+    [0, 2**64), at every d.
     """
     require_type(prob, DiscriminationProblem, "prob")
     num_starts = check_count(num_starts, "num_starts", 1)
@@ -342,6 +412,9 @@ def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: i
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
         return DiscriminationResult(pe_unentangled=0.0, optimal_pure_input=psi)
+    if d == 2:
+        value, psi = _qubit_unentangled(prob)
+        return DiscriminationResult(pe_unentangled=_error(value), optimal_pure_input=psi)
     value, psi, summary = maximize(_seesaw_step(prob, ancilla=1), _unentangled_starts(d, num_starts, seed))
     return DiscriminationResult(
         pe_unentangled=_error(value),

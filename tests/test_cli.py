@@ -155,8 +155,9 @@ def test_general_depolarizing_kind_is_recognized_as_pauli(tmp_path):
 
 
 def test_general_numeric_on_kraus_files(tmp_path):
-    op1 = pauli_channel([1, 0, 0, 0])
-    op2 = pauli_channel([0, 1 / 3, 1 / 3, 1 / 3])
+    # a qutrit pair, so that pe_unentangled's starts run; every input errs with 1/8 here
+    op1 = weyl_channel(3, [1.0] + [0.0] * 8).as_operation()
+    op2 = weyl_channel(3, [0.0] + [1 / 8] * 8).as_operation()
     f1 = write_spec(tmp_path / "a.json", operation_to_spec(op1))
     f2 = write_spec(tmp_path / "b.json", operation_to_spec(op2))
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--starts", "8"])
@@ -164,7 +165,7 @@ def test_general_numeric_on_kraus_files(tmp_path):
     assert list(doc["optimizer"]) == OPTIMIZER_KEYS
     assert doc["method"] == "numeric"
     assert float(doc["pe_entangled"]) < 1e-6
-    assert abs(float(doc["pe_unentangled"]) - 1 / 6) < 1e-6
+    assert abs(float(doc["pe_unentangled"]) - 1 / 8) < 1e-6
     # the certified lower bound brackets the numeric value from below
     assert 0.0 <= float(doc["pe_entangled"]) - float(doc["lower_bound"]) <= 1e-6
     # --starts sets pe_unentangled's starts; pe_entangled runs its 2 seed starts
@@ -178,8 +179,8 @@ def test_general_numeric_on_kraus_files(tmp_path):
 
 
 def test_general_starts_below_the_seed_count_leave_pe_entangled_alone(tmp_path):
-    f1 = write_spec(tmp_path / "a.json", operation_to_spec(pauli_channel([1, 0, 0, 0])))
-    f2 = write_spec(tmp_path / "b.json", operation_to_spec(pauli_channel([0.25] * 4)))
+    f1 = write_spec(tmp_path / "a.json", operation_to_spec(weyl_channel(3, [1.0] + [0.0] * 8).as_operation()))
+    f2 = write_spec(tmp_path / "b.json", operation_to_spec(weyl_channel(3, [1 / 9] * 9).as_operation()))
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--starts", "1"])
     assert doc["method"] == "numeric"
     assert doc["optimizer"]["starts_run"] == {"entangled": 2, "unentangled": 1}
@@ -214,6 +215,22 @@ def test_general_closed_form_orthogonal_qutrit(tmp_path):
     assert doc["optimizer"]["starts_run"] == {"unentangled": 8}
     # only pe_unentangled ran, so no certified gap was aimed for
     assert doc["tolerances"] == {"hermiticity": "1e-09", "optimizer": "1e-12"}
+
+
+def test_general_qubit_weyl_pair_runs_no_optimizer(tmp_path):
+    """A d = 2 weyl pair takes the orthogonal closed form and the exact qubit solve, so no
+    optimizer ran and no optimizer tolerance is reported."""
+    q1, q2 = [0.7, 0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.4]  # over I, Z, X, XZ
+    f1 = write_spec(tmp_path / "a.json", {"dim": 2, "kind": "weyl", "q": q1})
+    f2 = write_spec(tmp_path / "b.json", {"dim": 2, "kind": "weyl", "q": q2})
+    doc = run_json(["general", "--file1", f1, "--file2", f2])
+    assert doc["method"] == "closed-form-orthogonal"
+    assert doc["optimizer"] == {"starts": 32, "starts_run": {}, "seed": 0, "converged": True}
+    assert doc["tolerances"] == {"hermiticity": "1e-09"}
+    # XZ is sigma_y up to a phase, so these are Pauli channels over I, x, y, z
+    summary = opdisc.pauli_delta_summary([0.7, 0.1, 0.1, 0.1], [0.1, 0.3, 0.4, 0.2], 0.5)
+    assert abs(float(doc["pe_unentangled"]) - summary.pe_unentangled) < 1e-9
+    assert abs(float(doc["pe_entangled"]) - summary.pe_entangled) < 1e-9
 
 
 def test_general_reports_dimension_mismatch(tmp_path):

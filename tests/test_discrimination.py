@@ -40,7 +40,7 @@ from opdisc import (
 from opdisc import discrimination
 from opdisc.config import ORTHOGONALITY_TOL
 from opdisc.linalg import dagger
-from opdisc.optimizer import decode_p
+from opdisc.optimizer import decode_p, maximize
 
 from helpers import (
     haar_unitary,
@@ -370,9 +370,58 @@ def test_pe_entangled_reaches_the_optimum_on_a_rank_4_vs_1_qudit_pair():
     assert result.diagnostics.n_evaluations <= 200
 
 
-# --- known misses of pe_unentangled (ROADMAP item 1) ---
+# --- pe_unentangled at d = 2: the exact Bloch-sphere solve ---
 
-ITEM_1 = "ROADMAP item 1: the see-saw stops on a sign-definite plateau or at a local maximum"
+def _seesaw_256(prob):
+    """The error the d >= 3 route's see-saw reaches on a qubit pair from 256 starts."""
+    step = discrimination._seesaw_step(prob, ancilla=1)
+    value = maximize(step, discrimination._unentangled_starts(2, 256, 0)).value
+    return 0.5 * (1.0 - value)
+
+
+def _replayed_error(prob, psi):
+    """The error at the pure input psi, through apply_extended with a one-dimensional ancilla block."""
+    xi = np.outer(psi, [1.0, 0.0])  # |xi>> = psi x |0>
+    out = prob.p1 * apply_extended(prob.op1, xi) - prob.p2 * apply_extended(prob.op2, xi)
+    return 0.5 * (1.0 - trace_norm(out))
+
+
+def test_qubit_pe_unentangled_is_never_worse_than_a_256_start_seesaw():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        prob = random_qubit_problem(rng)
+        result = pe_unentangled(prob)
+        assert result.pe_unentangled <= _seesaw_256(prob) + 1e-10
+        assert result.diagnostics is None  # no optimizer ran
+        psi = result.optimal_pure_input
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-15
+        assert abs(_replayed_error(prob, psi) - result.pe_unentangled) < 1e-12
+
+
+def test_qubit_pe_unentangled_on_unitary_pairs():
+    """Two unitaries leave b = 0, the hard case. The error at psi is
+    1/2 (1 - sqrt(1 - 4 p1 p2 |<psi|W|psi>|^2)), W = U1^dag U2, and the least
+    |<psi|W|psi>| is cos(theta / 2) for the angle theta between W's eigenvalues."""
+    rng = np.random.default_rng(56)
+    for _ in range(40):
+        u1, u2 = haar_unitary(2, rng), haar_unitary(2, rng)
+        prob = DiscriminationProblem(make_operation([u1]), make_operation([u2]), float(rng.uniform(0.05, 0.95)))
+        result = pe_unentangled(prob)
+        e1, e2 = np.linalg.eigvals(dagger(u1) @ u2)
+        overlap = abs(e1 + e2) / 2  # cos(theta / 2), the distance from 0 to the chord e1 e2
+        exact = 0.5 * (1.0 - np.sqrt(1.0 - 4 * prob.p1 * prob.p2 * overlap**2))
+        assert abs(result.pe_unentangled - exact) < 1e-10
+        assert result.pe_unentangled <= _seesaw_256(prob) + 1e-10
+        assert abs(_replayed_error(prob, result.optimal_pure_input) - result.pe_unentangled) < 1e-12
+
+
+def test_qubit_pe_unentangled_equals_the_pauli_closed_form():
+    rng = np.random.default_rng(57)
+    for _ in range(40):
+        q1, q2 = random_prob_vector(4, rng), random_prob_vector(4, rng)
+        p1 = float(rng.uniform(0.05, 0.95))
+        result = pe_unentangled(DiscriminationProblem(pauli_channel(q1), pauli_channel(q2), p1))
+        assert abs(result.pe_unentangled - pauli_delta_summary(q1, q2, p1).pe_unentangled) < 1e-12
 
 
 def _rng7_problem(index):
@@ -383,16 +432,14 @@ def _rng7_problem(index):
     return random_qubit_problem(rng)
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_1)
 def test_pe_unentangled_steps_off_the_sign_definite_plateau():
-    """The default call returns min(p1, p2) = 0.1065102630 with converged True;
+    """32 see-saw starts returned min(p1, p2) = 0.1065102630 with converged True;
     brute_force_unentangled at grid 200 gives 0.0994877."""
     assert pe_unentangled(_rng7_problem(118)).pe_unentangled <= 0.0995
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_1)
 def test_pe_unentangled_escapes_a_local_maximum():
-    """The default call returns 0.0736907887; pe_entangled gives 0.0714411167, reached
+    """32 see-saw starts returned 0.0736907887; pe_entangled gives 0.0714411167, reached
     by a product input, and brute_force_unentangled at grid 200 gives 0.0714504."""
     assert pe_unentangled(_rng7_problem(197)).pe_unentangled <= 0.07146
 

@@ -271,12 +271,14 @@ def test_a_rank_one_seed_stays_a_product_input():
 
 
 def test_maximize_start_trajectories_ignore_num_starts():
-    prob = random_qubit_problem(np.random.default_rng(11))
+    # a qutrit pair: pe_unentangled solves a qubit pair without the optimizer
+    rng = np.random.default_rng(11)
+    prob = DiscriminationProblem(random_kraus_operation(3, 2, rng), random_kraus_operation(3, 3, rng), 0.45)
 
     # pe_entangled runs only its two starts, |phi+> and |00>, so drive its step directly
-    seeds = np.stack([mat_to_biket(np.eye(2)) / np.sqrt(2), np.eye(1, 4, dtype=complex)[0]])
-    starts = np.vstack([seeds, _unit_rows(8, 4, 3)])
-    step = _seesaw_step(prob, ancilla=2)
+    seeds = np.stack([mat_to_biket(np.eye(3)) / np.sqrt(3), np.eye(1, 9, dtype=complex)[0]])
+    starts = np.vstack([seeds, _unit_rows(8, 9, 3)])
+    step = _seesaw_step(prob, ancilla=3)
     assert maximize(step, starts[:4]).summary.start_values == maximize(step, starts).summary.start_values[:4]
 
     few = pe_unentangled(prob, num_starts=4).diagnostics.start_values
@@ -286,17 +288,15 @@ def test_maximize_start_trajectories_ignore_num_starts():
 
 # --- pe_unentangled's starts ---
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_unentangled_start_stack_matches_one_generator_per_start(d, seed):
     """The one re-keyed Philox draws exactly what Generator(Philox(key=(seed << 64) + i)) draws.
 
     A change to numpy's Philox state format, which the re-keying writes, fails here.
     """
-    # the seed states |0>, the uniform superposition and, at d = 2, (|0> + i|1>)/sqrt(2), as decoder input
+    # the seed states |0> and the uniform superposition, as decoder input
     seeds = [np.eye(1, 2 * d)[0], np.concatenate([np.ones(d), np.zeros(d)])]
-    if d == 2:
-        seeds.append(np.array([1.0, 0.0, 0.0, 1.0]))
     for num_starts in (1, 3, 32, 40):
         thetas = seeds[:num_starts] + [
             np.random.Generator(np.random.Philox(key=(seed << 64) + i)).uniform(-1.0, 1.0, 2 * d)
@@ -321,13 +321,16 @@ def test_pe_unentangled_is_deterministic():
 
 
 def test_pe_unentangled_monotone_in_starts():
-    prob = random_qubit_problem(np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    prob = DiscriminationProblem(random_kraus_operation(3, 3, rng), random_kraus_operation(3, 2, rng), 0.55)
     errors = [pe_unentangled(prob, num_starts=k, seed=9).pe_unentangled for k in (1, 2, 4, 8)]
     assert all(errors[i + 1] <= errors[i] + 1e-15 for i in range(len(errors) - 1))
 
 
 def test_pe_unentangled_validates_num_starts_and_seed():
-    prob = _identity_vs_depolarizing()
+    rng = np.random.default_rng(12)
+    # a qutrit pair, so that the starts run; they are validated at every d
+    prob = DiscriminationProblem(random_kraus_operation(3, 2, rng), random_kraus_operation(3, 1, rng), 0.5)
     with pytest.raises(ValueError, match="num_starts must be at least 1"):
         pe_unentangled(prob, num_starts=0)
     with pytest.raises(ValueError, match="seed must be at least 0"):
@@ -336,6 +339,11 @@ def test_pe_unentangled_validates_num_starts_and_seed():
     with pytest.raises(ValueError, match="seed must be below 2\\*\\*64"):
         pe_unentangled(prob, seed=2**64)
     assert pe_unentangled(prob, num_starts=np.int64(3), seed=2**64 - 1).diagnostics.n_starts == 3
+    qubit = _identity_vs_depolarizing()
+    with pytest.raises(ValueError, match="num_starts must be at least 1"):
+        pe_unentangled(qubit, num_starts=0)
+    with pytest.raises(ValueError, match="seed must be below 2\\*\\*64"):
+        pe_unentangled(qubit, seed=2**64)
 
 
 def test_pe_unentangled_validates_num_starts_when_the_prior_decides():

@@ -13,7 +13,7 @@ import numpy as np
 import opdisc
 from opdisc import pe_entangled, pe_unentangled
 
-from helpers import random_qubit_problem
+from helpers import random_kraus_operation
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,7 +37,9 @@ def test_tracer_wraps_the_numeric_optima_and_restores_them():
     importlib.import_module("opdisc.cli")  # install imports it too; snapshot it beforehand
     before = _bindings(spans.TRACED)
     tracer = spans.Tracer()
-    prob = random_qubit_problem(np.random.default_rng(3))
+    # a qutrit pair: pe_unentangled solves a qubit pair without the optimizer
+    rng = np.random.default_rng(3)
+    prob = opdisc.DiscriminationProblem(random_kraus_operation(3, 2, rng), random_kraus_operation(3, 3, rng), 0.5)
     try:
         tracer.install(opdisc)
         assert hasattr(opdisc.discrimination.pe_entangled, "__wrapped__")
@@ -47,12 +49,12 @@ def test_tracer_wraps_the_numeric_optima_and_restores_them():
         tracer.uninstall()
 
     for name in ("discrimination.pe_entangled", "discrimination.pe_unentangled"):
-        assert tracer.count(name, 2) == 1
-    assert tracer.count("optimizer.maximize", 2) == 2
-    assert tracer.count("optimizer.decode_p", 2) == 0  # pe_entangled writes its two starts directly
-    assert tracer.count("optimizer.decode_pure_state", 2) == 1  # one call decodes all the random draws
-    assert tracer.count("optimizer.objective", 2) > 0
-    assert tracer.count("discrimination.delta_operator", 2) == 1  # Delta is built once
+        assert tracer.count(name, 3) == 1
+    assert tracer.count("optimizer.maximize", 3) == 2
+    assert tracer.count("optimizer.decode_p", 3) == 0  # pe_entangled writes its two starts directly
+    assert tracer.count("optimizer.decode_pure_state", 3) == 1  # one call decodes all the random draws
+    assert tracer.count("optimizer.objective", 3) > 0
+    assert tracer.count("discrimination.delta_operator", 3) == 1  # Delta is built once
 
     assert _bindings(spans.TRACED) == before
     assert all(not hasattr(obj, "__wrapped__") for obj in before.values())
