@@ -30,7 +30,7 @@ print(f"  sign of r0*r1*r2*r3 {summary.det_sign}   -> entanglement needed: {summ
 print(f"  best product input  eigenstate of sigma_{summary.optimal_unentangled_axis}")
 
 prob = DiscriminationProblem(pauli_channel(q_id), pauli_channel(q_dep), 0.5)
-# pe_entangled has no settings (it runs its 2 seed starts); pe_unentangled
+# pe_entangled has no settings (it runs its one start, |phi+>); pe_unentangled
 # solves a qubit pair exactly (its num_starts and seed matter at d >= 3 only)
 res_e = pe_entangled(prob)
 res_u = pe_unentangled(prob)

@@ -230,12 +230,9 @@ def unnormalized_choi(op: QuantumOperation) -> np.ndarray:
     Choi matrix.
     """
     require_type(op, QuantumOperation, "op")
-    d2 = op.dim * op.dim
-    out = np.zeros((d2, d2), dtype=complex)
-    for k in op.kraus:
-        v = k.reshape(-1)  # |K>>; the operation holds its Kraus operators validated
-        out += np.outer(v, v.conj())
-    return out
+    # |K_n>>, one row per n; the operation holds its Kraus operators validated
+    v = np.stack(op.kraus).reshape(len(op.kraus), -1)
+    return v.T @ v.conj()
 
 
 def apply_extended(op: QuantumOperation, xi) -> np.ndarray:

@@ -5,8 +5,9 @@ Three subcommands:
 * ``pauli``    closed forms for two qubit Pauli channels given as weight vectors.
 * ``general``  two channels from spec files; closed forms when both are
                recognized as mixtures of one orthogonal unitary family,
-               the multi-start optimizer otherwise; pe_unentangled is
-               solved exactly at d = 2 and by the optimizer at d >= 3;
+               the see-saw optimizer otherwise, pe_entangled from the
+               maximally entangled input alone; pe_unentangled is solved
+               exactly at d = 2 and by the multi-start optimizer at d >= 3;
                lower_bound is the closed form or pe_entangled's certified
                dual bound.
 * ``oracle``   naive brute-force reference values for two channels (d <= 4).
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_count_arg(1),
         default=32,
         help="pe_unentangled's optimizer starts at d >= 3 (d = 2 is solved exactly); pe_entangled "
-        "has no settings and always runs its 2 seed starts",
+        "has no settings and always runs its one start, the maximally entangled input",
     )
     general.add_argument(
         "--seed",

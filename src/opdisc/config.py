@@ -33,6 +33,6 @@ MAX_STEPS = 2000
 FTOL = 1e-12
 
 # The bracket pe_entangled aims for between its value and its dual certificate.
-# A reporting target only: pe_entangled runs its seed starts either way, and
-# reports converged = False when their best stays wider.
+# A reporting target only: pe_entangled runs its one start either way, and
+# reports converged = False when its bracket stays wider.
 CERTIFIED_GAP = 1e-6

@@ -341,22 +341,18 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     """Numerically minimal error with an entangled input, by see-saw over |xi>>, certified.
 
     Maximizes the output trace norm over inputs |xi>> with Tr[xi^dag xi] = 1,
-    stepping with A_k = K_k x I from two starts: the maximally entangled
-    |phi+> = |I>>/sqrt(d) and the product input |00>. An ancilla unitary,
-    which no output trace norm sees, turns the best input into optimal_xi
-    with xi^T = P >= 0, so the optimum is max ||(I x P) Delta (I x P)||_1
-    over positive P with Tr[P^2] = 1.
+    stepping with A_k = K_k x I from the maximally entangled start
+    |phi+> = |I>>/sqrt(d). An ancilla unitary, which no output trace norm
+    sees, turns the best input into optimal_xi with xi^T = P >= 0, so the
+    optimum is max ||(I x P) Delta (I x P)||_1 over positive P with
+    Tr[P^2] = 1.
 
     There are no settings: the value is concave in the reduced input state
-    P^2, so the two starts alone run, at every d. |phi+>, with P =
-    I/sqrt(d), carries the entangled search. |00>, with P = |0><0|, is a
-    product input, and the step keeps a product input a product input, so
-    it ends at the best product input it reaches: on a d = 4 pair of Kraus
-    ranks 4 and 1 it ends at 0.966847, below the entangled optimum
-    0.968331. lower_bound is the dual bound built on the best input's P^2.
-    CERTIFIED_GAP is a reporting target: diagnostics.converged is False when
-    the bracket is wider, as it can be when the best input is a product
-    state.
+    P^2 (Watrous, arXiv:1207.5726), so the one full-rank start, P =
+    I/sqrt(d), climbs to the optimum at every d. lower_bound is the dual
+    bound built on the best input's P^2. CERTIFIED_GAP is a reporting
+    target: diagnostics.converged is False when the bracket is wider, as it
+    can be when the best input is close to a product state.
     """
     require_type(prob, DiscriminationProblem, "prob")
     d = prob.op1.dim
@@ -366,10 +362,9 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
             lower_bound=0.0,
             optimal_xi=np.eye(d, dtype=complex) / np.sqrt(d),
         )
-    starts = np.zeros((2, d * d), dtype=complex)
-    starts[0, :: d + 1] = 1 / np.sqrt(d)  # |phi+> = |I>>/sqrt(d)
-    starts[1, 0] = 1.0  # |00>
-    value, x, summary = maximize(_seesaw_step(prob, ancilla=d), starts)
+    start = np.zeros((1, d * d), dtype=complex)
+    start[0, :: d + 1] = 1 / np.sqrt(d)  # |phi+> = |I>>/sqrt(d)
+    value, x, summary = maximize(_seesaw_step(prob, ancilla=d), start)
     x = x / np.linalg.norm(x)
     # polar decomposition xi^T = W P; dropping W leaves xi^T = P
     _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
@@ -472,12 +467,9 @@ def pe_random_unitary_bounds(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChanne
     """
     _check_same_family(ch1, ch2)
     r = _weight_differences(ch1, ch2, p1)
-    d = ch1.dim
-    delta = np.zeros((d * d, d * d), dtype=complex)
-    for rn, u in zip(r, ch1.unitaries):
-        v = u.reshape(-1)  # |U>>; the channel holds its unitaries validated
-        delta += rn * np.outer(v, v.conj())
-    return _error(np.sum(np.abs(r))), _error(trace_norm(delta) / d)
+    # |U_n>>, one row per n; the channel holds its unitaries validated
+    v = np.stack(ch1.unitaries).reshape(len(r), -1)
+    return _error(np.sum(np.abs(r))), _error(trace_norm((v.T * r) @ v.conj()) / ch1.dim)
 
 
 def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:

@@ -33,8 +33,8 @@ class MaximizeSummary:
 
     best_start is the start reported; converged is that start's own flag:
     an evaluation gained at most config.FTOL over its best before
-    config.MAX_STEPS step calls ran out. pe_entangled, which runs only its
-    seed starts, also sets it False when its certified bracket is wider than
+    config.MAX_STEPS step calls ran out. pe_entangled, which runs its one
+    start, also sets it False when its certified bracket is wider than
     config.CERTIFIED_GAP. n_evaluations counts input evaluations over all
     starts and steps; start_values holds each start's best value, -inf for a
     start that never reached a finite one.

@@ -168,10 +168,10 @@ def test_general_numeric_on_kraus_files(tmp_path):
     assert abs(float(doc["pe_unentangled"]) - 1 / 8) < 1e-6
     # the certified lower bound brackets the numeric value from below
     assert 0.0 <= float(doc["pe_entangled"]) - float(doc["lower_bound"]) <= 1e-6
-    # --starts sets pe_unentangled's starts; pe_entangled runs its 2 seed starts
+    # --starts sets pe_unentangled's starts; pe_entangled runs its one start, |phi+>
     assert doc["optimizer"] == {
         "starts": 8,
-        "starts_run": {"entangled": 2, "unentangled": 8},
+        "starts_run": {"entangled": 1, "unentangled": 8},
         "seed": 0,
         "converged": True,
     }
@@ -183,7 +183,7 @@ def test_general_starts_below_the_seed_count_leave_pe_entangled_alone(tmp_path):
     f2 = write_spec(tmp_path / "b.json", operation_to_spec(weyl_channel(3, [1 / 9] * 9).as_operation()))
     doc = run_json(["general", "--file1", f1, "--file2", f2, "--starts", "1"])
     assert doc["method"] == "numeric"
-    assert doc["optimizer"]["starts_run"] == {"entangled": 2, "unentangled": 1}
+    assert doc["optimizer"]["starts_run"] == {"entangled": 1, "unentangled": 1}
 
 
 def test_general_numeric_qutrit_identity_vs_depolarizing_converges(tmp_path):
@@ -196,7 +196,7 @@ def test_general_numeric_qutrit_identity_vs_depolarizing_converges(tmp_path):
     assert doc["lower_bound"] == "0.05555555556"
     assert doc["optimizer"] == {
         "starts": 32,
-        "starts_run": {"entangled": 2, "unentangled": 32},
+        "starts_run": {"entangled": 1, "unentangled": 32},
         "seed": 0,
         "converged": True,
     }

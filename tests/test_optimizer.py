@@ -275,7 +275,7 @@ def test_maximize_start_trajectories_ignore_num_starts():
     rng = np.random.default_rng(11)
     prob = DiscriminationProblem(random_kraus_operation(3, 2, rng), random_kraus_operation(3, 3, rng), 0.45)
 
-    # pe_entangled runs only its two starts, |phi+> and |00>, so drive its step directly
+    # pe_entangled runs only its one start, |phi+>, so drive its step directly from several
     seeds = np.stack([mat_to_biket(np.eye(3)) / np.sqrt(3), np.eye(1, 9, dtype=complex)[0]])
     starts = np.vstack([seeds, _unit_rows(8, 9, 3)])
     step = _seesaw_step(prob, ancilla=3)

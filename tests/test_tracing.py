@@ -51,7 +51,7 @@ def test_tracer_wraps_the_numeric_optima_and_restores_them():
     for name in ("discrimination.pe_entangled", "discrimination.pe_unentangled"):
         assert tracer.count(name, 3) == 1
     assert tracer.count("optimizer.maximize", 3) == 2
-    assert tracer.count("optimizer.decode_p", 3) == 0  # pe_entangled writes its two starts directly
+    assert tracer.count("optimizer.decode_p", 3) == 0  # pe_entangled writes its one start directly
     assert tracer.count("optimizer.decode_pure_state", 3) == 1  # one call decodes all the random draws
     assert tracer.count("optimizer.objective", 3) > 0
     assert tracer.count("discrimination.delta_operator", 3) == 1  # Delta is built once
