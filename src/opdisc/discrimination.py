@@ -483,26 +483,27 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
     q1 = check_probability_vector(q1, 4)
     q2 = check_probability_vector(q2, 4)
     p1 = check_prior(p1)
-    r = p1 * q1 - (1.0 - p1) * q2
-    product = float(r[0] * r[1] * r[2] * r[3])
+    # Python floats from here: on four numbers, numpy's per-call overhead outweighs the arithmetic
+    r0, r1, r2, r3 = (p1 * q1 - (1.0 - p1) * q2).tolist()
+    product = r0 * r1 * r2 * r3
     candidates = (
-        abs(r[0] + r[3]) + abs(r[1] + r[2]),  # sigma_z eigenstate input
-        abs(r[0] + r[1]) + abs(r[2] + r[3]),  # sigma_x eigenstate input
-        abs(r[0] + r[2]) + abs(r[1] + r[3]),  # sigma_y eigenstate input
+        abs(r0 + r3) + abs(r1 + r2),  # sigma_z eigenstate input
+        abs(r0 + r1) + abs(r2 + r3),  # sigma_x eigenstate input
+        abs(r0 + r2) + abs(r1 + r3),  # sigma_y eigenstate input
     )
     best = 0
     for i in (1, 2):
         if candidates[i] > candidates[best]:
             best = i
     return PauliDiscriminationSummary(
-        r=(float(r[0]), float(r[1]), float(r[2]), float(r[3])),
-        a=float(r[0] + r[3]),
-        b=float(r[1] + r[2]),
-        c=float(r[0] - r[3]),
-        d=float(r[1] - r[2]),
-        det_sign=int(np.sign(product)),
-        m=float(candidates[best]),
-        pe_entangled=_error(np.sum(np.abs(r))),
+        r=(r0, r1, r2, r3),
+        a=r0 + r3,
+        b=r1 + r2,
+        c=r0 - r3,
+        d=r1 - r2,
+        det_sign=(product > 0) - (product < 0),
+        m=candidates[best],
+        pe_entangled=_error(abs(r0) + abs(r1) + abs(r2) + abs(r3)),
         pe_unentangled=_error(candidates[best]),
         optimal_unentangled_axis=("z", "x", "y")[best],
         entanglement_needed=product < 0,

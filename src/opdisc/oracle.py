@@ -10,11 +10,13 @@ config, errors and linalg's input checks: never discrimination or the
 optimizer, and it calls neither the closed forms nor linalg.trace_norm, so
 agreement with them is evidence rather than tautology.
 
-Input states are made and evaluated in stacks of at most _STACK at a time:
-one batched product applies every Kraus operator to a whole stack, and one
-stacked eigvalsh takes all its trace norms. Memory stays flat in the grid
-density and the sample count, and a seed draws the same states as a
-one-state-at-a-time loop would.
+Input states are made and evaluated in stacks sized by memory: a stack holds
+as many states as _STACK_BYTES allows for their Kraus products, the products'
+conjugates and the output differences. One batched product applies every
+Kraus operator to a whole stack, and one stacked eigvalsh takes all its trace
+norms. Memory stays flat in the grid density, the sample count and the number
+of Kraus operators, and a seed draws the same states as a one-state-at-a-time
+loop would.
 """
 
 from __future__ import annotations
@@ -30,11 +32,14 @@ from .linalg import check_count, check_prior, is_hermitian, require_matrix
 
 # Dense search is honest only at tiny dimension.
 _MAX_ORACLE_DIM = 4
-# Input states made and evaluated at once. A stack of 16-dimensional entangled
-# inputs through 32 Kraus operators holds about 0.7 MB, and no product in it
-# is large enough for a threaded BLAS to split: waking its threads would cost
-# more than the product.
-_STACK = 32
+# Bytes of complex working set one stack of input states may hold: for each
+# state of dimension D, its n products K_k v, their conjugates and its D x D
+# output difference. With few Kraus operators the differences dominate: a
+# budget on the products alone would let a d = 4 unitary pair's entangled
+# stack pass 3 MB. 640 KiB holds 32 entangled states of a d = 4 Weyl pair
+# (n = 32, D = 16); no product in a stack is large enough for a threaded BLAS
+# to split, and waking its threads would cost more than the product.
+_STACK_BYTES = 640 * 1024
 
 
 def _check_povm(povm: TwoOutcomePovm) -> None:
@@ -76,10 +81,15 @@ def povm_error(rho1, rho2, p1: float, povm: TwoOutcomePovm) -> float:
     return p1 * wrong1 + (1.0 - p1) * wrong2
 
 
-def _stacks(count: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of consecutive stacks of at most _STACK out of count states."""
-    for start in range(0, count, _STACK):
-        yield start, min(start + _STACK, count)
+def _stacks(count: int, rows: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of consecutive stacks of rows out of count >= 2 states, the last of 2 to rows + 1.
+
+    No stack holds a single state: numpy multiplies a single row through a
+    matrix-vector route that rounds differently, and the oracle's value would
+    then move in its last digits with the stack size.
+    """
+    for start in range(0, count - 1, rows):
+        yield start, start + rows if start + rows < count - 1 else count
 
 
 def _output_differences(ops: np.ndarray, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -93,13 +103,20 @@ def _output_differences(ops: np.ndarray, weights: np.ndarray, v: np.ndarray) -> 
     return outputs.transpose(1, 2, 0) @ conj.transpose(1, 0, 2)
 
 
-def _min_error(p1: float, kraus1, kraus2, vectors: Iterable[np.ndarray]) -> float:
+def _stack_rows(ops: np.ndarray) -> int:
+    """States in a stack through the (n_ops, n, n) array ops: as many as _STACK_BYTES holds, at least 2."""
+    n_ops, n = ops.shape[:2]
+    return max(2, _STACK_BYTES // (16 * (2 * n_ops * n + n * n)))  # 16 bytes a complex entry
+
+
+def _min_error(prob: DiscriminationProblem, ops: np.ndarray, vectors: Iterable[np.ndarray]) -> float:
     """Smallest 1/2 (1 - ||p1 E1(v v^dag) - p2 E2(v v^dag)||_1) over stacks of unit vectors v.
 
-    Each stack is an (m, n) array; kraus1 and kraus2 act on n-vectors.
+    ops holds prob.op1's Kraus operators, then prob.op2's, as n x n matrices;
+    each stack is an (m, n) array.
     """
-    ops = np.array([*kraus1, *kraus2], dtype=complex)
-    weights = np.array([p1] * len(kraus1) + [-(1.0 - p1)] * len(kraus2))
+    n1 = len(prob.op1.kraus)
+    weights = np.array([prob.p1] * n1 + [-(1.0 - prob.p1)] * (len(ops) - n1))
     best = np.inf
     for v in vectors:
         norms = np.sum(np.abs(np.linalg.eigvalsh(_output_differences(ops, weights, v))), axis=-1)
@@ -107,39 +124,40 @@ def _min_error(p1: float, kraus1, kraus2, vectors: Iterable[np.ndarray]) -> floa
     return max(0.0, best)  # rounding can push a perfect discrimination below 0
 
 
-def _bloch_grid(grid_density: int) -> Iterator[np.ndarray]:
+def _bloch_grid(grid_density: int, rows: int) -> Iterator[np.ndarray]:
     """The (polar, azimuthal) grid in row order, with each pole once: at phi = 0."""
     thetas = np.linspace(0.0, np.pi, grid_density)
     phis = np.linspace(0.0, 2.0 * np.pi, grid_density, endpoint=False)
-    for start, stop in _stacks((grid_density - 2) * grid_density + 2):
+    for start, stop in _stacks((grid_density - 2) * grid_density + 2, rows):
         i = np.arange(start, stop)
         i = np.where(i > 0, i + grid_density - 1, 0)  # index into the full grid, past the first pole's azimuths
         theta, phi = thetas[i // grid_density], phis[i % grid_density]
         yield np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
 
 
-def _random_pure_states(d: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    for start, stop in _stacks(count):
+def _random_pure_states(d: int, count: int, rng: np.random.Generator, rows: int) -> Iterator[np.ndarray]:
+    for start, stop in _stacks(count, rows):
         x = rng.standard_normal((stop - start, 2, d))  # real then imaginary parts, per state
         v = x[:, 0] + 1j * x[:, 1]
         yield v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _entangled_states(d: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+def _entangled_states(d: int, count: int, rng: np.random.Generator, rows: int) -> Iterator[np.ndarray]:
     """|phi+> = vec(I)/sqrt(d), then |xi>> with xi^T = P for `count` random positive P with Tr[P^2] = 1."""
-    yield np.eye(d).reshape(1, d * d) / np.sqrt(d)
     # Every maximally entangled input (U x I)|phi+> has P = I/sqrt(d), so |phi+>
     # stands for all of them. A seed's positive directions follow `count` Haar
     # unitaries' worth of draws, taken a stack at a time and discarded: each
     # seed keeps the values it printed, and memory stays flat in `count`.
-    for start, stop in _stacks(count):
-        rng.standard_normal((stop - start, 2, d, d))
-    for start, stop in _stacks(count):
-        x = rng.standard_normal((stop - start, 2, d, d))
+    for start in range(0, count, rows):
+        rng.standard_normal((min(rows, count - start), 2, d, d))
+    for start, stop in _stacks(count + 1, rows):  # row 0 is |phi+>
+        m = stop - max(start, 1)
+        x = rng.standard_normal((m, 2, d, d))
         g = x[:, 0] + 1j * x[:, 1]
         gram = g @ g.conj().transpose(0, 2, 1)
         p = gram / np.linalg.norm(gram, axis=(-2, -1), keepdims=True)
-        yield p.transpose(0, 2, 1).reshape(stop - start, d * d)
+        v = p.transpose(0, 2, 1).reshape(m, d * d)
+        yield v if start else np.concatenate([np.eye(d).reshape(1, d * d) / np.sqrt(d), v])
 
 
 def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed: int = 0) -> float:
@@ -156,11 +174,12 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
     seed = check_count(seed, "seed", 0)
     if d > _MAX_ORACLE_DIM:
         raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
+    ops = np.array([*prob.op1.kraus, *prob.op2.kraus], dtype=complex)
     if d == 2:
-        states = _bloch_grid(grid_density)
+        states = _bloch_grid(grid_density, _stack_rows(ops))
     else:
-        states = _random_pure_states(d, grid_density**3, np.random.default_rng(seed))
-    return _min_error(prob.p1, prob.op1.kraus, prob.op2.kraus, states)
+        states = _random_pure_states(d, grid_density**3, np.random.default_rng(seed), _stack_rows(ops))
+    return _min_error(prob, ops, states)
 
 
 def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int = 0) -> float:
@@ -177,10 +196,5 @@ def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int =
     seed = check_count(seed, "seed", 0)
     if d > _MAX_ORACLE_DIM:
         raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
-    eye = np.eye(d)
-    return _min_error(
-        prob.p1,
-        [np.kron(k, eye) for k in prob.op1.kraus],
-        [np.kron(k, eye) for k in prob.op2.kraus],
-        _entangled_states(d, samples, np.random.default_rng(seed)),
-    )
+    ops = np.kron(np.array([*prob.op1.kraus, *prob.op2.kraus], dtype=complex), np.eye(d)[None])  # every K x I
+    return _min_error(prob, ops, _entangled_states(d, samples, np.random.default_rng(seed), _stack_rows(ops)))

@@ -32,7 +32,6 @@ from opdisc import (
 
 from opdisc import discrimination
 from opdisc import oracle as oracle_module
-from opdisc.oracle import _STACK
 
 from helpers import random_kraus_operation, random_prob_vector, random_two_outcome_povm
 
@@ -224,51 +223,98 @@ def _per_state_entangled(prob, samples, seed):
     return min(_per_state_error(prob, kraus1, kraus2, v) for v in states)
 
 
-@pytest.mark.parametrize("seed", [0, 9])
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_stacked_oracles_match_a_per_state_loop(d, seed):
-    rng = np.random.default_rng(100 * d + seed)
-    prob = DiscriminationProblem(
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """The number of states in each stack the oracles evaluate, in order."""
+    sizes = []
+    evaluate = oracle_module._output_differences
+
+    def counting(ops, weights, v):
+        sizes.append(v.shape[0])
+        return evaluate(ops, weights, v)
+
+    monkeypatch.setattr(oracle_module, "_output_differences", counting)
+    return sizes
+
+
+def _spans_three_stacks_the_last_partial(sizes):
+    return len(sizes) >= 3 and len(set(sizes[:-1])) == 1 and sizes[-1] < sizes[0]
+
+
+def _random_problem(d, rng):
+    return DiscriminationProblem(
         random_kraus_operation(d, int(rng.integers(1, d * d + 1)), rng),
         random_kraus_operation(d, int(rng.integers(1, d * d + 1)), rng),
         float(rng.uniform(0.1, 0.9)),
     )
-    # every count spans at least three stacks, the last one partial
-    grid = 24 if d == 2 else 9
-    samples = 2 * _STACK + 3
-    assert min(grid**2 if d == 2 else grid**3, samples) > 2 * _STACK
+
+
+def _weyl_problem(d, rng, p1=0.4):
+    return DiscriminationProblem(
+        weyl_channel(d, random_prob_vector(d * d, rng)).as_operation(),
+        weyl_channel(d, random_prob_vector(d * d, rng)).as_operation(),
+        p1,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_oracles_match_a_per_state_loop(d, seed, monkeypatch, stack_sizes):
+    prob = _random_problem(d, np.random.default_rng(100 * d + seed))
+    # a budget that splits every count below into at least three stacks, the last one partial
+    monkeypatch.setattr(oracle_module, "_STACK_BYTES", 48 * 1024)
+    grid = 40 if d == 2 else 9
     unent = brute_force_unentangled(prob, grid, seed=seed)
+    assert _spans_three_stacks_the_last_partial(stack_sizes)
     assert abs(unent - _per_state_unentangled(prob, grid, seed)) < 1e-12
-    ent = brute_force_entangled(prob, samples, seed=seed)
-    assert abs(ent - _per_state_entangled(prob, samples, seed)) < 1e-12
+    stack_sizes.clear()
+    ent = brute_force_entangled(prob, 160, seed=seed)
+    assert _spans_three_stacks_the_last_partial(stack_sizes)
+    assert abs(ent - _per_state_entangled(prob, 160, seed)) < 1e-12
+    # one sample: |phi+> and that sample make the only stack, after one Haar draw's worth is stepped past
+    assert abs(brute_force_entangled(prob, 1, seed=seed) - _per_state_entangled(prob, 1, seed)) < 1e-12
 
 
-def test_oracles_evaluate_no_state_twice(monkeypatch):
+def test_oracles_evaluate_no_state_twice(monkeypatch, stack_sizes):
     """|phi+> once for every maximally entangled input, each Bloch pole once."""
-    rows = []
-    evaluate = oracle_module._output_differences
-
-    def counting(ops, weights, v):
-        rows.append(v.shape[0])
-        return evaluate(ops, weights, v)
-
-    monkeypatch.setattr(oracle_module, "_output_differences", counting)
-    samples, grid = 2 * _STACK + 3, 24
+    monkeypatch.setattr(oracle_module, "_STACK_BYTES", 8 * 1024)
+    samples, grid = 67, 24
     brute_force_entangled(_identity_vs_depolarizing(), samples)
-    assert sum(rows) == samples + 1
-    rows.clear()
+    assert _spans_three_stacks_the_last_partial(stack_sizes)
+    assert sum(stack_sizes) == samples + 1
+    stack_sizes.clear()
     brute_force_unentangled(_identity_vs_depolarizing(), grid)
-    assert sum(rows) == (grid - 2) * grid + 2
+    assert _spans_three_stacks_the_last_partial(stack_sizes)
+    assert sum(stack_sizes) == (grid - 2) * grid + 2
+
+
+@pytest.mark.parametrize("d, grid", [(2, 13), (3, 5), (4, 4)])
+@pytest.mark.parametrize("problem", ["random", "weyl"])  # a Weyl pair has 2 d^2 Kraus operators
+def test_oracle_values_do_not_depend_on_the_stack_size(d, grid, problem, monkeypatch, stack_sizes):
+    """The smallest budget gives two-state stacks; each oracle returns the same float as at the default."""
+    rng = np.random.default_rng(200 + d)
+    prob = _random_problem(d, rng) if problem == "random" else _weyl_problem(d, rng)
+    samples = 10 * grid
+    default = (brute_force_unentangled(prob, grid, seed=3), brute_force_entangled(prob, samples, seed=3))
+    monkeypatch.setattr(oracle_module, "_STACK_BYTES", 1)
+    stack_sizes.clear()
+    smallest = (brute_force_unentangled(prob, grid, seed=3), brute_force_entangled(prob, samples, seed=3))
+    assert set(stack_sizes) <= {2, 3}
+    assert smallest == default
+
+
+@pytest.mark.parametrize("d, kind, count, most", [(2, "unentangled", 25, 1), (4, "entangled", 60, 2)])
+def test_structured_sized_oracle_calls_take_few_stacks(d, kind, count, most, stack_sizes):
+    """A count of calls, not a time: noise cannot move it. 32-state stacks took 19 and 3."""
+    prob = _weyl_problem(d, np.random.default_rng(44))
+    oracle = brute_force_unentangled if kind == "unentangled" else brute_force_entangled
+    oracle(prob, count, seed=1)
+    assert len(stack_sizes) <= most
 
 
 def test_entangled_memory_is_flat_in_the_sample_count():
     """20,000 qutrit samples; stepping past their Haar draws in a single piece peaked at 3.4 MB."""
-    rng = np.random.default_rng(42)
-    prob = DiscriminationProblem(
-        weyl_channel(3, random_prob_vector(9, rng)).as_operation(),
-        weyl_channel(3, random_prob_vector(9, rng)).as_operation(),
-        0.4,
-    )
+    prob = _weyl_problem(3, np.random.default_rng(42))
     brute_force_entangled(prob, 1)  # first-call allocations are not the oracle's working set
     tracemalloc.start()
     try:
@@ -281,12 +327,7 @@ def test_entangled_memory_is_flat_in_the_sample_count():
 
 def test_unentangled_memory_is_flat_in_the_state_count():
     """64,000 qutrit states evaluated in stacks; holding them all at once took over 10 MB."""
-    rng = np.random.default_rng(41)
-    prob = DiscriminationProblem(
-        weyl_channel(3, random_prob_vector(9, rng)).as_operation(),
-        weyl_channel(3, random_prob_vector(9, rng)).as_operation(),
-        0.4,
-    )
+    prob = _weyl_problem(3, np.random.default_rng(41))
     brute_force_unentangled(prob, 2)  # first-call allocations are not the oracle's working set
     tracemalloc.start()
     try:
@@ -295,6 +336,28 @@ def test_unentangled_memory_is_flat_in_the_state_count():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("problem", ["weyl", "unitary"])
+def test_ququart_entangled_memory_stays_under_a_32_state_weyl_stack(problem):
+    """2,000 samples at d = 4, for a Weyl pair (32 K x I) and a unitary pair (2).
+
+    32-state stacks peaked at 0.98 MB on the Weyl pair. A budget on the K v
+    products alone let the unitary pair's D x D differences take 3.4 MB.
+    """
+    if problem == "weyl":
+        prob = _weyl_problem(4, np.random.default_rng(43))
+    else:
+        u, _ = np.linalg.qr(np.random.default_rng(43).standard_normal((4, 4)) + 0j)
+        prob = DiscriminationProblem(make_operation([np.eye(4)]), make_operation([u]), 0.4)
+    brute_force_entangled(prob, 1)  # first-call allocations are not the oracle's working set
+    tracemalloc.start()
+    try:
+        brute_force_entangled(prob, 2_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_200_000
 
 
 # --- the import rule ---
