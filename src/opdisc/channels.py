@@ -43,10 +43,13 @@ def check_probability_vector(q, length: int | None = None) -> np.ndarray:
         raise InvalidProbabilityVector(f"expected a flat list of weights, got shape {q.shape}")
     if length is not None and q.size != length:
         raise InvalidProbabilityVector(f"expected {length} entries, got {q.size}")
-    if not np.min(q, initial=np.inf) >= -PROBABILITY_TOL:  # an empty q fails the sum below
-        raise InvalidProbabilityVector(f"negative entry {float(np.min(q)):.3e}")
-    if not abs(float(np.sum(q)) - 1.0) <= PROBABILITY_TOL:
-        raise InvalidProbabilityVector(f"entries sum to {float(np.sum(q))!r}, not 1")
+    # Python floats from here: one reduction each, without numpy's wrapper overhead
+    least = float(q.min(initial=np.inf))  # an empty q fails the sum below
+    if not least >= -PROBABILITY_TOL:
+        raise InvalidProbabilityVector(f"negative entry {least:.3e}")
+    total = float(q.sum())
+    if not abs(total - 1.0) <= PROBABILITY_TOL:
+        raise InvalidProbabilityVector(f"entries sum to {total!r}, not 1")
     return q
 
 

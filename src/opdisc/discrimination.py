@@ -483,8 +483,10 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
     q1 = check_probability_vector(q1, 4)
     q2 = check_probability_vector(q2, 4)
     p1 = check_prior(p1)
-    # Python floats from here: on four numbers, numpy's per-call overhead outweighs the arithmetic
-    r0, r1, r2, r3 = (p1 * q1 - (1.0 - p1) * q2).tolist()
+    # Python floats from here: on four numbers, numpy's per-call overhead outweighs the arithmetic.
+    # p1 a - p2 b entry by entry is the same IEEE arithmetic as the array expression p1 q1 - p2 q2.
+    p2 = 1.0 - p1
+    r0, r1, r2, r3 = (p1 * a - p2 * b for a, b in zip(q1.tolist(), q2.tolist()))
     product = r0 * r1 * r2 * r3
     candidates = (
         abs(r0 + r3) + abs(r1 + r2),  # sigma_z eigenstate input

@@ -169,16 +169,26 @@ def decode_p(theta, d: int) -> np.ndarray:
     return gram / norm
 
 
+# Below this a row's squared norm is no normal float, and its digits are lost or all gone.
+_SMALLEST_NORM = float(np.sqrt(np.finfo(float).tiny))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of one row dots the strided real and imaginary views; norm(axis=-1) rounds differently
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
 def decode_pure_state(theta, d: int) -> np.ndarray:
     """Map 2d reals (real parts, then imaginary parts) to a normalized state vector.
 
     theta is one row of 2d finite reals, giving one state, or a 2-D stack of
     such rows, giving one state per row; each row decodes bit for bit as it
     would alone. The global phase is fixed by making the first nonzero
-    amplitude real and nonnegative. An all-zero row falls back to the first
-    basis state. Raises NonFinite for an entry that is no finite real or a
-    row whose norm overflows a float, and DimensionMismatch for any other
-    shape.
+    amplitude real and nonnegative. A nonzero row whose squared norm
+    underflows is divided by its largest entry before it is normalized; an
+    all-zero row falls back to the first basis state. Raises NonFinite for an
+    entry that is no finite real or a row whose norm overflows a float, and
+    DimensionMismatch for any other shape.
     """
     theta = require_finite(theta, "theta", float)
     d = int(d)
@@ -186,12 +196,17 @@ def decode_pure_state(theta, d: int) -> np.ndarray:
         raise DimensionMismatch(f"theta of shape {theta.shape}, expected rows of length {2 * d}")
     rows = theta.reshape(-1, 2 * d)
     v = rows[:, :d] + 1j * rows[:, d:]
-    # np.linalg.norm of one row dots the strided real and imaginary views; norm(axis=-1) rounds differently
     with np.errstate(over="ignore"):  # a norm that overflows is refused below
-        norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+        norm = _row_norms(v)
     if not np.isfinite(norm).all():
         row = f"[{np.argmin(np.isfinite(norm))}]" if theta.ndim == 2 else ""
         raise NonFinite(f"theta{row}: the norm overflows a float")
+    # a nonzero row such as [0, 1e-200, 0, 0] has a squared norm of 0 and would fall back to |0>
+    small = (norm < _SMALLEST_NORM) & np.any(rows != 0.0, axis=1)
+    if small.any():
+        scaled = rows[small] / np.max(np.abs(rows[small]), axis=1, keepdims=True)
+        v[small] = scaled[:, :d] + 1j * scaled[:, d:]
+        norm[small] = _row_norms(v[small])
     zero = norm == 0.0
     v = v / np.where(zero, 1.0, norm)[:, None]
     lead = v[np.arange(len(v)), np.argmax(v != 0, axis=1)]

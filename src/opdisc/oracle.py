@@ -13,10 +13,12 @@ agreement with them is evidence rather than tautology.
 Input states are made and evaluated in stacks sized by memory: a stack holds
 as many states as _STACK_BYTES allows for their Kraus products, the products'
 conjugates and the output differences. One batched product applies every
-Kraus operator to a whole stack, and one stacked eigvalsh takes all its trace
-norms. Memory stays flat in the grid density, the sample count and the number
-of Kraus operators, and a seed draws the same states as a one-state-at-a-time
-loop would.
+Kraus operator to a whole stack. A qubit output difference has the eigenvalues
+m +- r of its three independent entries, summed directly over the products, so
+the qubit route forms no difference matrix; every other stack's trace norms
+come from one stacked eigvalsh. Memory stays flat in the grid density, the
+sample count and the number of Kraus operators, and a seed draws the same
+states as a one-state-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .linalg import check_count, check_prior, is_hermitian, require_matrix
 _MAX_ORACLE_DIM = 4
 # Bytes of complex working set one stack of input states may hold: for each
 # state of dimension D, its n products K_k v, their conjugates and its D x D
-# output difference. With few Kraus operators the differences dominate: a
+# output difference (the qubit route holds no differences, and stays well
+# inside the budget). With few Kraus operators the differences dominate: a
 # budget on the products alone would let a d = 4 unitary pair's entangled
 # stack pass 3 MB. 640 KiB holds 32 entangled states of a d = 4 Weyl pair
 # (n = 32, D = 16); no product in a stack is large enough for a threaded BLAS
@@ -103,6 +106,26 @@ def _output_differences(ops: np.ndarray, weights: np.ndarray, v: np.ndarray) -> 
     return outputs.transpose(1, 2, 0) @ conj.transpose(1, 0, 2)
 
 
+def _trace_norms(ops: np.ndarray, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||delta_m||_1 for every row v_m of the stack v, from delta_m's eigenvalues.
+
+    A qubit output difference [[a, b], [b*, c]] has the eigenvalues m +- r, with
+    m = (a + c)/2 and r = hypot((a - c)/2, |b|), so its trace norm is
+    2 max(|m|, r); a, b and c are summed over the products K_k v_m directly. Any
+    other output dimension goes through the stacked differences and eigvalsh.
+    """
+    if ops.shape[1] != 2:
+        return np.sum(np.abs(np.linalg.eigvalsh(_output_differences(ops, weights, v))), axis=-1)
+    outputs = v @ ops.transpose(0, 2, 1)  # outputs[k, m] = K_k v_m
+    first, second = outputs[..., 0], outputs[..., 1]
+    w = weights[:, None]
+    # each sum runs over k in order, one state at a time, so no entry depends on the stack size
+    a = np.sum(w * (first.real**2 + first.imag**2), axis=0)
+    c = np.sum(w * (second.real**2 + second.imag**2), axis=0)
+    b = np.sum(w * first * second.conj(), axis=0)
+    return np.maximum(np.abs(a + c), np.hypot(a - c, 2.0 * np.abs(b)))  # 2 |m| and 2 r
+
+
 def _stack_rows(ops: np.ndarray) -> int:
     """States in a stack through the (n_ops, n, n) array ops: as many as _STACK_BYTES holds, at least 2."""
     n_ops, n = ops.shape[:2]
@@ -119,8 +142,7 @@ def _min_error(prob: DiscriminationProblem, ops: np.ndarray, vectors: Iterable[n
     weights = np.array([prob.p1] * n1 + [-(1.0 - prob.p1)] * (len(ops) - n1))
     best = np.inf
     for v in vectors:
-        norms = np.sum(np.abs(np.linalg.eigvalsh(_output_differences(ops, weights, v))), axis=-1)
-        best = min(best, 0.5 * (1.0 - float(np.max(norms))))
+        best = min(best, 0.5 * (1.0 - float(np.max(_trace_norms(ops, weights, v)))))
     return max(0.0, best)  # rounding can push a perfect discrimination below 0
 
 

@@ -769,6 +769,52 @@ def test_pauli_closed_forms_match_numeric():
         assert abs(pe_unentangled(prob, num_starts=FAST).pe_unentangled - s.pe_unentangled) < 1e-6
 
 
+def _former_pauli_summary(r):
+    """pauli_delta_summary as it was, from r = p1 q1 - p2 q2 taken as an array expression."""
+    r0, r1, r2, r3 = r
+    product = r0 * r1 * r2 * r3
+    candidates = (abs(r0 + r3) + abs(r1 + r2), abs(r0 + r1) + abs(r2 + r3), abs(r0 + r2) + abs(r1 + r3))
+    best = 0
+    for i in (1, 2):
+        if candidates[i] > candidates[best]:
+            best = i
+    return discrimination.PauliDiscriminationSummary(
+        r=(r0, r1, r2, r3),
+        a=r0 + r3,
+        b=r1 + r2,
+        c=r0 - r3,
+        d=r1 - r2,
+        det_sign=(product > 0) - (product < 0),
+        m=candidates[best],
+        pe_entangled=max(0.0, 0.5 * (1.0 - (abs(r0) + abs(r1) + abs(r2) + abs(r3)))),
+        pe_unentangled=max(0.0, 0.5 * (1.0 - candidates[best])),
+        optimal_unentangled_axis=("z", "x", "y")[best],
+        entanglement_needed=product < 0,
+    )
+
+
+def _pauli_weights(rng, n):
+    """n weight vectors, each random, tied, one-hot or uniform."""
+    one_hot = np.eye(4)[rng.integers(4, size=n)]
+    tied = rng.integers(0, 3, size=(n, 4)) + one_hot
+    kinds = np.stack(
+        [rng.dirichlet(np.ones(4), size=n), tied / tied.sum(axis=1, keepdims=True), one_hot, np.full((n, 4), 0.25)]
+    )
+    return kinds[rng.integers(4, size=n), np.arange(n)]
+
+
+def test_pauli_summary_on_python_floats_matches_the_former_numpy_route():
+    """20,000 inputs: random, tied, one-hot and uniform weights, p1 in {0, 0.5, 1, random}."""
+    rng = np.random.default_rng(70)
+    n = 20_000
+    q1, q2 = _pauli_weights(rng, n), _pauli_weights(rng, n)
+    p1 = np.where(rng.integers(4, size=n) < 3, rng.choice([0.0, 0.5, 1.0], size=n), rng.uniform(size=n))
+    # the former p1 * q1 - (1.0 - p1) * q2, one row at a time: elementwise, the same IEEE operations
+    r = (p1[:, None] * q1 - (1.0 - p1)[:, None] * q2).tolist()
+    for a, b, p, former in zip(q1, q2, p1.tolist(), r):
+        assert repr(pauli_delta_summary(a, b, p)) == repr(_former_pauli_summary(former))
+
+
 def test_pauli_summary_rejects_bad_inputs():
     with pytest.raises(InvalidProbabilityVector):
         pauli_delta_summary([0.5, 0.5, 0.5, -0.5], Q_ID, 0.5)

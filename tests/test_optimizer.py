@@ -79,6 +79,16 @@ def test_decode_pure_state_zero_theta():
     np.testing.assert_allclose(decode_pure_state(np.zeros(4), 2), [1.0, 0.0], atol=0)
 
 
+def test_decode_pure_state_scales_up_a_row_whose_squared_norm_underflows():
+    """[0, 1e-200, 0, 0] decoded to |0>: its squared norm is 0, and the all-zero fallback took over."""
+    np.testing.assert_array_equal(decode_pure_state([0, 1e-200, 0, 0], 2), [0, 1])
+    np.testing.assert_allclose(decode_pure_state([1e-200, 0, 0, 1e-200], 2), [1 / np.sqrt(2), 1j / np.sqrt(2)])
+    ordinary = [0.3, -0.2, 0.5, 0.1]
+    stacked = decode_pure_state([ordinary, [0, 0, 0, -5e-324], [0, 0, 0, 0]], 2)
+    assert stacked[0].tobytes() == decode_pure_state(ordinary, 2).tobytes()
+    np.testing.assert_array_equal(stacked[1:], [[0, 1], [1, 0]])
+
+
 def test_decode_pure_state_rejects_wrong_length():
     with pytest.raises(DimensionMismatch):
         decode_pure_state(np.zeros(3), 2)

@@ -33,7 +33,7 @@ from opdisc import (
 from opdisc import discrimination
 from opdisc import oracle as oracle_module
 
-from helpers import random_kraus_operation, random_prob_vector, random_two_outcome_povm
+from helpers import random_kraus_operation, random_prob_vector, random_qubit_problem, random_two_outcome_povm
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -44,6 +44,10 @@ HELSTROM_PLUS = 0.14644660940672624
 
 def _identity_vs_depolarizing(p1=0.5):
     return DiscriminationProblem(pauli_channel([1, 0, 0, 0]), pauli_channel([0.25] * 4), p1)
+
+
+def _perfect_family_problem():
+    return DiscriminationProblem(pauli_channel([0, 1 / 3, 1 / 3, 1 / 3]), pauli_channel([1, 0, 0, 0]), 0.5)
 
 
 def _identical_problem(p1):
@@ -112,10 +116,7 @@ def test_grid_identity_vs_depolarizing():
 
 
 def test_grid_perfect_discrimination_family():
-    prob = DiscriminationProblem(
-        pauli_channel([0, 1 / 3, 1 / 3, 1 / 3]), pauli_channel([1, 0, 0, 0]), 0.5
-    )
-    assert abs(brute_force_unentangled(prob, 200) - 1 / 6) < 2e-3
+    assert abs(brute_force_unentangled(_perfect_family_problem(), 200) - 1 / 6) < 2e-3
 
 
 def test_sampled_qutrit_never_undercuts_library():
@@ -227,13 +228,13 @@ def _per_state_entangled(prob, samples, seed):
 def stack_sizes(monkeypatch):
     """The number of states in each stack the oracles evaluate, in order."""
     sizes = []
-    evaluate = oracle_module._output_differences
+    evaluate = oracle_module._trace_norms
 
     def counting(ops, weights, v):
         sizes.append(v.shape[0])
         return evaluate(ops, weights, v)
 
-    monkeypatch.setattr(oracle_module, "_output_differences", counting)
+    monkeypatch.setattr(oracle_module, "_trace_norms", counting)
     return sizes
 
 
@@ -310,6 +311,92 @@ def test_structured_sized_oracle_calls_take_few_stacks(d, kind, count, most, sta
     oracle = brute_force_unentangled if kind == "unentangled" else brute_force_entangled
     oracle(prob, count, seed=1)
     assert len(stack_sizes) <= most
+
+
+# --- qubit output differences in closed form ---
+
+def _eigvalsh_norms(ops, weights, v):
+    """Trace norms through the stacked differences and eigvalsh: the route of every output dimension but 2."""
+    return np.sum(np.abs(np.linalg.eigvalsh(oracle_module._output_differences(ops, weights, v))), axis=-1)
+
+
+def _stack_with_difference(delta):
+    """(ops, weights, v) whose two input rows |0>, |1> both have the output difference delta.
+
+    One Kraus operator per eigenvalue lam of delta, sqrt|lam| u (1, 1) for its
+    eigenvector u, weighted by the sign of lam.
+    """
+    lams, us = np.linalg.eigh(delta)
+    ops = np.array([np.sqrt(abs(lam)) * np.outer(u, [1.0, 1.0]) for lam, u in zip(lams, us.T)])
+    return ops, np.where(lams < 0, -1.0, 1.0), np.eye(2, dtype=complex)
+
+
+def _random_hermitian(rng):
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return g + g.conj().T
+
+
+_RNG = np.random.default_rng(60)
+_PSI = _RNG.standard_normal(2) + 1j * _RNG.standard_normal(2)
+_HARD_QUBIT_DIFFERENCES = {
+    "proportional-to-identity": 0.3 * np.eye(2),
+    "rank-one": 0.7 * np.outer(_PSI, _PSI.conj()) / np.vdot(_PSI, _PSI).real,
+    "zero": np.zeros((2, 2)),
+    "negative-definite": -(np.eye(2) + 0.2 * _random_hermitian(_RNG)),
+    "b-dominates-a-minus-c": np.array([[1e-12, 0.3 + 0.4j], [0.3 - 0.4j, 0.0]]),
+    "entries-near-1e-300": 1e-300 * _random_hermitian(_RNG),
+    "entries-near-1e150": 1e150 * _random_hermitian(_RNG),
+}
+
+
+@pytest.mark.parametrize("delta", _HARD_QUBIT_DIFFERENCES.values(), ids=_HARD_QUBIT_DIFFERENCES.keys())
+def test_qubit_trace_norms_in_closed_form_match_eigvalsh(delta):
+    ops, weights, v = _stack_with_difference(delta)
+    closed = oracle_module._trace_norms(ops, weights, v)
+    eig = _eigvalsh_norms(ops, weights, v)
+    assert np.all(np.abs(closed - eig) <= 4 * np.spacing(eig)), (closed, eig)
+    assert np.allclose(closed, np.sum(np.abs(np.linalg.eigvalsh(delta))), rtol=1e-14, atol=0)
+
+
+def test_the_qubit_grid_calls_no_eigvalsh_and_every_other_stack_one(monkeypatch, stack_sizes):
+    """A count, not a time. Every d = 2 grid stack took one eigvalsh before its norms had a closed form."""
+    rng = np.random.default_rng(61)
+    qubit, qutrit = _weyl_problem(2, rng), _weyl_problem(3, rng)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(oracle_module, "_STACK_BYTES", 8 * 1024)
+    brute_force_unentangled(qubit, 25)
+    assert len(stack_sizes) >= 3 and calls == []
+    for oracle, prob, count in (
+        (brute_force_unentangled, qutrit, 6),
+        (brute_force_entangled, qubit, 60),
+        (brute_force_entangled, qutrit, 60),
+    ):
+        stack_sizes.clear()
+        calls.clear()
+        oracle(prob, count)
+        assert len(stack_sizes) >= 3 and len(calls) == len(stack_sizes)
+
+
+@pytest.mark.parametrize(
+    "problems, grid",
+    [
+        ([_identity_vs_depolarizing(), _perfect_family_problem()], 200),  # acceptance criterion 9
+        ([random_qubit_problem(np.random.default_rng(62 + i)) for i in range(20)], 60),
+    ],
+    ids=["criterion-9", "random"],
+)
+def test_qubit_grid_in_closed_form_gives_the_eigvalsh_value(problems, grid, monkeypatch):
+    closed = [brute_force_unentangled(prob, grid) for prob in problems]
+    monkeypatch.setattr(oracle_module, "_trace_norms", _eigvalsh_norms)
+    for prob, value in zip(problems, closed):
+        assert abs(value - brute_force_unentangled(prob, grid)) <= 1e-14
 
 
 def test_entangled_memory_is_flat_in_the_sample_count():
