@@ -1,4 +1,4 @@
-"""Cross-checking the optimizer against a deliberately naive oracle.
+"""Cross-checking the optimizer against a brute-force oracle.
 
 The brute-force routines know nothing about closed forms or clever
 parametrizations: one walks a dense grid of product inputs, the other samples

@@ -197,14 +197,11 @@ def weyl_unitaries(d: int) -> tuple[np.ndarray, ...]:
         raise UnsupportedDimension(f"dimension must be at least 2, got {d}")
     d = check_count(d, "d", 2)
     omega = np.exp(2j * np.pi / d)
-    family = []
-    for a in range(d):
-        for b in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            for k in range(d):
-                u[(k + a) % d, k] = omega ** (k * b)
-            family.append(u)
-    return tuple(family)
+    k = np.arange(d)
+    a, b = k[:, None, None], k[:, None]  # family[a, b] is U[a*d + b]
+    family = np.zeros((d, d, d, d), dtype=complex)
+    family[a, b, (k + a) % d, k] = omega ** (k * b)
+    return tuple(family.reshape(d * d, d, d))
 
 
 def weyl_channel(d: int, q) -> RandomUnitaryChannel:

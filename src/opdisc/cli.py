@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=200,
         help="unentangled search: a grid x grid Bloch-sphere grid at d = 2, each pole once "
         "((grid - 2) * grid + 2 states), grid^3 random pure states at d >= 3 "
-        "(8,000,000 at the default: 26-32 s on a qutrit pair, busy 2-vCPU VM)",
+        "(8,000,000 at the default)",
     )
     oracle.add_argument(
         "--samples",

@@ -194,13 +194,6 @@ def _unentangled_starts(d: int, num_starts: int, seed: int) -> np.ndarray:
     return np.vstack([seeds, decode_pure_state(np.reshape(thetas, (-1, 2 * d)), d)])
 
 
-def _weighted_kraus(prob: DiscriminationProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Both Kraus lists stacked, and their weights p1 or -p2: the output difference is sum_k w_k K_k rho K_k^dag."""
-    kraus = np.stack(prob.op1.kraus + prob.op2.kraus)
-    weights = np.array([prob.p1] * len(prob.op1.kraus) + [-prob.p2] * len(prob.op2.kraus))
-    return kraus, weights
-
-
 def _sphere_argmax(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The unit n maximizing n.A n + 2 g.n, for a positive semidefinite 3 x 3 A.
 
@@ -233,26 +226,23 @@ def _sphere_argmax(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _qubit_unentangled(prob: DiscriminationProblem) -> tuple[float, np.ndarray]:
     """The exact optimum of ||p1 E1(psi) - p2 E2(psi)||_1 over qubit pure states, and its psi.
 
-    With R[i, j] = 1/2 Tr[sigma_i (p1 E1 - p2 E2)(sigma_j)] over {I, x, y, z},
-    the input with Bloch vector n has output difference
-    ((p1 - p2) I + (b + B n).sigma) / 2, b = R[1:, 0], B = R[1:, 1:], whose
-    trace norm is max(|p1 - p2|, |b + B n|): _sphere_argmax maximizes
-    |b + B n|^2 over the unit sphere. The channels are trace-preserving only
-    to INPUT_TOL, so the value is the trace norm of the actual output
-    difference at the returned psi.
+    Everything is read from Delta: R[i, j] = 1/2 Tr[Delta (sigma_i x sigma_j^T)]
+    = 1/2 Tr[sigma_i (p1 E1 - p2 E2)(sigma_j)] over {I, x, y, z}. The input
+    with Bloch vector n has output difference
+    ((R00 + R0.n) I + (b + B n).sigma) / 2, R0 = R[0, 1:], b = R[1:, 0],
+    B = R[1:, 1:], whose trace norm is max(|R00 + R0.n|, |b + B n|) for any
+    Hermiticity-preserving pair: also for channels trace-preserving only to
+    within INPUT_TOL, where R00 + R0.n is not exactly p1 - p2. That first term
+    is |p1 - p2| up to INPUT_TOL, and _sphere_argmax maximizes |b + B n|^2
+    over the unit sphere.
     """
-    kraus, weights = _weighted_kraus(prob)
     paulis = np.stack(PAULI_MATRICES)
-    images = np.einsum("k,kab,jbc,kdc->jad", weights, kraus, paulis, kraus.conj())
-    r = 0.5 * np.einsum("iab,jba->ij", paulis, images).real
+    r = 0.5 * np.einsum("iNn,nmNM,jmM->ij", paulis, delta_operator(prob).reshape(2, 2, 2, 2), paulis).real
     b, big_b = r[1:, 0], r[1:, 1:]
     n = _sphere_argmax(big_b.T @ big_b, big_b.T @ b)
     # the pure state with Bloch vector n, from whichever pole formula is well conditioned
     psi = np.array([1 + n[2], n[0] + 1j * n[1]]) if n[2] >= 0 else np.array([n[0] - 1j * n[1], 1 - n[2]])
-    psi = psi / np.linalg.norm(psi)
-    y = kraus @ psi  # K_k psi, one row per k
-    out = (y.T * weights) @ y.conj()
-    return float(np.sum(np.abs(np.linalg.eigvalsh(out)))), psi
+    return max(abs(r[0, 0] + r[0, 1:] @ n), float(np.linalg.norm(b + big_b @ n))), psi / np.linalg.norm(psi)
 
 
 def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
@@ -274,7 +264,8 @@ def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
     extrapolation needs. Every product and eigensolver call works row by row,
     so a row's result does not depend on the stack it comes in.
     """
-    kraus, weights = _weighted_kraus(prob)
+    kraus = np.stack(prob.op1.kraus + prob.op2.kraus)
+    weights = np.array([prob.p1] * len(prob.op1.kraus) + [-prob.p2] * len(prob.op2.kraus))
     n, d, _ = kraus.shape
     e = int(ancilla)
     # X -> sum_k w_k K_k^dag X K_k acting on row-major vec(X) from the right

@@ -1,14 +1,14 @@
 """Brute-force verification oracles.
 
-Deliberately naive: every grid point and every sample is evaluated, channels
-are applied by direct Kraus sums (through explicit K x I on bipartite
-inputs), and each error comes from the eigenvalues of the output difference.
-Only repeats are skipped: each Bloch pole is one state, and |phi+> has the
-error of every maximally entangled input.
-This module imports only channels (for the value types and require_type),
-config, errors and linalg's input checks: never discrimination or the
-optimizer, and it calls neither the closed forms nor linalg.trace_norm, so
-agreement with them is evidence rather than tautology.
+What stays naive is what is computed: every grid point and every sample is
+evaluated, channels are applied by the oracle's own Kraus sums (through
+explicit K x I on bipartite inputs), and each error comes from the
+eigenvalues of the output difference. Only repeats are skipped: each Bloch
+pole is one state, and |phi+> has the error of every maximally entangled
+input. It never calls the optimizer, the closed forms or linalg.trace_norm,
+so agreement with them is evidence rather than tautology. This module
+imports only channels (for the value types and require_type), config,
+errors and linalg's input checks: never discrimination or the optimizer.
 
 Input states are made and evaluated in stacks sized by memory: a stack holds
 as many states as _STACK_BYTES allows for their Kraus products, the products'
@@ -147,14 +147,19 @@ def _min_error(prob: DiscriminationProblem, ops: np.ndarray, vectors: Iterable[n
 
 
 def _bloch_grid(grid_density: int, rows: int) -> Iterator[np.ndarray]:
-    """The (polar, azimuthal) grid in row order, with each pole once: at phi = 0."""
-    thetas = np.linspace(0.0, np.pi, grid_density)
-    phis = np.linspace(0.0, 2.0 * np.pi, grid_density, endpoint=False)
+    """The (polar, azimuthal) grid in row order, with each pole once: at phi = 0.
+
+    cos(theta/2), sin(theta/2) and e^(i phi) are tabled once per angle and
+    indexed per state.
+    """
+    half = np.linspace(0.0, np.pi, grid_density) / 2
+    cos, sin = np.cos(half), np.sin(half)
+    phase = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, grid_density, endpoint=False))
     for start, stop in _stacks((grid_density - 2) * grid_density + 2, rows):
         i = np.arange(start, stop)
         i = np.where(i > 0, i + grid_density - 1, 0)  # index into the full grid, past the first pole's azimuths
-        theta, phi = thetas[i // grid_density], phis[i % grid_density]
-        yield np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
+        polar = i // grid_density
+        yield np.stack([cos[polar], phase[i % grid_density] * sin[polar]], axis=-1)
 
 
 def _random_pure_states(d: int, count: int, rng: np.random.Generator, rows: int) -> Iterator[np.ndarray]:

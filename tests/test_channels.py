@@ -130,6 +130,27 @@ def test_weyl_completeness(d):
     np.testing.assert_allclose(total, np.eye(d), atol=1e-12)
 
 
+def _weyl_by_loop(d):
+    """The shift-phase unitaries one entry at a time: U[a*d + b][(k + a) % d, k] = w^(k b)."""
+    omega = np.exp(2j * np.pi / d)
+    family = []
+    for a in range(d):
+        for b in range(d):
+            u = np.zeros((d, d), dtype=complex)
+            for k in range(d):
+                u[(k + a) % d, k] = omega ** (k * b)
+            family.append(u)
+    return family
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_weyl_unitaries_match_the_entry_loop_byte_for_byte(d):
+    family = weyl_unitaries(d)
+    assert len(family) == d * d
+    for u, want in zip(family, _weyl_by_loop(d)):
+        assert u.shape == (d, d) and u.dtype == want.dtype and u.tobytes() == want.tobytes()
+
+
 def test_weyl_rejects_dimension_below_two():
     with pytest.raises(UnsupportedDimension):
         weyl_unitaries(1)

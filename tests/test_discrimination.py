@@ -426,6 +426,38 @@ def test_qubit_pe_unentangled_equals_the_pauli_closed_form():
         assert abs(result.pe_unentangled - pauli_delta_summary(q1, q2, p1).pe_unentangled) < 1e-12
 
 
+def test_the_qubit_route_reads_delta_once_and_calls_no_eigvalsh(monkeypatch):
+    """A count, not a time. The transfer matrix was built from both Kraus lists, and the value took one eigvalsh."""
+    prob = random_qubit_problem(np.random.default_rng(58))
+    calls = {"delta_operator": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(discrimination, "delta_operator", counting("delta_operator", discrimination.delta_operator))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    pe_unentangled(prob)
+    assert calls == {"delta_operator": 1, "eigvalsh": 0}
+
+
+def test_qubit_pe_unentangled_is_the_actual_output_norm_when_trace_preserving_only_to_input_tol():
+    """Kraus operators scaled by 1 + 4e-10 pass the completeness check with Tr E(rho) = 1 + 8e-10.
+    Where the trace term wins (depolarizing at p1 = 0.9 vs identity) it is p1 (1 + 8e-10) - p2, not p1 - p2."""
+    scale = 1.0 + 4e-10
+    rng = np.random.default_rng(59)
+    problems = [random_qubit_problem(rng) for _ in range(20)]
+    problems.append(DiscriminationProblem(pauli_channel(Q_DEP), pauli_channel(Q_ID), 0.9))
+    for prob in problems:
+        loose = DiscriminationProblem(make_operation([scale * k for k in prob.op1.kraus]), prob.op2, prob.p1)
+        result = pe_unentangled(loose)
+        assert abs(_replayed_error(loose, result.optimal_pure_input) - result.pe_unentangled) < 1e-12
+    assert abs(result.pe_unentangled - 0.5 * (1.0 - (0.9 * scale**2 - 0.1))) < 1e-15
+
+
 def _rng7_problem(index):
     """Problem `index` of random_qubit_problem drawn in sequence from default_rng(7)."""
     rng = np.random.default_rng(7)

@@ -384,6 +384,23 @@ def test_the_qubit_grid_calls_no_eigvalsh_and_every_other_stack_one(monkeypatch,
         assert len(stack_sizes) >= 3 and len(calls) == len(stack_sizes)
 
 
+@pytest.mark.parametrize("budget", [8 * 1024, 640 * 1024])
+@pytest.mark.parametrize("grid", [2, 3, 25, 60, 201])
+def test_bloch_grid_stacks_are_the_per_state_formula_byte_for_byte(grid, budget, monkeypatch):
+    """Tabling cos(theta/2), sin(theta/2) and e^(i phi) per angle moves no bit of any state."""
+    monkeypatch.setattr(oracle_module, "_STACK_BYTES", budget)
+    prob = _identity_vs_depolarizing()
+    rows = oracle_module._stack_rows(np.array([*prob.op1.kraus, *prob.op2.kraus]))
+    stacks = list(oracle_module._bloch_grid(grid, rows))
+    thetas = np.linspace(0.0, np.pi, grid)
+    phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    # row order: the first pole, every azimuth of each inner polar angle, the last pole
+    theta = np.concatenate([thetas[:1], np.repeat(thetas[1:-1], grid), thetas[-1:]])
+    phi = np.concatenate([phis[:1], np.tile(phis, grid - 2), phis[:1]])
+    want = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
+    assert np.concatenate(stacks).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "problems, grid",
     [
