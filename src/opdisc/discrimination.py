@@ -29,6 +29,7 @@ it import this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .linalg import (
     check_prior,
     dagger,
     eig_hermitian,
-    partial_trace,
     require_matrix,
     trace_norm,
 )
@@ -65,6 +65,12 @@ _CERTIFICATE_EPS = 1e-8
 # quadratically, except near the hard case, where s grows by about 1.5 a step.
 _SECULAR_RTOL = 1e-15
 _SECULAR_STEPS = 100
+
+# Relative width of a rounding tie in the qubit sphere solve: see _sphere_argmax.
+_TIE_RTOL = 1e-12
+
+# pe_unentangled's start stacks kept for reuse, one per (d, num_starts, seed).
+_START_STACKS = 4
 
 
 def _error(norm) -> float:
@@ -163,13 +169,16 @@ def bound_max_entangled(prob: DiscriminationProblem) -> float:
     return _error(trace_norm(delta_operator(prob)) / prob.op1.dim)
 
 
+@lru_cache(maxsize=_START_STACKS)
 def _unentangled_starts(d: int, num_starts: int, seed: int) -> np.ndarray:
     """pe_unentangled's num_starts start states, one per row: the seed states, then the random ones.
 
     One Philox, re-keyed per random start i through its state (counter 0, key
     words (i, seed), an empty buffer), draws exactly what
     Generator(Philox(key=(seed << 64) + i)) would; one decode_pure_state call
-    decodes all the draws.
+    decodes all the draws. The stack depends only on the arguments, so it is
+    built once and kept for the _START_STACKS most recent argument triples;
+    it is returned read-only, and maximize copies it.
     """
     seeds = np.zeros((2, d), dtype=complex)
     seeds[0, 0] = 1.0  # |0>
@@ -191,7 +200,9 @@ def _unentangled_starts(d: int, num_starts: int, seed: int) -> np.ndarray:
         key[0] = i
         bits.state = state
         thetas.append(draw.uniform(-1.0, 1.0, 2 * d))
-    return np.vstack([seeds, decode_pure_state(np.reshape(thetas, (-1, 2 * d)), d)])
+    stack = np.vstack([seeds, decode_pure_state(np.reshape(thetas, (-1, 2 * d)), d)])
+    stack.flags.writeable = False
+    return stack
 
 
 def _sphere_argmax(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -202,7 +213,12 @@ def _sphere_argmax(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     and 1/|n(s)| is concave, so Newton's method on 1/|n(s)| = 1 started where
     |n(s)| >= 1 rises monotonically to the root. The hard case, where g has no
     component on the top eigenspace and (lmax - A)^+ g lies inside the sphere,
-    has s = 0 and n = (lmax - A)^+ g + tau v_top.
+    has s = 0 and n = (lmax - A)^+ g + w, for any w in the top eigenspace with
+    |n| = 1: at g = 0 both n and -n, and a whole circle when lmax is
+    degenerate. There w points along the projection onto the top eigenspace
+    of the first of e_z, e_x, e_y not orthogonal to it, so the choice does not
+    depend on the eigenvectors eigh returns. Eigenvalues, s and projections
+    within _TIE_RTOL of a tie count as tied.
     """
     lam, v = np.linalg.eigh(a)
     c, gap = v.T @ g, lam[-1] - lam
@@ -218,8 +234,15 @@ def _sphere_argmax(a: np.ndarray, g: np.ndarray) -> np.ndarray:
         if not ds > _SECULAR_RTOL * s:
             break
         s += ds
-    if s == 0.0:
-        n[-1] = np.sqrt(max(0.0, 1.0 - norm2))
+    tie = _TIE_RTOL * max(float(lam[-1]), 0.0)
+    if s <= tie:
+        top = gap <= tie
+        n = np.divide(c, gap, out=np.zeros(3), where=~top)
+        for axis in (2, 0, 1):
+            w = v[axis] * top  # e_axis projected onto the top eigenspace, in A's eigenbasis
+            if w @ w > _TIE_RTOL:
+                break
+        n += np.sqrt(max(0.0, 1.0 - float(n @ n))) * w / np.linalg.norm(w)
     return v @ (n / np.linalg.norm(n))
 
 
@@ -309,7 +332,9 @@ def _dual_lower_bound(prob: DiscriminationProblem, sigma: np.ndarray) -> float:
     the input's reduced state sigma mixed with eps I/d,
     Z = (I x s^-1/2) [(I x s^1/2) Delta (I x s^1/2)]_+ (I x s^-1/2) is
     feasible by construction and tight when sigma is optimal; t I with
-    t = max(0, -lmin(Z), -lmin(Z - Delta)) absorbs rounding.
+    t = max(0, -lmin(Z), -lmin(Z - Delta)) absorbs rounding. I x s^+-1/2 are
+    written as d diagonal blocks of a zero matrix, both least eigenvalues
+    come from one stacked eigvalsh call, and Tr_out Z is one einsum.
     """
     d = prob.op1.dim
     eps = _CERTIFICATE_EPS
@@ -318,13 +343,18 @@ def _dual_lower_bound(prob: DiscriminationProblem, sigma: np.ndarray) -> float:
     sigma = (1.0 - eps) * sigma / np.trace(sigma).real + eps * np.eye(d) / d
     w, v = np.linalg.eigh(sigma)
     w = np.clip(w, eps / d, None)
-    root = np.kron(np.eye(d), (v * np.sqrt(w)) @ dagger(v))
-    inv_root = np.kron(np.eye(d), (v / np.sqrt(w)) @ dagger(v))
+    # I x s^1/2 and I x s^-1/2: d copies of each root on the diagonal of a zero matrix
+    roots = np.zeros((2, d, d, d, d), dtype=complex)
+    block = np.arange(d)
+    roots[0, block, :, block] = (v * np.sqrt(w)) @ dagger(v)
+    roots[1, block, :, block] = (v / np.sqrt(w)) @ dagger(v)
+    root, inv_root = roots.reshape(2, d * d, d * d)
     lam, vecs = np.linalg.eigh(root @ delta @ root)
     z = inv_root @ (vecs * np.clip(lam, 0.0, None)) @ dagger(vecs) @ inv_root
     z = (z + dagger(z)) / 2
-    t = max(0.0, -np.linalg.eigvalsh(z)[0], -np.linalg.eigvalsh(z - delta)[0])
-    lmax = np.linalg.eigvalsh(partial_trace(z, (d, d), 0))[-1] + t * d
+    low = np.linalg.eigvalsh(np.stack([z, z - delta]))[:, 0]
+    t = max(0.0, -low[0], -low[1])
+    lmax = np.linalg.eigvalsh(np.einsum("ijik->jk", z.reshape(d, d, d, d)))[-1] + t * d  # Tr_0 Z
     return _error(2.0 * float(lmax) - (prob.p1 - prob.p2))
 
 
@@ -385,8 +415,10 @@ def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: i
     All num_starts starts run: first the seed states |0> and the uniform
     superposition, then start i is decoded from 2d uniform reals in [-1, 1)
     drawn by Philox keyed (seed << 64) + i, so any start can be reproduced on
-    its own. num_starts must be an integer >= 1, seed an integer in
-    [0, 2**64), at every d.
+    its own. The start stack is built once per (d, num_starts, seed) in a
+    process and reused by later calls with the same arguments.
+    num_starts must be an integer >= 1, seed an integer in [0, 2**64), at
+    every d.
     """
     require_type(prob, DiscriminationProblem, "prob")
     num_starts = check_count(num_starts, "num_starts", 1)

@@ -68,10 +68,14 @@ def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts
     input does not stop it. The first two step calls evaluate only the
     starts and their steps, so a start that stops there never extrapolates.
     The result is the lowest-index start within FTOL of the best value, so a
-    rounding-level tie never moves it off an earlier row. Raises
-    OptimizerFailure only if no start reaches a finite value.
+    rounding-level tie never moves it off an earlier row. starts must be a
+    nonempty 2-D stack (DimensionMismatch otherwise); it is copied, never
+    written, so a read-only stack is fine. Raises OptimizerFailure only if
+    no start reaches a finite value.
     """
     x0 = np.array(starts)  # each active start's cycle base
+    if x0.ndim != 2 or not x0.size:
+        raise DimensionMismatch(f"starts must be a nonempty 2-D stack, one start per row, got shape {x0.shape}")
     x0 = x0.astype(np.result_type(x0, float), copy=False)  # steps move integer rows off the integers
     n_starts = len(x0)
     best = np.full(n_starts, -np.inf)
@@ -89,8 +93,12 @@ def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts
         n_evaluations += active.size
         gain = values - best[active]
         better = gain > 0  # False for NaN
-        best[active[better]] = values[better]
-        argmax[active[better]] = x[better]
+        # when every row agrees, whole stacks are assigned without masks or compaction
+        if better.all():
+            best[active], argmax[active] = values, x
+        else:
+            best[active[better]] = values[better]
+            argmax[active[better]] = x[better]
         going = gain > FTOL
         if x1 is None:
             x1 = moved
@@ -98,12 +106,16 @@ def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts
             x2 = moved
         else:  # x was extrapolated: at least as good as x1 is kept, else x1 is the next base
             kept = gain >= 0
-            going |= ~kept
-            x0, x1, x2 = np.where(kept[:, None], x, x1), np.where(kept[:, None], moved, x2), None
+            if kept.all():
+                x0, x1, x2 = x, moved, None
+            else:
+                going |= ~kept
+                x0, x1, x2 = np.where(kept[:, None], x, x1), np.where(kept[:, None], moved, x2), None
         converged[active] = ~going
-        active, x0, x1 = active[going], x0[going], x1[going]
-        if x2 is not None:
-            x2 = x2[going]
+        if not going.all():
+            active, x0, x1 = active[going], x0[going], x1[going]
+            if x2 is not None:
+                x2 = x2[going]
 
     finite = np.isfinite(best)
     if not finite.any():

@@ -39,7 +39,7 @@ from opdisc import (
 )
 from opdisc import discrimination
 from opdisc.config import ORTHOGONALITY_TOL
-from opdisc.linalg import dagger
+from opdisc.linalg import dagger, partial_trace
 from opdisc.optimizer import decode_p, maximize
 
 from helpers import (
@@ -426,6 +426,70 @@ def test_qubit_pe_unentangled_equals_the_pauli_closed_form():
         assert abs(result.pe_unentangled - pauli_delta_summary(q1, q2, p1).pe_unentangled) < 1e-12
 
 
+def _remixed(kraus, rng):
+    v = haar_unitary(len(kraus), rng)
+    return [sum(v[i, j] * k for j, k in enumerate(kraus)) for i in range(len(kraus))]
+
+
+def _same_state(a, b):
+    # the two pole formulas of the Bloch vector's state differ by a global phase where n_z is 0 to rounding
+    return abs(abs(np.vdot(a, b)) - 1.0) <= 1e-12
+
+
+def test_qubit_pe_unentangled_identity_vs_depolarizing_returns_ket0():
+    assert np.array_equal(pe_unentangled(_identity_vs_depolarizing()).optimal_pure_input, [1.0, 0.0])
+
+
+def test_qubit_optimal_input_does_not_depend_on_the_kraus_list_where_it_is_not_unique():
+    """Every pair here has a circle or a pair of optimal inputs: identity vs depolarizing
+    (B = I/2, b = 0), two unitaries (b = 0, a doubly degenerate top eigenvalue of B^T B)
+    and Pauli pairs (b = 0, so n and -n tie). A remixed Kraus list changes R only by
+    rounding, and must not change the state returned."""
+    rng = np.random.default_rng(61)
+    pairs = [([np.eye(2), np.zeros((2, 2))], pauli_channel(Q_DEP).kraus, 0.5)]
+    for _ in range(12):
+        u1, u2 = haar_unitary(2, rng), haar_unitary(2, rng)
+        pairs.append(([u1 / np.sqrt(2)] * 2, [u2 / np.sqrt(2)] * 2, float(rng.uniform(0.1, 0.9))))
+    for _ in range(12):
+        q1, q2 = random_prob_vector(4, rng), random_prob_vector(4, rng)
+        pairs.append((pauli_channel(q1).kraus, pauli_channel(q2).kraus, 0.5))
+    for k1, k2, p1 in pairs:
+        base = pe_unentangled(DiscriminationProblem(make_operation(k1), make_operation(k2), p1))
+        for _ in range(3):
+            prob = DiscriminationProblem(make_operation(_remixed(k1, rng)), make_operation(_remixed(k2, rng)), p1)
+            other = pe_unentangled(prob)
+            assert _same_state(other.optimal_pure_input, base.optimal_pure_input)
+            assert abs(other.pe_unentangled - base.pe_unentangled) <= 1e-15
+            assert abs(_replayed_error(prob, other.optimal_pure_input) - other.pe_unentangled) < 1e-12
+
+
+def test_sphere_argmax_picks_the_projection_of_e_z_then_e_x_onto_the_top_eigenspace():
+    rot, _ = np.linalg.qr(np.random.default_rng(62).standard_normal((3, 3)))
+    g0 = np.zeros(3)
+    # g = 0 and A = 0: every n ties, and e_z is chosen
+    assert np.array_equal(discrimination._sphere_argmax(np.zeros((3, 3)), g0), [0.0, 0.0, 1.0])
+    # g = 0 and a one-dimensional top eigenspace: n and -n tie, and the one on the side
+    # of e_z is chosen, else of e_x where the top eigenvector is orthogonal to e_z, else of e_y
+    for top, expect in (
+        ([0.0, 1.0, -1.0], [0.0, -1.0, 1.0]),
+        ([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]),
+        ([0.0, -1.0, 0.0], [0.0, 1.0, 0.0]),
+    ):
+        u = np.array(top) / np.linalg.norm(top)
+        a = np.outer(u, u) + 0.25 * np.eye(3)
+        expect = np.array(expect) / np.linalg.norm(expect)
+        np.testing.assert_allclose(discrimination._sphere_argmax(a, g0), expect, atol=1e-15)
+    # a doubly degenerate top eigenspace in a random frame: the projection of e_z onto it
+    a = (rot * [0.1, 0.7, 0.7]) @ rot.T
+    plane = rot[:, 1:] @ rot[:, 1:].T
+    expect = plane[:, 2] / np.linalg.norm(plane[:, 2])
+    np.testing.assert_allclose(discrimination._sphere_argmax(a, g0), expect, atol=1e-12)
+    # off the tie the maximizer is unique and g picks its sign
+    n = discrimination._sphere_argmax(a, -1e-3 * rot[:, 1])
+    np.testing.assert_allclose(n, -rot[:, 1], atol=1e-12)
+
+
 def test_the_qubit_route_reads_delta_once_and_calls_no_eigvalsh(monkeypatch):
     """A count, not a time. The transfer matrix was built from both Kraus lists, and the value took one eigvalsh."""
     prob = random_qubit_problem(np.random.default_rng(58))
@@ -522,6 +586,60 @@ def test_pe_entangled_lower_bound_never_exceeds_its_value(d):
         p = result.optimal_xi.T
         for sigma in (p @ p, random_density(d, rng), np.diag([1.0] + [0.0] * (d - 1))):
             assert discrimination._dual_lower_bound(prob, sigma) <= result.pe_entangled + 1e-12
+
+
+def _former_dual_lower_bound(prob, sigma):
+    """The certificate as it was written with np.kron, two eigvalsh calls and partial_trace."""
+    d, eps = prob.op1.dim, discrimination._CERTIFICATE_EPS
+    delta = delta_operator(prob)
+    sigma = (sigma + dagger(sigma)) / 2
+    sigma = (1.0 - eps) * sigma / np.trace(sigma).real + eps * np.eye(d) / d
+    w, v = np.linalg.eigh(sigma)
+    w = np.clip(w, eps / d, None)
+    root = np.kron(np.eye(d), (v * np.sqrt(w)) @ dagger(v))
+    inv_root = np.kron(np.eye(d), (v / np.sqrt(w)) @ dagger(v))
+    lam, vecs = np.linalg.eigh(root @ delta @ root)
+    z = inv_root @ (vecs * np.clip(lam, 0.0, None)) @ dagger(vecs) @ inv_root
+    z = (z + dagger(z)) / 2
+    t = max(0.0, -np.linalg.eigvalsh(z)[0], -np.linalg.eigvalsh(z - delta)[0])
+    lmax = np.linalg.eigvalsh(partial_trace(z, (d, d), 0))[-1] + t * d
+    return max(0.0, 0.5 * (1.0 - (2.0 * float(lmax) - (prob.p1 - prob.p2))))
+
+
+def _certificate_problems():
+    for d in (2, 3, 4):
+        rng = np.random.default_rng(90 + d)
+        for _ in range(4):
+            yield DiscriminationProblem(
+                random_kraus_operation(d, int(rng.integers(1, d * d + 1)), rng),
+                random_kraus_operation(d, int(rng.integers(1, d * d + 1)), rng),
+                float(rng.uniform(0.1, 0.9)),
+            ), rng
+    # the benchmark's d = 4 rank 4 vs 1 pair, whose nearly singular sigma makes the bound sensitive to rounding
+    rng = np.random.default_rng(2)
+    yield DiscriminationProblem(random_kraus_operation(4, 4, rng), random_kraus_operation(4, 1, rng), 0.516), rng
+
+
+def test_the_certificate_equals_the_former_kron_formula_bit_for_bit():
+    for prob, rng in _certificate_problems():
+        result = pe_entangled(prob)
+        p = result.optimal_xi.T
+        d = prob.op1.dim
+        for sigma in (p @ p, random_density(d, rng), np.diag([1.0] + [0.0] * (d - 1))):
+            assert discrimination._dual_lower_bound(prob, sigma) == _former_dual_lower_bound(prob, sigma)
+        assert result.lower_bound == min(_former_dual_lower_bound(prob, p @ p), result.pe_entangled)
+
+
+def test_pe_entangled_calls_no_kron_and_one_stacked_eigvalsh_for_z_and_z_minus_delta(monkeypatch):
+    prob, _ = next(_certificate_problems())
+    d = prob.op1.dim
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np, "kron", lambda *args: pytest.fail("np.kron called"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: shapes.append(np.shape(a)) or eigvalsh(a, *args))
+    pe_entangled(prob)
+    # Z and Z - Delta in one call, then Tr_0 Z
+    assert shapes == [(2, d * d, d * d), (d, d)]
 
 
 @pytest.mark.parametrize("d", [2, 3])

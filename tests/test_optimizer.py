@@ -21,7 +21,7 @@ from opdisc import (
     pauli_channel,
     pe_unentangled,
 )
-from opdisc import optimizer
+from opdisc import discrimination, optimizer
 from opdisc.discrimination import _seesaw_step, _unentangled_starts
 from opdisc.optimizer import decode_p, decode_pure_state, maximize
 
@@ -232,6 +232,56 @@ def test_maximize_caps_steps_at_max_iters(monkeypatch):
     assert res.value == -float(np.sum(res.argmax**2))
 
 
+@pytest.mark.parametrize("starts", [np.array([1.0, -2.0, 3.0]), np.zeros((0, 3)), np.zeros((2, 0)), np.ones((1, 2, 2))])
+def test_maximize_refuses_a_malformed_start_stack_by_name(starts):
+    with pytest.raises(DimensionMismatch, match=r"starts must be a nonempty 2-D stack.*got shape"):
+        maximize(_halving, starts)
+
+
+def _former_maximize(step, starts):
+    """maximize's loop as it was before its whole-stack shortcuts: masks and compaction on every step."""
+    x0 = np.array(starts)
+    best = np.full(len(x0), -np.inf)
+    argmax, converged, active = x0.copy(), np.zeros(len(x0), dtype=bool), np.arange(len(x0))
+    x1 = x2 = None
+    steps = 0
+    while active.size and steps < optimizer.MAX_STEPS:
+        x = x0 if x1 is None else x1 if x2 is None else optimizer._extrapolate(x0, x1, x2)
+        values, moved = step(x)
+        steps += 1
+        gain = values - best[active]
+        better = gain > 0
+        best[active[better]] = values[better]
+        argmax[active[better]] = x[better]
+        going = gain > optimizer.FTOL
+        if x1 is None:
+            x1 = moved
+        elif x2 is None:
+            x2 = moved
+        else:
+            kept = gain >= 0
+            going |= ~kept
+            x0, x1, x2 = np.where(kept[:, None], x, x1), np.where(kept[:, None], moved, x2), None
+        converged[active] = ~going
+        active, x0, x1 = active[going], x0[going], x1[going]
+        if x2 is not None:
+            x2 = x2[going]
+    return best, argmax, converged
+
+
+@pytest.mark.parametrize("d, ancilla", [(2, 2), (3, 1), (3, 3), (4, 1)])
+def test_maximize_matches_the_former_masked_bookkeeping_bit_for_bit(d, ancilla):
+    rng = np.random.default_rng(70 + d * ancilla)
+    prob = DiscriminationProblem(random_kraus_operation(d, 2, rng), random_kraus_operation(d, 3, rng), 0.45)
+    step = _seesaw_step(prob, ancilla=ancilla)
+    for starts in (_unit_rows(1, d * ancilla, d), _unit_rows(12, d * ancilla, d)):
+        res = maximize(step, starts)
+        best, argmax, converged = _former_maximize(step, starts)
+        assert res.summary.start_values == tuple(best.tolist())
+        assert res.argmax.tobytes() == argmax[res.summary.best_start].tobytes()
+        assert res.summary.converged == converged[res.summary.best_start]
+
+
 # --- the two discrimination see-saw steps on the known worked example ---
 
 def _identity_vs_depolarizing(p1=0.5):
@@ -315,6 +365,38 @@ def test_unentangled_start_stack_matches_one_generator_per_start(d, seed):
         old = np.stack([_decode_one_row(theta, d) for theta in thetas])
         new = _unentangled_starts(d, num_starts, seed)
         assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+def test_the_start_stack_is_built_once_per_arguments_and_kept_read_only(monkeypatch):
+    _unentangled_starts.cache_clear()
+    stack = _unentangled_starts(3, 32, 5)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0] = 0.0
+    assert _unentangled_starts(3, 32, 5) is stack
+    fresh = _unentangled_starts.__wrapped__(3, 32, 5)
+    assert fresh.dtype == stack.dtype and fresh.shape == stack.shape and fresh.tobytes() == stack.tobytes()
+
+    rng = np.random.default_rng(13)
+    prob = DiscriminationProblem(random_kraus_operation(3, 2, rng), random_kraus_operation(3, 1, rng), 0.5)
+    first = pe_unentangled(prob, num_starts=32, seed=5)
+    calls = {"Philox": 0, "decode_pure_state": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.random, "Philox", counting("Philox", np.random.Philox))
+    monkeypatch.setattr(discrimination, "decode_pure_state", counting("decode_pure_state", decode_pure_state))
+    again = pe_unentangled(prob, num_starts=32, seed=5)
+    assert calls == {"Philox": 0, "decode_pure_state": 0}
+    assert again.pe_unentangled == first.pe_unentangled and again.diagnostics == first.diagnostics
+    # other arguments build their own stack
+    pe_unentangled(prob, num_starts=32, seed=6)
+    assert calls == {"Philox": 1, "decode_pure_state": 1}
 
 
 def test_pe_unentangled_is_deterministic():

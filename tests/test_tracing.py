@@ -40,6 +40,8 @@ def test_tracer_wraps_the_numeric_optima_and_restores_them():
     # a qutrit pair: pe_unentangled solves a qubit pair without the optimizer
     rng = np.random.default_rng(3)
     prob = opdisc.DiscriminationProblem(random_kraus_operation(3, 2, rng), random_kraus_operation(3, 3, rng), 0.5)
+    # pe_unentangled decodes its starts only when their stack is not cached yet
+    opdisc.discrimination._unentangled_starts.cache_clear()
     try:
         tracer.install(opdisc)
         assert hasattr(opdisc.discrimination.pe_entangled, "__wrapped__")
