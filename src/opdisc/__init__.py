@@ -27,7 +27,6 @@ from .linalg import (
     is_hermitian,
     is_unitary,
     mat_to_biket,
-    partial_trace,
     trace_norm,
 )
 from .channels import (
@@ -76,7 +75,6 @@ __all__ = [
     "EigDecomposition",
     "eig_hermitian",
     "trace_norm",
-    "partial_trace",
     "mat_to_biket",
     "biket_to_mat",
     "is_hermitian",

@@ -62,12 +62,19 @@ def _matrices(items, what: str, d: int | None = None) -> tuple[np.ndarray, ...]:
     return tuple(require_matrix(m, f"{what} {i}", d) for i, m in enumerate(items))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` that nobody can write, so a value that passed a check cannot change afterwards."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class QuantumOperation:
     """A completely positive trace-preserving map given by Kraus operators.
 
-    kraus holds d x d complex matrices K_n with sum K_n^dag K_n = I within
-    the completeness tolerance.
+    kraus holds read-only copies of d x d complex matrices K_n with
+    sum K_n^dag K_n = I within the completeness tolerance.
     """
 
     dim: int
@@ -75,7 +82,7 @@ class QuantumOperation:
 
     def __post_init__(self):
         d = check_count(self.dim, "dim", 1)
-        kraus = _matrices(self.kraus, "Kraus operator", d)
+        kraus = tuple(_read_only(k) for k in _matrices(self.kraus, "Kraus operator", d))
         if not kraus:
             raise CompletenessViolation("an operation needs at least one Kraus operator")
         total = sum(dagger(k) @ k for k in kraus)
@@ -99,7 +106,7 @@ class RandomUnitaryChannel:
     """rho -> sum_n weights[n] U_n rho U_n^dag for a fixed list of unitaries.
 
     Zero weights are legal and kept, so two channels over the same family can
-    be compared index by index.
+    be compared index by index. Unitaries and weights are read-only copies.
     """
 
     dim: int
@@ -108,13 +115,13 @@ class RandomUnitaryChannel:
 
     def __post_init__(self):
         d = check_count(self.dim, "dim", 1)
-        unitaries = _matrices(self.unitaries, "unitary", d)
+        unitaries = tuple(_read_only(u) for u in _matrices(self.unitaries, "unitary", d))
         if not unitaries:
             raise CompletenessViolation("a random-unitary channel needs at least one unitary")
         for u in unitaries:
             if not is_unitary(u):
                 raise InvalidState("matrix in the unitary list is not unitary within tolerance")
-        weights = check_probability_vector(self.weights)
+        weights = _read_only(check_probability_vector(self.weights))
         if weights.size != len(unitaries):
             raise DimensionMismatch(
                 f"{weights.size} weights for {len(unitaries)} unitaries"
@@ -216,8 +223,8 @@ def check_density_matrix(rho, d: int) -> np.ndarray:
     if not is_hermitian(rho):
         raise InvalidState("state is not Hermitian within tolerance")
     trace = complex(np.trace(rho))
-    if not (abs(trace.real - 1.0) <= INPUT_TOL and abs(trace.imag) <= INPUT_TOL):
-        raise InvalidState(f"state trace is {complex(np.trace(rho))}, not 1")
+    if not abs(trace - 1.0) <= INPUT_TOL:
+        raise InvalidState(f"state trace is {trace}, not 1")
     if not float(np.min(np.linalg.eigvalsh(rho))) >= -INPUT_TOL:
         raise InvalidState("state has an eigenvalue below the positivity floor")
     return rho

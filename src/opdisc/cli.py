@@ -9,7 +9,9 @@ Three subcommands:
                maximally entangled input alone; pe_unentangled is solved
                exactly at d = 2 and by the multi-start optimizer at d >= 3;
                lower_bound is the closed form or pe_entangled's certified
-               dual bound.
+               dual bound. A product input is an entangled input too, so
+               pe_entangled prints at most pe_unentangled, and lower_bound
+               at most pe_entangled.
 * ``oracle``   naive brute-force reference values for two channels (d <= 4).
 
 Channel spec files are JSON documents:
@@ -250,6 +252,9 @@ def cmd_general(args: argparse.Namespace) -> dict:
         result_u = pe_unentangled(prob, num_starts=args.starts, seed=args.seed)
         unent = result_u.pe_unentangled
         results["unentangled"] = result_u
+    # a product input is an entangled input too, so pe_unentangled's error is also reached with entanglement
+    ent = min(ent, unent)
+    lower = min(lower, ent)
     # only the strategies whose optimizer ran carry diagnostics
     ran = {name: r.diagnostics for name, r in results.items() if r.diagnostics is not None}
 

@@ -123,16 +123,6 @@ class PauliDiscriminationSummary:
     optimal_unentangled_axis: str
     entanglement_needed: bool
 
-    @property
-    def singular_values(self) -> tuple[float, float, float, float]:
-        """(|a+c|, |a-c|, |b+d|, |b-d|), which is (2|r0|, 2|r3|, 2|r1|, 2|r2|)."""
-        return (
-            abs(self.a + self.c),
-            abs(self.a - self.c),
-            abs(self.b + self.d),
-            abs(self.b - self.d),
-        )
-
 
 def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     """Minimum error for two states, 1/2 (1 - ||p1 rho1 - p2 rho2||_1), with its measurement.
@@ -173,34 +163,17 @@ def bound_max_entangled(prob: DiscriminationProblem) -> float:
 def _unentangled_starts(d: int, num_starts: int, seed: int) -> np.ndarray:
     """pe_unentangled's num_starts start states, one per row: the seed states, then the random ones.
 
-    One Philox, re-keyed per random start i through its state (counter 0, key
-    words (i, seed), an empty buffer), draws exactly what
-    Generator(Philox(key=(seed << 64) + i)) would; one decode_pure_state call
-    decodes all the draws. The stack depends only on the arguments, so it is
-    built once and kept for the _START_STACKS most recent argument triples;
-    it is returned read-only, and maximize copies it.
+    Random start i is decode_pure_state of the 2d uniform reals in [-1, 1)
+    drawn by Generator(Philox(key=(seed << 64) + i)). The stack depends only
+    on the arguments, so it is built once and kept for the _START_STACKS most
+    recent argument triples; it is returned read-only, and maximize copies it.
     """
     seeds = np.zeros((2, d), dtype=complex)
     seeds[0, 0] = 1.0  # |0>
     seeds[1] = 1 / np.sqrt(d)  # the uniform superposition
-    seeds = seeds[:num_starts]
-    bits = np.random.Philox()
-    draw = np.random.Generator(bits)
-    key = np.array([0, seed], dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    thetas = []
-    for i in range(len(seeds), num_starts):
-        key[0] = i
-        bits.state = state
-        thetas.append(draw.uniform(-1.0, 1.0, 2 * d))
-    stack = np.vstack([seeds, decode_pure_state(np.reshape(thetas, (-1, 2 * d)), d)])
+    keys = ((seed << 64) + i for i in range(2, num_starts))
+    draws = (decode_pure_state(np.random.Generator(np.random.Philox(key=k)).uniform(-1.0, 1.0, 2 * d), d) for k in keys)
+    stack = np.vstack([seeds[:num_starts], *draws])
     stack.flags.writeable = False
     return stack
 

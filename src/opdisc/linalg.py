@@ -173,26 +173,6 @@ def trace_norm(a) -> float:
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def partial_trace(a, dims: tuple[int, int], which: int) -> np.ndarray:
-    """Trace out subsystem `which` (0 or 1) of a (d1*d2) x (d1*d2) matrix.
-
-    Returns the reduced matrix on the surviving subsystem. dims must be a
-    pair of integers >= 1, and which the integer 0 or 1 (numpy's too, bool not).
-    """
-    try:
-        d1, d2 = dims
-    except (TypeError, ValueError):
-        raise ValueError(f"dims must be a pair of integers, got {dims!r}") from None
-    d1, d2 = check_count(d1, "dims", 1), check_count(d2, "dims", 1)
-    a = require_matrix(a, f"matrix on {d1}x{d2} subsystems", d1 * d2)
-    if isinstance(which, bool) or not isinstance(which, Integral) or which not in (0, 1):
-        raise ValueError(f"which must be 0 (trace out first) or 1 (trace out second), got {which!r}")
-    t = a.reshape(d1, d2, d1, d2)
-    if which == 0:
-        return np.einsum("ijik->jk", t)
-    return np.einsum("ijkj->ik", t)
-
-
 def mat_to_biket(a) -> np.ndarray:
     """Flatten a d x d matrix A to the length-d^2 vector with entries A[n, m] at n*d + m."""
     return require_matrix(a, "matrix").reshape(-1).copy()

@@ -7,12 +7,11 @@ A see-saw step gains only linearly, so maximize runs SQUAREM cycles
 extrapolated input, kept only when it is at least as good as the second
 step's input. Each start stops on its own test, so with a step that works
 row by row a start's trajectory depends only on its start input, and adding
-rows never changes the ones already there. decode_pure_state turns
-pe_unentangled's random draws into start states: it maps any real vector
-to a normalized state vector, or a stack of them to one state per row, so
-all the draws decode in one call. decode_p, which maps any real vector to
-a positive matrix with Tr[P^2] = 1, has no caller in the library; it is
-kept only for the benchmark's tracer.
+rows never changes the ones already there. decode_pure_state turns each of
+pe_unentangled's random draws into a start state: it maps a real vector to
+a normalized state vector. decode_p, which maps any real vector to a
+positive matrix with Tr[P^2] = 1, has no caller in the library; it is kept
+only for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -181,49 +180,35 @@ def decode_p(theta, d: int) -> np.ndarray:
     return gram / norm
 
 
-# Below this a row's squared norm is no normal float, and its digits are lost or all gone.
+# Below this a squared norm is no normal float, and its digits are lost or all gone.
 _SMALLEST_NORM = float(np.sqrt(np.finfo(float).tiny))
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    # np.linalg.norm of one row dots the strided real and imaginary views; norm(axis=-1) rounds differently
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 def decode_pure_state(theta, d: int) -> np.ndarray:
     """Map 2d reals (real parts, then imaginary parts) to a normalized state vector.
 
-    theta is one row of 2d finite reals, giving one state, or a 2-D stack of
-    such rows, giving one state per row; each row decodes bit for bit as it
-    would alone. The global phase is fixed by making the first nonzero
-    amplitude real and nonnegative. A nonzero row whose squared norm
-    underflows is divided by its largest entry before it is normalized; an
-    all-zero row falls back to the first basis state. Raises NonFinite for an
-    entry that is no finite real or a row whose norm overflows a float, and
-    DimensionMismatch for any other shape.
+    The global phase is fixed by making the first nonzero amplitude real and
+    nonnegative. A nonzero theta whose squared norm underflows is divided by
+    its largest entry before it is normalized; an all-zero theta falls back
+    to the first basis state. theta must be a 1-D array of 2d finite reals
+    (NonFinite, else DimensionMismatch) whose norm is finite (NonFinite).
     """
     theta = require_finite(theta, "theta", float)
     d = int(d)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != 2 * d:
-        raise DimensionMismatch(f"theta of shape {theta.shape}, expected rows of length {2 * d}")
-    rows = theta.reshape(-1, 2 * d)
-    v = rows[:, :d] + 1j * rows[:, d:]
+    if theta.shape != (2 * d,):
+        raise DimensionMismatch(f"theta of shape {theta.shape}, expected ({2 * d},)")
+    v = theta[:d] + 1j * theta[d:]
     with np.errstate(over="ignore"):  # a norm that overflows is refused below
-        norm = _row_norms(v)
-    if not np.isfinite(norm).all():
-        row = f"[{np.argmin(np.isfinite(norm))}]" if theta.ndim == 2 else ""
-        raise NonFinite(f"theta{row}: the norm overflows a float")
-    # a nonzero row such as [0, 1e-200, 0, 0] has a squared norm of 0 and would fall back to |0>
-    small = (norm < _SMALLEST_NORM) & np.any(rows != 0.0, axis=1)
-    if small.any():
-        scaled = rows[small] / np.max(np.abs(rows[small]), axis=1, keepdims=True)
-        v[small] = scaled[:, :d] + 1j * scaled[:, d:]
-        norm[small] = _row_norms(v[small])
-    zero = norm == 0.0
-    v = v / np.where(zero, 1.0, norm)[:, None]
-    lead = v[np.arange(len(v)), np.argmax(v != 0, axis=1)]
-    # hypot is what scalar abs(amp) computes; array np.abs rounds differently
-    modulus = np.hypot(lead.real, lead.imag)
-    v = v * np.divide(lead.conj(), modulus, out=np.ones_like(lead), where=modulus > 0)[:, None]
-    v[zero] = np.eye(1, d)
-    return v if theta.ndim == 2 else v[0]
+        norm = float(np.linalg.norm(v))
+    if not np.isfinite(norm):
+        raise NonFinite("theta: the norm overflows a float")
+    # a nonzero theta such as [0, 1e-200, 0, 0] has a squared norm of 0 and would fall back to |0>
+    if norm < _SMALLEST_NORM and theta.any():
+        theta = theta / np.max(np.abs(theta))
+        v = theta[:d] + 1j * theta[d:]
+        norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return np.eye(1, d, dtype=complex)[0]
+    v = v / norm
+    lead = v[np.flatnonzero(v)[0]]
+    return v * (lead.conjugate() / abs(lead))

@@ -7,8 +7,9 @@ eigenvalues of the output difference. Only repeats are skipped: each Bloch
 pole is one state, and |phi+> has the error of every maximally entangled
 input. It never calls the optimizer, the closed forms or linalg.trace_norm,
 so agreement with them is evidence rather than tautology. This module
-imports only channels (for the value types and require_type), config,
-errors and linalg's input checks: never discrimination or the optimizer.
+imports only channels (for the value types, require_type and
+check_density_matrix), config, errors and linalg's input checks: never
+discrimination or the optimizer.
 
 Input states are made and evaluated in stacks sized by memory: a stack holds
 as many states as _STACK_BYTES allows for their Kraus products, the products'
@@ -27,10 +28,10 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .channels import DiscriminationProblem, TwoOutcomePovm, require_type
+from .channels import DiscriminationProblem, TwoOutcomePovm, check_density_matrix, require_type
 from .config import INPUT_TOL
-from .errors import InvalidPovm, InvalidState, UnsupportedDimension
-from .linalg import check_count, check_prior, is_hermitian, require_matrix
+from .errors import InvalidPovm, UnsupportedDimension
+from .linalg import check_count, check_prior, is_hermitian
 
 # Dense search is honest only at tiny dimension.
 _MAX_ORACLE_DIM = 4
@@ -58,17 +59,6 @@ def _check_povm(povm: TwoOutcomePovm) -> None:
         raise InvalidPovm(f"pi1 + pi2 deviates from identity by {deviation:.3e}")
 
 
-def _check_state(rho, d: int) -> np.ndarray:
-    rho = require_matrix(rho, "state", d)
-    if not is_hermitian(rho):
-        raise InvalidState("state is not Hermitian within tolerance")
-    if not abs(complex(np.trace(rho)) - 1.0) <= INPUT_TOL:
-        raise InvalidState(f"state trace is {complex(np.trace(rho))}, not 1")
-    if not float(np.min(np.linalg.eigvalsh(rho))) >= -INPUT_TOL:
-        raise InvalidState("state has an eigenvalue below the positivity floor")
-    return rho
-
-
 def povm_error(rho1, rho2, p1: float, povm: TwoOutcomePovm) -> float:
     """Error probability p1 Tr[rho1 pi2] + p2 Tr[rho2 pi1] of a given measurement.
 
@@ -77,8 +67,8 @@ def povm_error(rho1, rho2, p1: float, povm: TwoOutcomePovm) -> float:
     p1 = check_prior(p1)
     _check_povm(povm)
     d = povm.pi1.shape[0]
-    rho1 = _check_state(rho1, d)
-    rho2 = _check_state(rho2, d)
+    rho1 = check_density_matrix(rho1, d)
+    rho2 = check_density_matrix(rho2, d)
     wrong1 = float(np.trace(rho1 @ povm.pi2).real)
     wrong2 = float(np.trace(rho2 @ povm.pi1).real)
     return p1 * wrong1 + (1.0 - p1) * wrong2

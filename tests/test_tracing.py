@@ -54,7 +54,7 @@ def test_tracer_wraps_the_numeric_optima_and_restores_them():
         assert tracer.count(name, 3) == 1
     assert tracer.count("optimizer.maximize", 3) == 2
     assert tracer.count("optimizer.decode_p", 3) == 0  # pe_entangled writes its one start directly
-    assert tracer.count("optimizer.decode_pure_state", 3) == 1  # one call decodes all the random draws
+    assert tracer.count("optimizer.decode_pure_state", 3) == 4  # one call per random start: 6 starts, 2 seed states
     assert tracer.count("optimizer.objective", 3) > 0
     assert tracer.count("discrimination.delta_operator", 3) == 1  # Delta is built once
 

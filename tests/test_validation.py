@@ -46,7 +46,6 @@ from opdisc import (
     is_unitary,
     make_operation,
     mat_to_biket,
-    partial_trace,
     pauli_channel,
     pauli_delta_summary,
     pe_random_unitary_bounds,
@@ -62,6 +61,8 @@ from opdisc.cli import main
 from opdisc.config import INPUT_TOL
 from opdisc.linalg import check_count, check_prior, require_finite, require_matrix
 from opdisc.optimizer import decode_p, decode_pure_state
+
+from helpers import partial_trace
 
 IDENTITY = np.eye(2, dtype=complex)
 Q_ID = [1.0, 0.0, 0.0, 0.0]
@@ -141,7 +142,7 @@ CASES = {
     "biket_to_mat.v": _library(lambda v: biket_to_mat(v, 2)),
     "decode_p": _library(lambda v: decode_p([v, 0.0, 0.0, 0.0], 2)),
     "decode_p.theta": _library(lambda v: decode_p(v, 2)),
-    "decode_pure_state": _library(lambda v: decode_pure_state([[1.0, 0.0, 0.0, 0.0], [0.0, v, 0.0, 0.0]], 2)),
+    "decode_pure_state": _library(lambda v: decode_pure_state([1.0, v, 0.0, 0.0], 2)),
     "decode_pure_state.theta": _library(lambda v: decode_pure_state(v, 2)),
     "cli kind kraus": _cli(
         spec=lambda v: {"dim": 2, "kind": "kraus", "kraus": [[[[v, 0], [0, 0]], [[0, 0], [1, 0]]]]}
@@ -243,10 +244,10 @@ def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
         pytest.param("decode_p", "1", "theta[0]: expected a real number, got '1'", id="decode_p-string"),
         pytest.param("decode_p.theta", [[1, 0], [0, 0]], "theta of shape (2, 2)", id="decode_p-matrix"),
         pytest.param(
-            "decode_pure_state", True, "theta[1][1]: expected a real number, got True", id="decode_pure_state-bool"
+            "decode_pure_state", True, "theta[1]: expected a real number, got True", id="decode_pure_state-bool"
         ),
         pytest.param(
-            "decode_pure_state", "x", "theta[1][1]: expected a real number, got 'x'", id="decode_pure_state-string"
+            "decode_pure_state", "x", "theta[1]: expected a real number, got 'x'", id="decode_pure_state-string"
         ),
         pytest.param(
             "decode_pure_state.theta", [[[1, 0, 0, 0]]], "theta of shape (1, 1, 4)", id="decode_pure_state-3d"
@@ -254,6 +255,9 @@ def test_non_finite_input_is_refused_by_name(case, value, tmp_path):
         pytest.param("decode_pure_state.theta", 0.5, "theta of shape ()", id="decode_pure_state-scalar"),
         pytest.param(
             "decode_pure_state.theta", np.zeros((2, 3)), "theta of shape (2, 3)", id="decode_pure_state-short-rows"
+        ),
+        pytest.param(
+            "decode_pure_state.theta", np.zeros((2, 4)), "theta of shape (2, 4)", id="decode_pure_state-stack"
         ),
     ],
 )
@@ -273,11 +277,6 @@ _GRAM_OVERFLOWS = "the norm of L L^dag overflows a float"
         pytest.param(lambda: decode_pure_state([1e300, 0, 0, 0], 2), f"theta: {_OVERFLOWS}", id="pure-state-1e300"),
         # each square is finite, their sum is not
         pytest.param(lambda: decode_pure_state([1e154, 0, 0, 1e154], 2), f"theta: {_OVERFLOWS}", id="pure-state-sum"),
-        pytest.param(
-            lambda: decode_pure_state([[1, 0, 0, 0], [0, 1e300, 0, 0]], 2),
-            f"theta[1]: {_OVERFLOWS}",
-            id="pure-state-row-1",
-        ),
         pytest.param(lambda: decode_p([1e200, 0, 0, 0], 2), f"theta: {_GRAM_OVERFLOWS}", id="decode_p-nan"),
         pytest.param(lambda: decode_p([1e77, 0, 0, 0], 2), f"theta: {_GRAM_OVERFLOWS}", id="decode_p-inf"),
         pytest.param(lambda: decode_p([1, 0, 1e200, 0], 2), f"theta: {_GRAM_OVERFLOWS}", id="decode_p-off-diagonal"),
@@ -628,8 +627,9 @@ QUBIT = pauli_channel(Q_ID)
 PROBLEM = DiscriminationProblem(QUBIT, pauli_channel([0.25] * 4), 0.5)
 FAMILY = weyl_channel(2, Q_ID)
 
-# every public constructor and validator, every public linalg helper; counts
-# take only small or malformed values, since a valid huge count is legal
+# every public constructor and validator, every public linalg helper and the
+# tests' partial_trace; counts take only small or malformed values, since a
+# valid huge count is legal
 FUZZ_LIBRARY = {
     "QuantumOperation.dim": lambda v: QuantumOperation(dim=v, kraus=(IDENTITY,)),
     "QuantumOperation.kraus": lambda v: QuantumOperation(dim=2, kraus=v),
