@@ -28,14 +28,6 @@ from .errors import (
 )
 from .linalg import check_count, check_prior, dagger, is_hermitian, is_unitary, require_finite, require_matrix
 
-PAULI_MATRICES: tuple[np.ndarray, ...] = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 def check_probability_vector(q, length: int | None = None) -> np.ndarray:
     """Validate a 1-D list of nonnegative entries summing to 1; returns the vector as floats."""
     q = require_finite(q, "probability vector", float)
@@ -62,29 +54,35 @@ def _matrices(items, what: str, d: int | None = None) -> tuple[np.ndarray, ...]:
     return tuple(require_matrix(m, f"{what} {i}", d) for i, m in enumerate(items))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def _read_only(a) -> np.ndarray:
     """A copy of `a` that nobody can write, so a value that passed a check cannot change afterwards."""
     a = np.array(a)
     a.flags.writeable = False
     return a
 
 
+# I, sigma_x, sigma_y, sigma_z as one read-only complex (4, 2, 2) array
+PAULI_MATRICES: np.ndarray = _read_only([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
 @dataclass(frozen=True)
 class QuantumOperation:
     """A completely positive trace-preserving map given by Kraus operators.
 
-    kraus holds read-only copies of d x d complex matrices K_n with
-    sum K_n^dag K_n = I within the completeness tolerance.
+    kraus is one read-only complex (n, d, d) array, a copy of the given list
+    of d x d matrices K_n, with sum K_n^dag K_n = I within the completeness
+    tolerance.
     """
 
     dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
         d = check_count(self.dim, "dim", 1)
-        kraus = tuple(_read_only(k) for k in _matrices(self.kraus, "Kraus operator", d))
+        kraus = _matrices(self.kraus, "Kraus operator", d)
         if not kraus:
             raise CompletenessViolation("an operation needs at least one Kraus operator")
+        kraus = _read_only(kraus)
         total = sum(dagger(k) @ k for k in kraus)
         deviation = float(np.max(np.abs(total - np.eye(d))))
         if not deviation <= INPUT_TOL:
@@ -106,21 +104,23 @@ class RandomUnitaryChannel:
     """rho -> sum_n weights[n] U_n rho U_n^dag for a fixed list of unitaries.
 
     Zero weights are legal and kept, so two channels over the same family can
-    be compared index by index. Unitaries and weights are read-only copies.
+    be compared index by index. unitaries is one read-only complex (n, d, d)
+    array and weights a read-only (n,) array, both copies of what was given.
     """
 
     dim: int
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         d = check_count(self.dim, "dim", 1)
-        unitaries = tuple(_read_only(u) for u in _matrices(self.unitaries, "unitary", d))
+        unitaries = _matrices(self.unitaries, "unitary", d)
         if not unitaries:
             raise CompletenessViolation("a random-unitary channel needs at least one unitary")
         for u in unitaries:
             if not is_unitary(u):
                 raise InvalidState("matrix in the unitary list is not unitary within tolerance")
+        unitaries = _read_only(unitaries)
         weights = _read_only(check_probability_vector(self.weights))
         if weights.size != len(unitaries):
             raise DimensionMismatch(
@@ -194,11 +194,12 @@ def pauli_channel(q) -> QuantumOperation:
     return QuantumOperation(dim=2, kraus=kraus)
 
 
-def weyl_unitaries(d: int) -> tuple[np.ndarray, ...]:
+def weyl_unitaries(d: int) -> np.ndarray:
     """The d^2 shift-phase unitaries U[a*d + b] = sum_k w^(k b) |k+a mod d><k|, w = exp(2 pi i/d).
 
-    They are pairwise orthogonal: Tr[U_m^dag U_n] = d delta_mn. For d = 2 they
-    reproduce the Pauli matrices up to phase.
+    Returned as one new complex (d^2, d, d) array. They are pairwise
+    orthogonal: Tr[U_m^dag U_n] = d delta_mn. For d = 2 they reproduce the
+    Pauli matrices up to phase.
     """
     if isinstance(d, Integral) and not isinstance(d, bool) and d < 2:
         raise UnsupportedDimension(f"dimension must be at least 2, got {d}")
@@ -208,7 +209,7 @@ def weyl_unitaries(d: int) -> tuple[np.ndarray, ...]:
     a, b = k[:, None, None], k[:, None]  # family[a, b] is U[a*d + b]
     family = np.zeros((d, d, d, d), dtype=complex)
     family[a, b, (k + a) % d, k] = omega ** (k * b)
-    return tuple(family.reshape(d * d, d, d))
+    return family.reshape(d * d, d, d)
 
 
 def weyl_channel(d: int, q) -> RandomUnitaryChannel:
@@ -238,7 +239,7 @@ def unnormalized_choi(op: QuantumOperation) -> np.ndarray:
     """
     require_type(op, QuantumOperation, "op")
     # |K_n>>, one row per n; the operation holds its Kraus operators validated
-    v = np.stack(op.kraus).reshape(len(op.kraus), -1)
+    v = op.kraus.reshape(len(op.kraus), -1)
     return v.T @ v.conj()
 
 

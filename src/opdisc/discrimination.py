@@ -104,18 +104,12 @@ class PauliDiscriminationSummary:
     """Everything the qubit Pauli closed forms produce for one problem.
 
     r[i] = p1 q1[i] - p2 q2[i] are the prior-weighted weight differences over
-    {I, x, y, z}. a = r0 + r3, b = r1 + r2, c = r0 - r3, d = r1 - r2 are the
-    entries of the 4 x 4 difference operator in the computational basis. m is
-    the largest trace-norm value reachable with a product input, and det_sign
-    is the sign of r0 r1 r2 r3: entanglement strictly helps exactly when it
-    is negative.
+    {I, x, y, z}. m is the largest trace-norm value reachable with a product
+    input, and det_sign is the sign of r0 r1 r2 r3: entanglement strictly
+    helps exactly when it is negative.
     """
 
     r: tuple[float, float, float, float]
-    a: float
-    b: float
-    c: float
-    d: float
     det_sign: int
     m: float
     pe_entangled: float
@@ -232,8 +226,8 @@ def _qubit_unentangled(prob: DiscriminationProblem) -> tuple[float, np.ndarray]:
     is |p1 - p2| up to INPUT_TOL, and _sphere_argmax maximizes |b + B n|^2
     over the unit sphere.
     """
-    paulis = np.stack(PAULI_MATRICES)
-    r = 0.5 * np.einsum("iNn,nmNM,jmM->ij", paulis, delta_operator(prob).reshape(2, 2, 2, 2), paulis).real
+    sigma = PAULI_MATRICES
+    r = 0.5 * np.einsum("iNn,nmNM,jmM->ij", sigma, delta_operator(prob).reshape(2, 2, 2, 2), sigma).real
     b, big_b = r[1:, 0], r[1:, 1:]
     n = _sphere_argmax(big_b.T @ big_b, big_b.T @ b)
     # the pure state with Bloch vector n, from whichever pole formula is well conditioned
@@ -260,7 +254,7 @@ def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
     extrapolation needs. Every product and eigensolver call works row by row,
     so a row's result does not depend on the stack it comes in.
     """
-    kraus = np.stack(prob.op1.kraus + prob.op2.kraus)
+    kraus = np.concatenate([prob.op1.kraus, prob.op2.kraus])
     weights = np.array([prob.p1] * len(prob.op1.kraus) + [-prob.p2] * len(prob.op2.kraus))
     n, d, _ = kraus.shape
     e = int(ancilla)
@@ -347,6 +341,11 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     bound built on the best input's P^2. CERTIFIED_GAP is a reporting
     target: diagnostics.converged is False when the bracket is wider, as it
     can be when the best input is close to a product state.
+
+    The value is not capped by pe_unentangled: see-saw rounding can leave it
+    above the unentangled value of the same problem, as on
+    probe_problem(3, 64, base=5000) of tests/helpers.py, 1.005e-12 against
+    3.28e-13. Only opdisc general prints the minimum of the two.
     """
     require_type(prob, DiscriminationProblem, "prob")
     d = prob.op1.dim
@@ -417,7 +416,7 @@ def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: i
 def is_orthogonal_unitary_family(channel: RandomUnitaryChannel) -> bool:
     """True when the channel's unitaries satisfy Tr[U_m^dag U_n] = d delta_mn within tolerance."""
     require_type(channel, RandomUnitaryChannel, "channel")
-    flat = np.stack(channel.unitaries).reshape(len(channel.unitaries), -1)
+    flat = channel.unitaries.reshape(len(channel.unitaries), -1)
     # one Gram matrix: (flat flat^dag)[m, n] = Tr[U_n^dag U_m]
     return float(np.max(np.abs(flat @ dagger(flat) - channel.dim * np.eye(len(flat))))) <= ORTHOGONALITY_TOL
 
@@ -431,9 +430,9 @@ def _check_same_family(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel) -> 
         raise FamilyMismatch(
             f"unitary lists of lengths {len(ch1.unitaries)} and {len(ch2.unitaries)}"
         )
-    for n, (u1, u2) in enumerate(zip(ch1.unitaries, ch2.unitaries)):
-        if not float(np.max(np.abs(u1 - u2))) <= INPUT_TOL:
-            raise FamilyMismatch(f"unitary lists differ at index {n}")
+    far = np.flatnonzero(np.max(np.abs(ch1.unitaries - ch2.unitaries), axis=(1, 2)) > INPUT_TOL)
+    if far.size:
+        raise FamilyMismatch(f"unitary lists differ at index {far[0]}")
 
 
 def _weight_differences(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel, p1: float) -> np.ndarray:
@@ -464,7 +463,7 @@ def pe_random_unitary_bounds(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChanne
     _check_same_family(ch1, ch2)
     r = _weight_differences(ch1, ch2, p1)
     # |U_n>>, one row per n; the channel holds its unitaries validated
-    v = np.stack(ch1.unitaries).reshape(len(r), -1)
+    v = ch1.unitaries.reshape(len(r), -1)
     return _error(np.sum(np.abs(r))), _error(trace_norm((v.T * r) @ v.conj()) / ch1.dim)
 
 
@@ -495,10 +494,6 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
             best = i
     return PauliDiscriminationSummary(
         r=(r0, r1, r2, r3),
-        a=r0 + r3,
-        b=r1 + r2,
-        c=r0 - r3,
-        d=r1 - r2,
         det_sign=(product > 0) - (product < 0),
         m=candidates[best],
         pe_entangled=_error(abs(r0) + abs(r1) + abs(r2) + abs(r3)),

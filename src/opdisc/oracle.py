@@ -191,7 +191,7 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
     seed = check_count(seed, "seed", 0)
     if d > _MAX_ORACLE_DIM:
         raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
-    ops = np.array([*prob.op1.kraus, *prob.op2.kraus], dtype=complex)
+    ops = np.concatenate([prob.op1.kraus, prob.op2.kraus])
     if d == 2:
         states = _bloch_grid(grid_density, _stack_rows(ops))
     else:
@@ -213,5 +213,5 @@ def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int =
     seed = check_count(seed, "seed", 0)
     if d > _MAX_ORACLE_DIM:
         raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
-    ops = np.kron(np.array([*prob.op1.kraus, *prob.op2.kraus], dtype=complex), np.eye(d)[None])  # every K x I
+    ops = np.kron(np.concatenate([prob.op1.kraus, prob.op2.kraus]), np.eye(d)[None])  # every K x I
     return _min_error(prob, ops, _entangled_states(d, samples, np.random.default_rng(seed), _stack_rows(ops)))

@@ -1,4 +1,4 @@
-"""Parity record: one JSON line per output of the random probe and of the benchmark's numeric operations.
+"""Parity record: one JSON line per output of the random probe and of the benchmark's numeric and structured operations.
 
 Run from the repository root with the package importable:
 
@@ -11,6 +11,11 @@ pe_unentangled at their defaults; the numeric operations are those of
 perfbench's `numeric` workload. A line holds the output's name, the repr of
 each float in the result, the same floats in the 10 significant digits the
 CLI prints, a hash of the returned input's bytes and repr(diagnostics).
+The structured operations are those of perfbench's `structured` workload at
+seed 1: 40 Pauli closed forms, then at d = 2, 3 and 4 the random-unitary
+closed forms and bounds, the maximally entangled bound, Helstrom and both
+oracles. Their lines hold the name, the floats in both forms and the other
+fields of the result, with a hash of Helstrom's measurement.
 
 --against writes no record: it lists every line that differs from the file,
 first those whose printed digits moved, then those that differ only in bits,
@@ -36,10 +41,15 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
 from helpers import probe_problem  # noqa: E402
-from workloads import numeric  # noqa: E402
+from workloads import numeric, structured  # noqa: E402
 
 PROBE = ((2, 120), (3, 120), (4, 40))
 FLOATS = ("pe_entangled", "pe_unentangled", "lower_bound")
+STRUCTURED_SEED = 1
+
+
+def _digest(*arrays: np.ndarray) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()[:16]
 
 
 def _line(name: str, result) -> dict:
@@ -49,8 +59,33 @@ def _line(name: str, result) -> dict:
         "name": name,
         "floats": {f: repr(v) for f, v in values.items()},
         "printed": {f: f"{v:.10g}" for f, v in values.items()},  # as the CLI prints them
-        "input": hashlib.sha256(np.ascontiguousarray(found).tobytes()).hexdigest()[:16],
+        "input": _digest(found),
         "diagnostics": repr(result.diagnostics),
+    }
+
+
+def _parts(out) -> tuple[dict, dict]:
+    """(the floats, the other fields) of one structured output."""
+    if isinstance(out, opdisc.PauliDiscriminationSummary):
+        floats = {**{f"r{i}": r for i, r in enumerate(out.r)}, "m": out.m,
+                  "pe_entangled": out.pe_entangled, "pe_unentangled": out.pe_unentangled}
+        return floats, {"det_sign": out.det_sign, "axis": out.optimal_unentangled_axis,
+                        "entanglement_needed": out.entanglement_needed}
+    if isinstance(out, tuple) and isinstance(out[1], opdisc.TwoOutcomePovm):  # helstrom
+        return {"pe": out[0]}, {"povm": _digest(out[1].pi1, out[1].pi2)}
+    if isinstance(out, tuple):  # pe_random_unitary_bounds
+        return {"lower": out[0], "upper": out[1]}, {}
+    return {"value": out}, {}
+
+
+def _structured_line(name: str, out) -> dict:
+    values, other = _parts(out)
+    values = {f: float(v) for f, v in values.items()}
+    return {
+        "name": name,
+        "floats": {f: repr(v) for f, v in values.items()},
+        "printed": {f: f"{v:.10g}" for f, v in values.items()},
+        "other": other,
     }
 
 
@@ -63,6 +98,8 @@ def record() -> list[dict]:
             lines.append(_line(f"probe d={d} s={s} pe_unentangled", opdisc.pe_unentangled(prob)))
     for op in numeric(opdisc):
         lines.append(_line(f"numeric {op.name}", op.call()))
+    for i, op in enumerate(structured(STRUCTURED_SEED, opdisc)):
+        lines.append(_structured_line(f"structured {i} {op.name} d={op.d}", op.call()))
     return lines
 
 
@@ -77,7 +114,8 @@ def differences(old: list[dict], new: list[dict]) -> list[str]:
             printed.append(f"{'new' if a is None else 'missing'}: {name}")
         elif a != b:
             moved = [f"{f} {a['printed'].get(f)} -> {b['printed'].get(f)}"
-                     for f in FLOATS if a["printed"].get(f) != b["printed"].get(f)]
+                     for f in dict.fromkeys([*a["printed"], *b["printed"]])
+                     if a["printed"].get(f) != b["printed"].get(f)]
             fields = [k for k in a if a[k] != b.get(k)]
             (printed if moved else bits).append(f"{name}: {'; '.join(moved) or ', '.join(fields)}")
     return [f"printed {entry}" for entry in printed] + [f"bits    {entry}" for entry in bits]

@@ -198,7 +198,8 @@ def test_random_unitary_channel_rejects_count_mismatch():
 
 def test_operations_hold_read_only_copies_of_the_callers_arrays():
     """make_operation([k]).kraus[0] was k itself: after k[:] = 5 the operation held a map
-    that never passed the completeness check."""
+    that never passed the completeness check. A write into PAULI_MATRICES would have
+    changed every later pauli_channel."""
     k = SX.copy()
     unitaries = [u.copy() for u in weyl_unitaries(2)]
     weights = np.array([0.7, 0.1, 0.1, 0.1])
@@ -216,6 +217,12 @@ def test_operations_hold_read_only_copies_of_the_callers_arrays():
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+    # each list is one complex (n, d, d) array
+    for a, n in ((op.kraus, 1), (ch.unitaries, 4), (ch.as_operation().kraus, 4), (PAULI_MATRICES, 4)):
+        assert a.shape == (n, 2, 2) and a.dtype == complex and not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        PAULI_MATRICES[1] = 0
+    np.testing.assert_array_equal(pauli_channel([0, 1, 0, 0]).kraus, [[[0, 1], [1, 0]]])
 
 
 # --- the channel action, read off the Choi-type operator ---

@@ -244,13 +244,14 @@ def test_delta_matches_pauli_block_form():
     q1 = random_prob_vector(4, rng)
     q2 = random_prob_vector(4, rng)
     p1 = float(rng.uniform(0.1, 0.9))
-    s = pauli_delta_summary(q1, q2, p1)
+    r0, r1, r2, r3 = pauli_delta_summary(q1, q2, p1).r
+    a, b, c, d = r0 + r3, r1 + r2, r0 - r3, r1 - r2
     want = np.array(
         [
-            [s.a, 0, 0, s.c],
-            [0, s.b, s.d, 0],
-            [0, s.d, s.b, 0],
-            [s.c, 0, 0, s.a],
+            [a, 0, 0, c],
+            [0, b, d, 0],
+            [0, d, b, 0],
+            [c, 0, 0, a],
         ],
         dtype=complex,
     )
@@ -766,7 +767,7 @@ def test_orthogonality_gram_test_matches_the_pairwise_loop():
             for angle, orthogonal in ((0.0, True), (1e-12, True), (1e-6, False), (0.3, False)):
                 # turn the last unitary by exp(i angle H) towards the others
                 twist = (h_vecs * np.exp(1j * angle * h_vals)) @ dagger(h_vecs)
-                tilted = us[:-1] + (us[-1] @ twist,)
+                tilted = [*us[:-1], us[-1] @ twist]
                 ch = RandomUnitaryChannel(dim=d, unitaries=tilted, weights=np.full(d * d, 1.0 / (d * d)))
                 assert is_orthogonal_unitary_family(ch) == _orthogonal_by_loop(ch) == orthogonal
 
@@ -791,7 +792,7 @@ def test_exact_identity_vs_phase_flip():
 def test_exact_rejects_family_mismatch_and_non_orthogonal():
     ch1 = RandomUnitaryChannel(dim=2, unitaries=(SI, SX), weights=np.array([0.5, 0.5]))
     ch2 = RandomUnitaryChannel(dim=2, unitaries=(SI, SZ), weights=np.array([0.5, 0.5]))
-    with pytest.raises(FamilyMismatch):
+    with pytest.raises(FamilyMismatch, match="differ at index 1$"):
         pe_random_unitary_exact(ch1, ch2, 0.5)
     skew = (np.eye(2) + 1j * SX) / np.sqrt(2)
     ch3 = RandomUnitaryChannel(dim=2, unitaries=(SI, skew), weights=np.array([0.5, 0.5]))
@@ -935,10 +936,6 @@ def _former_pauli_summary(r):
             best = i
     return discrimination.PauliDiscriminationSummary(
         r=(r0, r1, r2, r3),
-        a=r0 + r3,
-        b=r1 + r2,
-        c=r0 - r3,
-        d=r1 - r2,
         det_sign=(product > 0) - (product < 0),
         m=candidates[best],
         pe_entangled=max(0.0, 0.5 * (1.0 - (abs(r0) + abs(r1) + abs(r2) + abs(r3)))),

@@ -390,7 +390,7 @@ def test_bloch_grid_stacks_are_the_per_state_formula_byte_for_byte(grid, budget,
     """Tabling cos(theta/2), sin(theta/2) and e^(i phi) per angle moves no bit of any state."""
     monkeypatch.setattr(oracle_module, "_STACK_BYTES", budget)
     prob = _identity_vs_depolarizing()
-    rows = oracle_module._stack_rows(np.array([*prob.op1.kraus, *prob.op2.kraus]))
+    rows = oracle_module._stack_rows(np.concatenate([prob.op1.kraus, prob.op2.kraus]))
     stacks = list(oracle_module._bloch_grid(grid, rows))
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
