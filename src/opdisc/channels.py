@@ -12,8 +12,11 @@ bipartite vector |A>> with component A[n, m] at index n*d + m, so
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from numbers import Integral
+from operator import add
 
 import numpy as np
 
@@ -26,23 +29,32 @@ from .errors import (
     NonFinite,
     UnsupportedDimension,
 )
-from .linalg import check_count, check_prior, dagger, is_hermitian, is_unitary, require_finite, require_matrix
+from .linalg import check_count, check_prior, dagger, is_unitary, require_finite, require_matrix
 
-def check_probability_vector(q, length: int | None = None) -> np.ndarray:
-    """Validate a 1-D list of nonnegative entries summing to 1; returns the vector as floats."""
-    q = require_finite(q, "probability vector", float)
-    if q.ndim != 1:
-        raise InvalidProbabilityVector(f"expected a flat list of weights, got shape {q.shape}")
-    if length is not None and q.size != length:
-        raise InvalidProbabilityVector(f"expected {length} entries, got {q.size}")
-    # Python floats from here: one reduction each, without numpy's wrapper overhead
-    least = float(q.min(initial=np.inf))  # an empty q fails the sum below
+# numpy sums fewer than 8 float64 entries one by one from 0.0, left to right, as reduce(add, q, 0.0) does
+_SHORT = 8
+
+
+def check_probability_vector(q, length: int | None = None) -> list[float]:
+    """Validate a 1-D list of nonnegative entries summing to 1; returns the entries as Python floats.
+
+    Fewer than _SHORT finite floats (a list, tuple or float64 array) skip numpy, with the same refusals."""
+    if type(q) is np.ndarray and q.dtype == np.float64 and q.ndim == 1 and len(q) < _SHORT:
+        q = q.tolist()
+    short = type(q) in (list, tuple) and len(q) < _SHORT and all(type(x) is float and math.isfinite(x) for x in q)
+    if not short:
+        q = require_finite(q, "probability vector", float)
+        if q.ndim != 1:
+            raise InvalidProbabilityVector(f"expected a flat list of weights, got shape {q.shape}")
+    if length is not None and len(q) != length:
+        raise InvalidProbabilityVector(f"expected {length} entries, got {len(q)}")
+    least = min(q, default=math.inf) if short else float(q.min(initial=np.inf))  # an empty q fails the sum
     if not least >= -PROBABILITY_TOL:
         raise InvalidProbabilityVector(f"negative entry {least:.3e}")
-    total = float(q.sum())
+    total = reduce(add, q, 0.0) if short else float(q.sum())
     if not abs(total - 1.0) <= PROBABILITY_TOL:
         raise InvalidProbabilityVector(f"entries sum to {total!r}, not 1")
-    return q
+    return list(q) if short else q.tolist()
 
 
 def _matrices(items, what: str, d: int | None = None) -> tuple[np.ndarray, ...]:
@@ -151,7 +163,7 @@ def require_type(value, cls: type, name: str) -> None:
 
 @dataclass(frozen=True)
 class DiscriminationProblem:
-    """Two same-dimension operations and the prior probability of the first."""
+    """Two same-dimension operations and the prior of the first; what the solvers derive is cached read-only."""
 
     op1: QuantumOperation
     op2: QuantumOperation
@@ -167,6 +179,20 @@ class DiscriminationProblem:
     @property
     def p2(self) -> float:
         return 1.0 - self.p1
+
+    @cached_property
+    def _delta(self) -> np.ndarray:
+        """Delta = p1 sum |K1>><<K1| - p2 sum |K2>><<K2|, the d^2 x d^2 form of p1 E1 - p2 E2."""
+        return _read_only(self.p1 * unnormalized_choi(self.op1) - self.p2 * unnormalized_choi(self.op2))
+
+    @cached_property
+    def _seesaw(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p1 E1 - p2 E2 as sum_k w_k K_k . K_k^dag: both Kraus lists as one array, w_k = p1 or -p2,
+        and the adjoint map X -> sum_k w_k K_k^dag X K_k acting on row-major vec(X) from the right."""
+        kraus = np.concatenate([self.op1.kraus, self.op2.kraus])
+        weights = np.array([self.p1] * len(self.op1.kraus) + [-self.p2] * len(self.op2.kraus))
+        adjoint = np.einsum("k,kip,kjq->ijpq", weights, kraus.conj(), kraus).reshape(self.op1.dim ** 2, -1)
+        return _read_only(kraus), _read_only(weights), _read_only(adjoint)
 
 
 @dataclass(frozen=True)
@@ -220,8 +246,12 @@ def weyl_channel(d: int, q) -> RandomUnitaryChannel:
 
 def check_density_matrix(rho, d: int) -> np.ndarray:
     """Validate a d x d density matrix (Hermitian, unit trace, positive within tolerance)."""
-    rho = require_matrix(rho, "state", check_count(d, "d", 1))
-    if not is_hermitian(rho):
+    return check_state(require_matrix(rho, "state", check_count(d, "d", 1)))
+
+
+def check_state(rho: np.ndarray) -> np.ndarray:
+    """check_density_matrix's checks on rho, a matrix that already passed require_matrix."""
+    if not float(np.max(np.abs(rho - dagger(rho)))) <= INPUT_TOL:  # linalg.is_hermitian's test
         raise InvalidState("state is not Hermitian within tolerance")
     trace = complex(np.trace(rho))
     if not abs(trace - 1.0) <= INPUT_TOL:

@@ -40,20 +40,12 @@ from .channels import (
     TwoOutcomePovm,
     check_density_matrix,
     check_probability_vector,
+    check_state,
     require_type,
-    unnormalized_choi,
 )
 from .config import CERTIFIED_GAP, INPUT_TOL, ORTHOGONALITY_TOL
 from .errors import FamilyMismatch, NotOrthogonal
-from .linalg import (
-    biket_to_mat,
-    check_count,
-    check_prior,
-    dagger,
-    eig_hermitian,
-    require_matrix,
-    trace_norm,
-)
+from .linalg import _eig_hermitian, biket_to_mat, check_count, check_prior, dagger, require_matrix, trace_norm
 from .optimizer import MaximizeSummary, decode_pure_state, maximize
 
 # Weight of I/d mixed into the input's reduced state before the dual
@@ -125,22 +117,27 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     p1 rho1 - p2 rho2; the zero eigenspace is assigned to outcome 1.
     """
     p1 = check_prior(p1)
-    rho1 = require_matrix(rho1, "state")
-    rho1, rho2 = check_density_matrix(rho1, len(rho1)), check_density_matrix(rho2, len(rho1))
-    dec = eig_hermitian(p1 * rho1 - (1.0 - p1) * rho2)
+    rho1 = check_state(require_matrix(rho1, "state"))
+    rho2 = check_density_matrix(rho2, len(rho1))
+    dec = _eig_hermitian(p1 * rho1 - (1.0 - p1) * rho2)  # built from checked states: no second check
     pe = _error(np.sum(np.abs(dec.eigenvalues)))
     keep = dec.eigenvalues >= 0
     v_pos = dec.eigenvectors[:, keep]
     v_neg = dec.eigenvectors[:, ~keep]
     pi1 = v_pos @ dagger(v_pos)
     pi2 = v_neg @ dagger(v_neg)
-    return pe, TwoOutcomePovm(pi1=pi1, pi2=pi2)
+    povm = object.__new__(TwoOutcomePovm)  # two d x d complex matrices: __post_init__ would check them again
+    povm.__dict__.update(pi1=pi1, pi2=pi2)
+    return pe, povm
 
 
 def delta_operator(prob: DiscriminationProblem) -> np.ndarray:
-    """The d^2 x d^2 Hermitian operator p1 sum |K1>><<K1| - p2 sum |K2>><<K2|."""
+    """The d^2 x d^2 Hermitian operator p1 sum |K1>><<K1| - p2 sum |K2>><<K2|.
+
+    Computed once per problem and returned read-only: writing into it raises ValueError.
+    """
     require_type(prob, DiscriminationProblem, "prob")
-    return prob.p1 * unnormalized_choi(prob.op1) - prob.p2 * unnormalized_choi(prob.op2)
+    return prob._delta
 
 
 def bound_max_entangled(prob: DiscriminationProblem) -> float:
@@ -254,12 +251,9 @@ def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
     extrapolation needs. Every product and eigensolver call works row by row,
     so a row's result does not depend on the stack it comes in.
     """
-    kraus = np.concatenate([prob.op1.kraus, prob.op2.kraus])
-    weights = np.array([prob.p1] * len(prob.op1.kraus) + [-prob.p2] * len(prob.op2.kraus))
+    kraus, weights, adjoint = prob._seesaw  # derived once per problem
     n, d, _ = kraus.shape
     e = int(ancilla)
-    # X -> sum_k w_k K_k^dag X K_k acting on row-major vec(X) from the right
-    adjoint = np.einsum("k,kip,kjq->ijpq", weights, kraus.conj(), kraus).reshape(d * d, d * d)
     kernel_tol = d * e * np.finfo(float).eps
 
     def step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -478,10 +472,10 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
     q1 = check_probability_vector(q1, 4)
     q2 = check_probability_vector(q2, 4)
     p1 = check_prior(p1)
-    # Python floats from here: on four numbers, numpy's per-call overhead outweighs the arithmetic.
+    # Python floats throughout: on four numbers, numpy's per-call overhead outweighs the arithmetic.
     # p1 a - p2 b entry by entry is the same IEEE arithmetic as the array expression p1 q1 - p2 q2.
     p2 = 1.0 - p1
-    r0, r1, r2, r3 = (p1 * a - p2 * b for a, b in zip(q1.tolist(), q2.tolist()))
+    r0, r1, r2, r3 = (p1 * a - p2 * b for a, b in zip(q1, q2))
     product = r0 * r1 * r2 * r3
     candidates = (
         abs(r0 + r3) + abs(r1 + r2),  # sigma_z eigenstate input

@@ -94,10 +94,11 @@ def require_matrix(a, what: str, d: int | None = None) -> np.ndarray:
 
 def check_prior(p1) -> float:
     """`p1` as a float in [0, 1]; NonFinite naming anything but one real number, ValueError out of range."""
-    value = require_finite(p1, "p1", float)
-    if value.ndim:
-        raise NonFinite(f"p1 must be a single number, got {p1!r}")
-    p1 = float(value)
+    if type(p1) is not float or not math.isfinite(p1):  # a finite Python float needs no numpy round trip
+        value = require_finite(p1, "p1", float)
+        if value.ndim:
+            raise NonFinite(f"p1 must be a single number, got {p1!r}")
+        p1 = float(value)
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
     return p1
@@ -149,7 +150,11 @@ def eig_hermitian(a) -> EigDecomposition:
 
     Raises NonFinite / NonSquare / NonHermitian on bad input.
     """
-    a = require_matrix(a, "matrix")
+    return _eig_hermitian(require_matrix(a, "matrix"))
+
+
+def _eig_hermitian(a: np.ndarray) -> EigDecomposition:
+    """eig_hermitian of a finite square complex matrix, such as one the library built from checked input."""
     h = dagger(a)
     deviation = float(np.max(np.abs(a - h)))
     if not deviation <= INPUT_TOL:

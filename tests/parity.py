@@ -22,7 +22,8 @@ first those whose printed digits moved, then those that differ only in bits,
 and exits 1 if any line differs. LAPACK rounding alone can move bits, and
 near a plateau even printed digits, between numpy or BLAS builds, so the
 record holds for the build that wrote it. The run takes a few seconds, so
-Tier-1 leaves it to this script.
+Tier-1 (tests/test_parity_subset.py) checks only the printed digits of the
+numeric and structured lines, and leaves the bits and the probe to this script.
 """
 
 from __future__ import annotations
@@ -89,6 +90,14 @@ def _structured_line(name: str, out) -> dict:
     }
 
 
+def benchmark_lines() -> list[dict]:
+    """The lines of the numeric operations and of the structured ones at STRUCTURED_SEED."""
+    lines = [_line(f"numeric {op.name}", op.call()) for op in numeric(opdisc)]
+    for i, op in enumerate(structured(STRUCTURED_SEED, opdisc)):
+        lines.append(_structured_line(f"structured {i} {op.name} d={op.d}", op.call()))
+    return lines
+
+
 def record() -> list[dict]:
     lines = []
     for d, count in PROBE:
@@ -96,11 +105,7 @@ def record() -> list[dict]:
             prob = probe_problem(d, s)
             lines.append(_line(f"probe d={d} s={s} pe_entangled", opdisc.pe_entangled(prob)))
             lines.append(_line(f"probe d={d} s={s} pe_unentangled", opdisc.pe_unentangled(prob)))
-    for op in numeric(opdisc):
-        lines.append(_line(f"numeric {op.name}", op.call()))
-    for i, op in enumerate(structured(STRUCTURED_SEED, opdisc)):
-        lines.append(_structured_line(f"structured {i} {op.name} d={op.d}", op.call()))
-    return lines
+    return lines + benchmark_lines()
 
 
 def differences(old: list[dict], new: list[dict]) -> list[str]:

@@ -1,0 +1,34 @@
+"""The Tier-1 subset of the parity record: the benchmark's numeric and structured outputs print as recorded.
+
+tests/parity.py writes one line per output to tests/data/parity.jsonl and,
+with --against, compares every line bit for bit; that full run takes a few
+seconds, most of it the 280-pair probe. This test recomputes the 8 numeric
+lines and the 58 structured lines (seed 1) and requires that their floats,
+printed in the CLI's 10 significant digits, and their fields other than a
+hash (the Pauli sign, axis and verdict) equal the record. Bits, hashes and
+diagnostics are left to the script: LAPACK rounding may move them between
+numpy builds.
+"""
+
+import json
+from pathlib import Path
+
+import parity
+
+RECORD = Path(__file__).with_name("data") / "parity.jsonl"
+
+
+def _printed(line: dict) -> tuple[dict, dict]:
+    return line["printed"], {k: v for k, v in line.get("other", {}).items() if k != "povm"}
+
+
+def test_the_numeric_and_structured_outputs_print_as_recorded():
+    recorded = {line["name"]: line for line in map(json.loads, RECORD.read_text().splitlines())}
+    lines = parity.benchmark_lines()
+    assert [line["name"].split()[0] for line in lines] == ["numeric"] * 8 + ["structured"] * 58
+    moved = [
+        f"{line['name']}: {_printed(recorded[line['name']])} -> {_printed(line)}"
+        for line in lines
+        if _printed(line) != _printed(recorded[line["name"]])
+    ]
+    assert moved == []
