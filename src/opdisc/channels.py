@@ -29,7 +29,7 @@ from .errors import (
     NonFinite,
     UnsupportedDimension,
 )
-from .linalg import check_count, check_prior, dagger, is_unitary, require_finite, require_matrix
+from .linalg import _is_unitary, check_count, check_prior, dagger, require_dim, require_finite, require_matrix
 
 # numpy sums fewer than 8 float64 entries one by one from 0.0, left to right, as reduce(add, q, 0.0) does
 _SHORT = 8
@@ -66,6 +66,13 @@ def _matrices(items, what: str, d: int | None = None) -> tuple[np.ndarray, ...]:
     return tuple(require_matrix(m, f"{what} {i}", d) for i, m in enumerate(items))
 
 
+def _checked(cls, **fields):
+    """A `cls` holding `fields`, values that passed every check of cls.__post_init__, without running them again."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def _read_only(a) -> np.ndarray:
     """A copy of `a` that nobody can write, so a value that passed a check cannot change afterwards."""
     a = np.array(a)
@@ -91,24 +98,32 @@ class QuantumOperation:
 
     def __post_init__(self):
         d = check_count(self.dim, "dim", 1)
-        kraus = _matrices(self.kraus, "Kraus operator", d)
-        if not kraus:
-            raise CompletenessViolation("an operation needs at least one Kraus operator")
-        kraus = _read_only(kraus)
-        total = sum(dagger(k) @ k for k in kraus)
-        deviation = float(np.max(np.abs(total - np.eye(d))))
-        if not deviation <= INPUT_TOL:
-            raise CompletenessViolation(
-                f"sum K^dag K deviates from identity by {deviation:.3e}"
-            )
+        object.__setattr__(self, "kraus", _complete(_matrices(self.kraus, "Kraus operator", d), d))
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "kraus", kraus)
+
+
+def _complete(kraus: tuple[np.ndarray, ...], d: int) -> np.ndarray:
+    """The d x d matrices `kraus`, already through require_matrix, as one read-only array; refused unless
+    there is at least one and sum K^dag K = I within tolerance."""
+    if not kraus:
+        raise CompletenessViolation("an operation needs at least one Kraus operator")
+    kraus = _read_only(kraus)
+    total = sum(dagger(k) @ k for k in kraus)
+    deviation = float(np.max(np.abs(total - np.eye(d))))
+    if not deviation <= INPUT_TOL:
+        raise CompletenessViolation(f"sum K^dag K deviates from identity by {deviation:.3e}")
+    return kraus
 
 
 def make_operation(kraus) -> QuantumOperation:
-    """Build a validated QuantumOperation from a list of square matrices; the first one sets the dimension."""
+    """Build a validated QuantumOperation from a list of square matrices; the first one sets the dimension.
+
+    Each matrix is checked once: every one through require_matrix, then each one's dimension.
+    """
     kraus = _matrices(kraus, "Kraus operator")
-    return QuantumOperation(dim=kraus[0].shape[0] if kraus else 1, kraus=kraus)
+    d = kraus[0].shape[0] if kraus else 1
+    kraus = tuple(require_dim(k, f"Kraus operator {i}", d) for i, k in enumerate(kraus))
+    return _checked(QuantumOperation, dim=d, kraus=_complete(kraus, d))
 
 
 @dataclass(frozen=True)
@@ -126,28 +141,33 @@ class RandomUnitaryChannel:
 
     def __post_init__(self):
         d = check_count(self.dim, "dim", 1)
-        unitaries = _matrices(self.unitaries, "unitary", d)
-        if not unitaries:
-            raise CompletenessViolation("a random-unitary channel needs at least one unitary")
-        for u in unitaries:
-            if not is_unitary(u):
-                raise InvalidState("matrix in the unitary list is not unitary within tolerance")
-        unitaries = _read_only(unitaries)
-        weights = _read_only(check_probability_vector(self.weights))
-        if weights.size != len(unitaries):
-            raise DimensionMismatch(
-                f"{weights.size} weights for {len(unitaries)} unitaries"
-            )
+        unitaries = _unitaries(_matrices(self.unitaries, "unitary", d))
+        weights = _weighting(check_probability_vector(self.weights), unitaries)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "unitaries", unitaries)
         object.__setattr__(self, "weights", weights)
 
     def as_operation(self) -> QuantumOperation:
         """Kraus form sqrt(weights[n]) U_n, keeping only the strictly positive weights."""
-        kraus = tuple(
-            np.sqrt(w) * u for w, u in zip(self.weights, self.unitaries) if w > 0
-        )
-        return QuantumOperation(dim=self.dim, kraus=kraus)
+        kraus = tuple(np.sqrt(w) * u for w, u in zip(self.weights, self.unitaries) if w > 0)
+        return _checked(QuantumOperation, dim=self.dim, kraus=_complete(kraus, self.dim))
+
+
+def _unitaries(unitaries: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The matrices `unitaries`, already through require_matrix, as one read-only array; refused unless
+    there is at least one and each is unitary within tolerance."""
+    if not unitaries:
+        raise CompletenessViolation("a random-unitary channel needs at least one unitary")
+    if not all(_is_unitary(u) for u in unitaries):
+        raise InvalidState("matrix in the unitary list is not unitary within tolerance")
+    return _read_only(unitaries)
+
+
+def _weighting(weights: list[float], unitaries: np.ndarray) -> np.ndarray:
+    """A checked probability vector as a read-only array, DimensionMismatch unless one weight per unitary."""
+    if len(weights) != len(unitaries):
+        raise DimensionMismatch(f"{len(weights)} weights for {len(unitaries)} unitaries")
+    return _read_only(weights)
 
 
 def require_type(value, cls: type, name: str) -> None:
@@ -217,7 +237,7 @@ def pauli_channel(q) -> QuantumOperation:
     """
     q = check_probability_vector(q, 4)
     kraus = tuple(np.sqrt(w) * s for w, s in zip(q, PAULI_MATRICES) if w > 0)
-    return QuantumOperation(dim=2, kraus=kraus)
+    return _checked(QuantumOperation, dim=2, kraus=_complete(kraus, 2))
 
 
 def weyl_unitaries(d: int) -> np.ndarray:
@@ -241,7 +261,10 @@ def weyl_unitaries(d: int) -> np.ndarray:
 def weyl_channel(d: int, q) -> RandomUnitaryChannel:
     """Random-unitary channel over the d^2 shift-phase unitaries with weights q."""
     family = weyl_unitaries(d)
-    return RandomUnitaryChannel(dim=d, unitaries=family, weights=check_probability_vector(q, d * d))
+    weights = check_probability_vector(q, d * d)
+    unitaries = _unitaries(_matrices(family, "unitary"))
+    weights = _weighting(weights, unitaries)
+    return _checked(RandomUnitaryChannel, dim=family.shape[1], unitaries=unitaries, weights=weights)
 
 
 def check_density_matrix(rho, d: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from .channels import (
     DiscriminationProblem,
     RandomUnitaryChannel,
     TwoOutcomePovm,
+    _checked,
     check_density_matrix,
     check_probability_vector,
     check_state,
@@ -126,9 +127,7 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     v_neg = dec.eigenvectors[:, ~keep]
     pi1 = v_pos @ dagger(v_pos)
     pi2 = v_neg @ dagger(v_neg)
-    povm = object.__new__(TwoOutcomePovm)  # two d x d complex matrices: __post_init__ would check them again
-    povm.__dict__.update(pi1=pi1, pi2=pi2)
-    return pe, povm
+    return pe, _checked(TwoOutcomePovm, pi1=pi1, pi2=pi2)  # two d x d complex matrices it built
 
 
 def delta_operator(prob: DiscriminationProblem) -> np.ndarray:

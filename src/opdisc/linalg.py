@@ -87,7 +87,12 @@ def require_matrix(a, what: str, d: int | None = None) -> np.ndarray:
     a = require_finite(a, what, complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise NonSquare(f"{what} of shape {a.shape} is not a nonempty square matrix")
-    if d is not None and a.shape[0] != d:
+    return a if d is None else require_dim(a, what, d)
+
+
+def require_dim(a: np.ndarray, what: str, d: int) -> np.ndarray:
+    """The square matrix `a` if it is d x d, else DimensionMismatch naming `what`."""
+    if a.shape[0] != d:
         raise DimensionMismatch(f"{what} of shape {a.shape} is not {d}x{d}")
     return a
 
@@ -133,8 +138,12 @@ def is_unitary(a) -> bool:
         a = require_matrix(a, "matrix")
     except NonSquare:
         return False
-    eye = np.eye(a.shape[0])
-    return float(np.max(np.abs(dagger(a) @ a - eye))) <= INPUT_TOL
+    return _is_unitary(a)
+
+
+def _is_unitary(a: np.ndarray) -> bool:
+    """is_unitary of a finite square complex matrix, such as one that already passed require_matrix."""
+    return float(np.max(np.abs(dagger(a) @ a - np.eye(a.shape[0])))) <= INPUT_TOL
 
 
 @dataclass(frozen=True)

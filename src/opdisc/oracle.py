@@ -1,25 +1,29 @@
 """Brute-force verification oracles.
 
 What stays naive is what is computed: every grid point and every sample is
-evaluated, channels are applied by the oracle's own Kraus sums (through
-explicit K x I on bipartite inputs), and each error comes from the
-eigenvalues of the output difference. Only repeats are skipped: each Bloch
-pole is one state, and |phi+> has the error of every maximally entangled
-input. It never calls the optimizer, the closed forms or linalg.trace_norm,
-so agreement with them is evidence rather than tautology. This module
-imports only channels (for the value types, require_type and
-check_density_matrix), config, errors and linalg's input checks: never
-discrimination or the optimizer.
+evaluated, channels are applied from the oracle's own copy of their Kraus
+operators, and each error comes from the eigenvalues of the output
+difference. Only repeats are skipped: each Bloch pole is one state, and
+|phi+> has the error of every maximally entangled input. It never calls the
+optimizer, the closed forms, linalg.trace_norm or delta_operator, so
+agreement with them is evidence rather than tautology. This module imports
+only channels (for the value types, require_type and check_density_matrix),
+config, errors and linalg's input checks: never discrimination or the
+optimizer.
 
-Input states are made and evaluated in stacks sized by memory: a stack holds
-as many states as _STACK_BYTES allows for their Kraus products, the products'
-conjugates and the output differences. One batched product applies every
-Kraus operator to a whole stack. A qubit output difference has the eigenvalues
-m +- r of its three independent entries, summed directly over the products, so
-the qubit route forms no difference matrix; every other stack's trace norms
-come from one stacked eigvalsh. Memory stays flat in the grid density, the
-sample count and the number of Kraus operators, and a seed draws the same
-states as a one-state-at-a-time loop would.
+The product-input search builds, once per call, the d^2 x d^2 superoperator S
+of p1 E1 - p2 E2 from both Kraus lists, and maps each state's vec(v v^dag) to
+its output difference with one row-times-S product. S is a reshuffle of the
+library's Delta; the oracle builds it itself and never reads delta_operator.
+The entangled search applies every K x I to its inputs. Input states are made
+and evaluated in stacks sized by memory: a stack holds as many states as
+_STACK_BYTES allows for their Kraus products (K x I on the entangled search),
+the products' conjugates and the output differences. A 2 x 2 or 3 x 3 output difference's trace norm comes
+from its eigenvalues in closed form (a 3 x 3 one near a double eigenvalue
+that meets zero goes to eigvalsh); every larger stack takes one stacked
+eigvalsh. Memory stays flat in the grid density, the sample count and the
+number of Kraus operators, and a seed draws the same states as a
+one-state-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from .linalg import check_count, check_prior, is_hermitian
 _MAX_ORACLE_DIM = 4
 # Bytes of complex working set one stack of input states may hold: for each
 # state of dimension D, its n products K_k v, their conjugates and its D x D
-# output difference (the qubit route holds no differences, and stays well
-# inside the budget). With few Kraus operators the differences dominate: a
-# budget on the products alone would let a d = 4 unitary pair's entangled
-# stack pass 3 MB. 640 KiB holds 32 entangled states of a d = 4 Weyl pair
+# output difference. The product search sizes its stacks the same way but holds
+# only vec(v v^dag) and the difference, 2 D^2 entries a state, well inside the
+# budget. With few Kraus operators the differences dominate: a budget on the
+# products alone would let a d = 4 unitary pair's entangled stack pass 3 MB. 640 KiB holds 32 entangled states of a d = 4 Weyl pair
 # (n = 32, D = 16); no product in a stack is large enough for a threaded BLAS
 # to split, and waking its threads would cost more than the product.
 _STACK_BYTES = 640 * 1024
@@ -86,7 +90,7 @@ def _stacks(count: int, rows: int) -> Iterator[tuple[int, int]]:
 
 
 def _output_differences(ops: np.ndarray, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """delta_m = sum_k w_k (K_k v_m)(K_k v_m)^dag for every row v_m of the stack v.
+    """delta_m = sum_k w_k (K_k v_m)(K_k v_m)^dag for every row v_m of the stack v: the entangled search's route.
 
     A function of its own so that the outputs are freed before the eigvalsh.
     """
@@ -96,23 +100,84 @@ def _output_differences(ops: np.ndarray, weights: np.ndarray, v: np.ndarray) -> 
     return outputs.transpose(1, 2, 0) @ conj.transpose(1, 0, 2)
 
 
-def _trace_norms(ops: np.ndarray, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """||delta_m||_1 for every row v_m of the stack v, from delta_m's eigenvalues.
+def _superoperator(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """S[(a, b), (i, j)] = sum_k w_k K_k[i, a] conj(K_k[j, b]): the d^2 x d^2 map vec(rho) -> vec(delta) on rows.
+
+    S is a reshuffle of the library's Delta, built here from the Kraus operators
+    so that the oracle never reads discrimination's delta_operator.
+    """
+    d = ops.shape[1]
+    return np.einsum("k,kia,kjb->abij", weights, ops, ops.conj()).reshape(d * d, d * d)
+
+
+def _product_differences(sup: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """delta_m = sum_k w_k K_k v_m v_m^dag K_k^dag for every row v_m of the stack v, as vec(v_m v_m^dag) S."""
+    m, d = v.shape
+    return ((v[:, :, None] * v.conj()[:, None, :]).reshape(m, d * d) @ sup).reshape(m, d, d)
+
+
+# A row whose closed-form angle has 1 - |cos 3 phi| below _NEAR_DOUBLE holds a
+# near-double eigenvalue pair, where arccos amplifies rounding: each eigenvalue of
+# the pair may be off by up to about 3e-8 of the largest entry (at most 2.5e-8 over
+# 200,000 random near-double matrices), and their errors cancel. The trace norm
+# keeps that cancellation only while both lie on one side of zero by more than
+# _NEAR_ZERO, 40 times that error; any other near-double row takes eigvalsh.
+_NEAR_DOUBLE = 1e-2
+_NEAR_ZERO = 1e-6
+
+
+def _qutrit_trace_norms(deltas: np.ndarray) -> np.ndarray:
+    """||delta_m||_1 of a stack of 3 x 3 Hermitian matrices from their closed-form eigenvalues.
+
+    Each matrix is divided by its largest entry s, so no step overflows or
+    underflows. With q = Tr A / 3, B = A - q I and p = sqrt(Tr B^2 / 6), the
+    eigenvalues are q + 2 p cos(phi + 2 pi k / 3), k = 0, 1, 2, for
+    phi = arccos(det(B / p) / 2) / 3 (O. K. Smith, Commun. ACM 4, 168 (1961)).
+    Near a double eigenvalue arccos loses accuracy (J. Kopp,
+    arXiv:physics/0610206); the pair's errors cancel in the trace norm unless
+    the pair meets zero, and those rows take eigvalsh.
+    """
+    # the diagonal and the lower triangle, the entries eigvalsh reads
+    a0, a1, a2 = deltas[:, 0, 0].real, deltas[:, 1, 1].real, deltas[:, 2, 2].real
+    x, y, z = deltas[:, 1, 0], deltas[:, 2, 0], deltas[:, 2, 1]
+    s = np.max(np.abs([a0, a1, a2, x, y, z]), axis=0)
+    s = np.where(s > 0, s, 1.0)  # the zero matrix stays zero
+    a0, a1, a2, x, y, z = a0 / s, a1 / s, a2 / s, x / s, y / s, z / s
+    q = (a0 + a1 + a2) / 3
+    b0, b1, b2 = a0 - q, a1 - q, a2 - q
+    xx, yy, zz = x.real**2 + x.imag**2, y.real**2 + y.imag**2, z.real**2 + z.imag**2
+    p = np.sqrt((b0**2 + b1**2 + b2**2 + 2 * (xx + yy + zz)) / 6)
+    unit = np.where(p > 0, p, 1.0)  # B = 0 leaves every eigenvalue at q
+    b0, b1, b2, x, y, z = b0 / unit, b1 / unit, b2 / unit, x / unit, y / unit, z / unit
+    xx, yy, zz = x.real**2 + x.imag**2, y.real**2 + y.imag**2, z.real**2 + z.imag**2
+    det = b0 * b1 * b2 - b0 * zz - b1 * yy - b2 * xx + 2 * (x * z * y.conj()).real
+    r = np.clip(det / 2, -1.0, 1.0)
+    phi = np.arccos(r) / 3
+    top = q + 2 * p * np.cos(phi)
+    low = q + 2 * p * np.cos(phi + 2 * np.pi / 3)
+    mid = 3 * q - top - low
+    norms = s * (np.abs(top) + np.abs(low) + np.abs(mid))
+    other = np.where(r > 0, low, top)  # mid's partner in the pair that meets at r = 1 or r = -1
+    near = (1.0 - np.abs(r) < _NEAR_DOUBLE) & (np.minimum(mid * np.sign(other), np.abs(other)) < _NEAR_ZERO)
+    if near.any():
+        norms[near] = np.sum(np.abs(np.linalg.eigvalsh(deltas[near])), axis=-1)
+    return norms
+
+
+def _trace_norms(deltas: np.ndarray) -> np.ndarray:
+    """||delta_m||_1 for every matrix delta_m of the stack deltas, from delta_m's eigenvalues.
 
     A qubit output difference [[a, b], [b*, c]] has the eigenvalues m +- r, with
     m = (a + c)/2 and r = hypot((a - c)/2, |b|), so its trace norm is
-    2 max(|m|, r); a, b and c are summed over the products K_k v_m directly. Any
-    other output dimension goes through the stacked differences and eigvalsh.
+    2 max(|m|, r); a 3 x 3 one has closed-form eigenvalues too
+    (_qutrit_trace_norms). Any larger difference goes through eigvalsh.
     """
-    if ops.shape[1] != 2:
-        return np.sum(np.abs(np.linalg.eigvalsh(_output_differences(ops, weights, v))), axis=-1)
-    outputs = v @ ops.transpose(0, 2, 1)  # outputs[k, m] = K_k v_m
-    first, second = outputs[..., 0], outputs[..., 1]
-    w = weights[:, None]
-    # each sum runs over k in order, one state at a time, so no entry depends on the stack size
-    a = np.sum(w * (first.real**2 + first.imag**2), axis=0)
-    c = np.sum(w * (second.real**2 + second.imag**2), axis=0)
-    b = np.sum(w * first * second.conj(), axis=0)
+    n = deltas.shape[-1]
+    if n == 3:
+        return _qutrit_trace_norms(deltas)
+    if n != 2:
+        return np.sum(np.abs(np.linalg.eigvalsh(deltas)), axis=-1)
+    a, c, b = deltas[:, 0, 0].real, deltas[:, 1, 1].real, deltas[:, 0, 1]
     return np.maximum(np.abs(a + c), np.hypot(a - c, 2.0 * np.abs(b)))  # 2 |m| and 2 r
 
 
@@ -122,17 +187,17 @@ def _stack_rows(ops: np.ndarray) -> int:
     return max(2, _STACK_BYTES // (16 * (2 * n_ops * n + n * n)))  # 16 bytes a complex entry
 
 
-def _min_error(prob: DiscriminationProblem, ops: np.ndarray, vectors: Iterable[np.ndarray]) -> float:
-    """Smallest 1/2 (1 - ||p1 E1(v v^dag) - p2 E2(v v^dag)||_1) over stacks of unit vectors v.
+def _weights(prob: DiscriminationProblem) -> np.ndarray:
+    """w_k = p1 for each of prob.op1's Kraus operators, then -p2 for each of prob.op2's."""
+    return np.array([prob.p1] * len(prob.op1.kraus) + [-(1.0 - prob.p1)] * len(prob.op2.kraus))
 
-    ops holds prob.op1's Kraus operators, then prob.op2's, as n x n matrices;
-    each stack is an (m, n) array.
+
+def _min_error(norms: Iterable[np.ndarray]) -> float:
+    """Smallest 1/2 (1 - ||delta||_1) over stacks of trace norms of output differences p1 E1(v v^dag) - p2 E2(v v^dag).
+
+    A stack's differences are freed as soon as its norms are taken, before the next stack's are made.
     """
-    n1 = len(prob.op1.kraus)
-    weights = np.array([prob.p1] * n1 + [-(1.0 - prob.p1)] * (len(ops) - n1))
-    best = np.inf
-    for v in vectors:
-        best = min(best, 0.5 * (1.0 - float(np.max(_trace_norms(ops, weights, v)))))
+    best = min(0.5 * (1.0 - float(np.max(stack))) for stack in norms)
     return max(0.0, best)  # rounding can push a perfect discrimination below 0
 
 
@@ -184,6 +249,14 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
     (polar, azimuthal) grid, each pole evaluated once: (grid_density - 2) *
     grid_density + 2 states. For d = 3 or 4 grid_density**3 random pure states
     are sampled instead. Dimensions above 4 are refused.
+
+    Each call builds S[(a, b), (i, j)] = sum_k w_k K_k[i, a] conj(K_k[j, b])
+    once from the joined Kraus list, with w_k = p1 or -p2, and each state's
+    output difference is the row vec(v v^dag) times S. S holds the entries of
+    the library's Delta in another order, but it is built here from the Kraus
+    operators: the oracle never reads delta_operator, so its values stay an
+    independent check of Delta. Trace norms are closed forms at d = 2 and 3
+    and one stacked eigvalsh at d = 4.
     """
     require_type(prob, DiscriminationProblem, "prob")
     d = prob.op1.dim
@@ -196,7 +269,8 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
         states = _bloch_grid(grid_density, _stack_rows(ops))
     else:
         states = _random_pure_states(d, grid_density**3, np.random.default_rng(seed), _stack_rows(ops))
-    return _min_error(prob, ops, states)
+    sup = _superoperator(ops, _weights(prob))
+    return _min_error(_trace_norms(_product_differences(sup, v)) for v in states)
 
 
 def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int = 0) -> float:
@@ -214,4 +288,6 @@ def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int =
     if d > _MAX_ORACLE_DIM:
         raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
     ops = np.kron(np.concatenate([prob.op1.kraus, prob.op2.kraus]), np.eye(d)[None])  # every K x I
-    return _min_error(prob, ops, _entangled_states(d, samples, np.random.default_rng(seed), _stack_rows(ops)))
+    weights = _weights(prob)
+    states = _entangled_states(d, samples, np.random.default_rng(seed), _stack_rows(ops))
+    return _min_error(_trace_norms(_output_differences(ops, weights, v)) for v in states)

@@ -1,4 +1,4 @@
-"""Parity record: one JSON line per output of the random probe and of the benchmark's numeric and structured operations.
+"""Parity record: one JSON line per output of the random probe and of the benchmark's operations of every workload.
 
 Run from the repository root with the package importable:
 
@@ -15,7 +15,10 @@ The structured operations are those of perfbench's `structured` workload at
 seed 1: 40 Pauli closed forms, then at d = 2, 3 and 4 the random-unitary
 closed forms and bounds, the maximally entangled bound, Helstrom and both
 oracles. Their lines hold the name, the floats in both forms and the other
-fields of the result, with a hash of Helstrom's measurement.
+fields of the result, with a hash of Helstrom's measurement. The cli
+operations are perfbench's `cli` workload's invocations at seeds 1 to 3,
+each run in process through opdisc.cli.main on spec files written to a
+temporary directory; a line holds the name and the document it printed.
 
 --against writes no record: it lists every line that differs from the file,
 first those whose printed digits moved, then those that differ only in bits,
@@ -23,30 +26,36 @@ and exits 1 if any line differs. LAPACK rounding alone can move bits, and
 near a plateau even printed digits, between numpy or BLAS builds, so the
 record holds for the build that wrote it. The run takes a few seconds, so
 Tier-1 (tests/test_parity_subset.py) checks only the printed digits of the
-numeric and structured lines, and leaves the bits and the probe to this script.
+numeric and structured lines and of the seed-1 cli lines, and leaves the bits
+and the probe to this script.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 import opdisc
+from opdisc.cli import main as cli_main
 
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
 from helpers import probe_problem  # noqa: E402
-from workloads import numeric, structured  # noqa: E402
+from workloads import cli, numeric, structured  # noqa: E402
 
 PROBE = ((2, 120), (3, 120), (4, 40))
 FLOATS = ("pe_entangled", "pe_unentangled", "lower_bound")
 STRUCTURED_SEED = 1
+CLI_SEEDS = (1, 2, 3)
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -98,6 +107,21 @@ def benchmark_lines() -> list[dict]:
     return lines
 
 
+def cli_lines(seeds: tuple[int, ...] = CLI_SEEDS) -> list[dict]:
+    """The lines of the cli operations at each seed: the document each invocation prints."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            for i, op in enumerate(cli(seed, HERE.parent, Path(tmp) / str(seed))):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli_main(list(op.cli_args))
+                if code:
+                    raise RuntimeError(f"{op.name} at seed {seed} exited {code}")
+                lines.append({"name": f"cli seed={seed} {i} {op.name} d={op.d}", "printed": json.loads(out.getvalue())})
+    return lines
+
+
 def record() -> list[dict]:
     lines = []
     for d, count in PROBE:
@@ -105,7 +129,7 @@ def record() -> list[dict]:
             prob = probe_problem(d, s)
             lines.append(_line(f"probe d={d} s={s} pe_entangled", opdisc.pe_entangled(prob)))
             lines.append(_line(f"probe d={d} s={s} pe_unentangled", opdisc.pe_unentangled(prob)))
-    return lines + benchmark_lines()
+    return lines + benchmark_lines() + cli_lines()
 
 
 def differences(old: list[dict], new: list[dict]) -> list[str]:

@@ -181,6 +181,23 @@ def test_pauli_delta_summary_checks_python_floats_without_numpy(monkeypatch, q1,
     assert sorted(map(id, calls)) == sorted(id({"q1": q1, "q2": q2, "p1": p1}[name]) for name in checked)
 
 
+@pytest.mark.parametrize(
+    "build, checks",
+    [
+        pytest.param(lambda: opdisc.make_operation([np.eye(2), np.zeros((2, 2))]), 2, id="make_operation"),
+        pytest.param(lambda: opdisc.weyl_channel(2, [0.25] * 4), 4, id="weyl_channel-2"),
+        pytest.param(lambda: opdisc.weyl_channel(3, [1 / 9] * 9), 10, id="weyl_channel-3"),
+    ],
+)
+def test_constructors_check_each_matrix_and_weight_vector_once(monkeypatch, build, checks):
+    """Former route: 4, 8 and 20 calls. make_operation checked each Kraus operator again in
+    QuantumOperation, and weyl_channel each unitary again in is_unitary and its nine weights again
+    in RandomUnitaryChannel (four Python floats skip numpy)."""
+    calls = _count(monkeypatch, "require_finite")
+    build()
+    assert len(calls) == checks
+
+
 # --- the former checks, as references ---
 
 

@@ -226,13 +226,13 @@ def _per_state_entangled(prob, samples, seed):
 
 @pytest.fixture
 def stack_sizes(monkeypatch):
-    """The number of states in each stack the oracles evaluate, in order."""
+    """The number of states in each stack the oracles evaluate, in order, on the product and the entangled route."""
     sizes = []
     evaluate = oracle_module._trace_norms
 
-    def counting(ops, weights, v):
-        sizes.append(v.shape[0])
-        return evaluate(ops, weights, v)
+    def counting(deltas):
+        sizes.append(deltas.shape[0])
+        return evaluate(deltas)
 
     monkeypatch.setattr(oracle_module, "_trace_norms", counting)
     return sizes
@@ -313,27 +313,35 @@ def test_structured_sized_oracle_calls_take_few_stacks(d, kind, count, most, sta
     assert len(stack_sizes) <= most
 
 
-# --- qubit output differences in closed form ---
+# --- qubit and qutrit output differences in closed form ---
 
-def _eigvalsh_norms(ops, weights, v):
-    """Trace norms through the stacked differences and eigvalsh: the route of every output dimension but 2."""
-    return np.sum(np.abs(np.linalg.eigvalsh(oracle_module._output_differences(ops, weights, v))), axis=-1)
+def _eigvalsh_norms(deltas):
+    """Trace norms through eigvalsh: the route of every output dimension above 3."""
+    return np.sum(np.abs(np.linalg.eigvalsh(deltas)), axis=-1)
 
 
-def _stack_with_difference(delta):
-    """(ops, weights, v) whose two input rows |0>, |1> both have the output difference delta.
+def _product_route_differences(delta):
+    """The product route's output differences for the input rows |0>, ..., |d-1>, each of which has delta.
 
-    One Kraus operator per eigenvalue lam of delta, sqrt|lam| u (1, 1) for its
-    eigenvector u, weighted by the sign of lam.
+    One Kraus operator per eigenvalue lam of delta, sqrt|lam| u (1, ..., 1) for
+    its eigenvector u, weighted by the sign of lam.
     """
     lams, us = np.linalg.eigh(delta)
-    ops = np.array([np.sqrt(abs(lam)) * np.outer(u, [1.0, 1.0]) for lam, u in zip(lams, us.T)])
-    return ops, np.where(lams < 0, -1.0, 1.0), np.eye(2, dtype=complex)
+    ones = np.ones(len(delta))
+    ops = np.array([np.sqrt(abs(lam)) * np.outer(u, ones) for lam, u in zip(lams, us.T)])
+    sup = oracle_module._superoperator(ops, np.where(lams < 0, -1.0, 1.0))
+    return oracle_module._product_differences(sup, np.eye(len(delta), dtype=complex))
 
 
-def _random_hermitian(rng):
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+def _random_hermitian(rng, d=2):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return g + g.conj().T
+
+
+def _with_spectrum(rng, spectrum):
+    """u diag(spectrum) u^dag for a Haar-random unitary u."""
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
 
 
 _RNG = np.random.default_rng(60)
@@ -348,20 +356,69 @@ _HARD_QUBIT_DIFFERENCES = {
     "entries-near-1e150": 1e150 * _random_hermitian(_RNG),
 }
 
+_RNG3 = np.random.default_rng(63)
+_PSI3 = _RNG3.standard_normal(3) + 1j * _RNG3.standard_normal(3)
+_HARD_QUTRIT_DIFFERENCES = {
+    "rank-one": 0.4 * np.outer(_PSI3, _PSI3.conj()) / np.vdot(_PSI3, _PSI3).real,
+    "spectrum-(-0.7,0,0)": _with_spectrum(_RNG3, [-0.7, 0.0, 0.0]),
+    "pair-straddling-zero-1e-9": _with_spectrum(_RNG3, [0.5, 1e-9, -1e-9]),
+    "pair-straddling-zero-1e-5": _with_spectrum(_RNG3, [0.5, 1e-5, -1e-5]),
+    "same-sign-double-pair": _with_spectrum(_RNG3, [0.5, -0.2, -0.2]),
+    "proportional-to-identity": 0.3 * np.eye(3),
+    "zero": np.zeros((3, 3)),
+    "negative-definite": -(np.eye(3) + 0.2 * _random_hermitian(_RNG3, 3)),
+    "entries-near-1e-300": 1e-300 * _random_hermitian(_RNG3, 3),
+    "entries-near-1e150": 1e150 * _random_hermitian(_RNG3, 3),
+}
+
 
 @pytest.mark.parametrize("delta", _HARD_QUBIT_DIFFERENCES.values(), ids=_HARD_QUBIT_DIFFERENCES.keys())
 def test_qubit_trace_norms_in_closed_form_match_eigvalsh(delta):
-    ops, weights, v = _stack_with_difference(delta)
-    closed = oracle_module._trace_norms(ops, weights, v)
-    eig = _eigvalsh_norms(ops, weights, v)
+    deltas = _product_route_differences(delta)
+    closed = oracle_module._trace_norms(deltas)
+    eig = _eigvalsh_norms(deltas)
     assert np.all(np.abs(closed - eig) <= 4 * np.spacing(eig)), (closed, eig)
     assert np.allclose(closed, np.sum(np.abs(np.linalg.eigvalsh(delta))), rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("delta", _HARD_QUTRIT_DIFFERENCES.values(), ids=_HARD_QUTRIT_DIFFERENCES.keys())
+def test_qutrit_trace_norms_in_closed_form_match_eigvalsh(delta):
+    """Within 1e-14 of the largest entry, double and straddling eigenvalues included, with no warning."""
+    closed = oracle_module._trace_norms(_product_route_differences(delta))
+    want = np.sum(np.abs(np.linalg.eigvalsh(delta)))
+    assert np.all(np.abs(closed - want) <= 1e-14 * np.max(np.abs(delta))), (closed, want)
+
+
+def test_qutrit_trace_norms_near_a_double_eigenvalue_match_eigvalsh():
+    """2,000 random 3 x 3 differences whose close pair straddles zero, sits on one side of it, or meets it.
+
+    Taken in closed form, about one straddling pair in ten within 1e-9 of zero came out 1e-8 off.
+    """
+    rng = np.random.default_rng(64)
+    t = 10.0 ** rng.uniform(-12, -2, 500)
+    spectra = np.concatenate([
+        np.stack([rng.uniform(-1, 1, 500), t, -t], axis=1),
+        np.stack([rng.uniform(-1, 1, 500), t, t * (1 + 1e-6)], axis=1),
+        np.stack([rng.uniform(-1, 1, 500), -t, np.zeros(500)], axis=1),
+        np.stack([rng.uniform(-1, 1, 500), *(2 * [rng.uniform(-1, 1, 500)])], axis=1),
+    ])
+    deltas = np.array([_with_spectrum(rng, spectrum) for spectrum in spectra])
+    closed = oracle_module._trace_norms(deltas)
+    want = _eigvalsh_norms(deltas)
+    assert np.all(np.abs(closed - want) <= 1e-14 * np.max(np.abs(deltas), axis=(1, 2)))
+
+
+def test_identical_qutrit_channels_give_the_prior_exactly():
+    """Every output difference 0.4 psi psi^dag has a double eigenvalue 0; arccos there returned 0.2999999970."""
+    identity = make_operation([np.eye(3)])
+    assert abs(brute_force_unentangled(DiscriminationProblem(identity, identity, 0.7), 8) - 0.3) <= 1e-15
+
+
 def test_the_qubit_grid_calls_no_eigvalsh_and_every_other_stack_one(monkeypatch, stack_sizes):
-    """A count, not a time. Every d = 2 grid stack took one eigvalsh before its norms had a closed form."""
+    """A count, not a time. Every d = 2 grid stack and every d = 3 product stack took one eigvalsh
+    before their norms had a closed form."""
     rng = np.random.default_rng(61)
-    qubit, qutrit = _weyl_problem(2, rng), _weyl_problem(3, rng)
+    qubit, qutrit, ququart = _weyl_problem(2, rng), _weyl_problem(3, rng), _weyl_problem(4, rng)
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -371,10 +428,12 @@ def test_the_qubit_grid_calls_no_eigvalsh_and_every_other_stack_one(monkeypatch,
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(oracle_module, "_STACK_BYTES", 8 * 1024)
-    brute_force_unentangled(qubit, 25)
-    assert len(stack_sizes) >= 3 and calls == []
+    for prob, count in ((qubit, 25), (qutrit, 6)):
+        stack_sizes.clear()
+        brute_force_unentangled(prob, count)
+        assert len(stack_sizes) >= 3 and calls == []
     for oracle, prob, count in (
-        (brute_force_unentangled, qutrit, 6),
+        (brute_force_unentangled, ququart, 4),
         (brute_force_entangled, qubit, 60),
         (brute_force_entangled, qutrit, 60),
     ):
