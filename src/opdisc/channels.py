@@ -24,6 +24,7 @@ from .config import INPUT_TOL, PROBABILITY_TOL
 from .errors import (
     CompletenessViolation,
     DimensionMismatch,
+    InvalidPovm,
     InvalidProbabilityVector,
     InvalidState,
     NonFinite,
@@ -141,33 +142,22 @@ class RandomUnitaryChannel:
 
     def __post_init__(self):
         d = check_count(self.dim, "dim", 1)
-        unitaries = _unitaries(_matrices(self.unitaries, "unitary", d))
-        weights = _weighting(check_probability_vector(self.weights), unitaries)
+        unitaries = _matrices(self.unitaries, "unitary", d)
+        if not unitaries:
+            raise CompletenessViolation("a random-unitary channel needs at least one unitary")
+        if not all(_is_unitary(u) for u in unitaries):
+            raise InvalidState("matrix in the unitary list is not unitary within tolerance")
+        weights = check_probability_vector(self.weights)
+        if len(weights) != len(unitaries):
+            raise DimensionMismatch(f"{len(weights)} weights for {len(unitaries)} unitaries")
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "unitaries", unitaries)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "unitaries", _read_only(unitaries))
+        object.__setattr__(self, "weights", _read_only(weights))
 
     def as_operation(self) -> QuantumOperation:
         """Kraus form sqrt(weights[n]) U_n, keeping only the strictly positive weights."""
         kraus = tuple(np.sqrt(w) * u for w, u in zip(self.weights, self.unitaries) if w > 0)
         return _checked(QuantumOperation, dim=self.dim, kraus=_complete(kraus, self.dim))
-
-
-def _unitaries(unitaries: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The matrices `unitaries`, already through require_matrix, as one read-only array; refused unless
-    there is at least one and each is unitary within tolerance."""
-    if not unitaries:
-        raise CompletenessViolation("a random-unitary channel needs at least one unitary")
-    if not all(_is_unitary(u) for u in unitaries):
-        raise InvalidState("matrix in the unitary list is not unitary within tolerance")
-    return _read_only(unitaries)
-
-
-def _weighting(weights: list[float], unitaries: np.ndarray) -> np.ndarray:
-    """A checked probability vector as a read-only array, DimensionMismatch unless one weight per unitary."""
-    if len(weights) != len(unitaries):
-        raise DimensionMismatch(f"{len(weights)} weights for {len(unitaries)} unitaries")
-    return _read_only(weights)
 
 
 def require_type(value, cls: type, name: str) -> None:
@@ -217,14 +207,27 @@ class DiscriminationProblem:
 
 @dataclass(frozen=True)
 class TwoOutcomePovm:
-    """Measurement {pi1, pi2} deciding between two hypotheses."""
+    """Measurement {pi1, pi2} deciding between two hypotheses.
+
+    pi1 and pi2 are read-only complex d x d copies of what was given, each
+    Hermitian and positive and together summing to I, all within INPUT_TOL;
+    InvalidPovm refuses anything else when the measurement is built.
+    """
 
     pi1: np.ndarray
     pi2: np.ndarray
 
     def __post_init__(self):
-        pi1 = require_matrix(self.pi1, "pi1")
-        pi2 = require_matrix(self.pi2, "pi2", len(pi1))
+        pi1 = _read_only(require_matrix(self.pi1, "pi1"))
+        pi2 = _read_only(require_matrix(self.pi2, "pi2", len(pi1)))
+        for name, pi in (("pi1", pi1), ("pi2", pi2)):
+            if not float(np.max(np.abs(pi - dagger(pi)))) <= INPUT_TOL:  # linalg.is_hermitian's test
+                raise InvalidPovm(f"{name} is not Hermitian within tolerance")
+            if not float(np.min(np.linalg.eigvalsh(pi))) >= -INPUT_TOL:
+                raise InvalidPovm(f"{name} has an eigenvalue below -{INPUT_TOL}")
+        deviation = float(np.max(np.abs(pi1 + pi2 - np.eye(len(pi1)))))
+        if not deviation <= INPUT_TOL:
+            raise InvalidPovm(f"pi1 + pi2 deviates from identity by {deviation:.3e}")
         object.__setattr__(self, "pi1", pi1)
         object.__setattr__(self, "pi2", pi2)
 
@@ -236,8 +239,9 @@ def pauli_channel(q) -> QuantumOperation:
     become Kraus operators.
     """
     q = check_probability_vector(q, 4)
-    kraus = tuple(np.sqrt(w) * s for w, s in zip(q, PAULI_MATRICES) if w > 0)
-    return _checked(QuantumOperation, dim=2, kraus=_complete(kraus, 2))
+    # sum K^dag K is (the sum of the positive q_a) I, within 4 PROBABILITY_TOL of I: nothing to check
+    kraus = _read_only([np.sqrt(w) * s for w, s in zip(q, PAULI_MATRICES) if w > 0])
+    return _checked(QuantumOperation, dim=2, kraus=kraus)
 
 
 def weyl_unitaries(d: int) -> np.ndarray:
@@ -260,11 +264,9 @@ def weyl_unitaries(d: int) -> np.ndarray:
 
 def weyl_channel(d: int, q) -> RandomUnitaryChannel:
     """Random-unitary channel over the d^2 shift-phase unitaries with weights q."""
-    family = weyl_unitaries(d)
-    weights = check_probability_vector(q, d * d)
-    unitaries = _unitaries(_matrices(family, "unitary"))
-    weights = _weighting(weights, unitaries)
-    return _checked(RandomUnitaryChannel, dim=family.shape[1], unitaries=unitaries, weights=weights)
+    unitaries = _read_only(weyl_unitaries(d))  # exact unitaries built here: no check of them
+    weights = check_probability_vector(q, len(unitaries))
+    return _checked(RandomUnitaryChannel, dim=unitaries.shape[1], unitaries=unitaries, weights=_read_only(weights))
 
 
 def check_density_matrix(rho, d: int) -> np.ndarray:

@@ -46,7 +46,7 @@ from .channels import (
 )
 from .config import CERTIFIED_GAP, INPUT_TOL, ORTHOGONALITY_TOL
 from .errors import FamilyMismatch, NotOrthogonal
-from .linalg import _eig_hermitian, biket_to_mat, check_count, check_prior, dagger, require_matrix, trace_norm
+from .linalg import _eig_hermitian, check_count, check_prior, dagger, require_matrix, trace_norm
 from .optimizer import MaximizeSummary, decode_pure_state, maximize
 
 # Weight of I/d mixed into the input's reduced state before the dual
@@ -115,7 +115,8 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     """Minimum error for two states, 1/2 (1 - ||p1 rho1 - p2 rho2||_1), with its measurement.
 
     The returned POVM projects onto the positive and negative support of
-    p1 rho1 - p2 rho2; the zero eigenspace is assigned to outcome 1.
+    p1 rho1 - p2 rho2; the zero eigenspace is assigned to outcome 1. Its two
+    projectors are read-only, as every TwoOutcomePovm's elements are.
     """
     p1 = check_prior(p1)
     rho1 = check_state(require_matrix(rho1, "state"))
@@ -127,7 +128,8 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     v_neg = dec.eigenvectors[:, ~keep]
     pi1 = v_pos @ dagger(v_pos)
     pi2 = v_neg @ dagger(v_neg)
-    return pe, _checked(TwoOutcomePovm, pi1=pi1, pi2=pi2)  # two d x d complex matrices it built
+    pi1.flags.writeable = pi2.flags.writeable = False
+    return pe, _checked(TwoOutcomePovm, pi1=pi1, pi2=pi2)  # two d x d complex projectors it built
 
 
 def delta_operator(prob: DiscriminationProblem) -> np.ndarray:
@@ -353,7 +355,7 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     value, x, summary = maximize(_seesaw_step(prob, ancilla=d), start)
     x = x / np.linalg.norm(x)
     # polar decomposition xi^T = W P; dropping W leaves xi^T = P
-    _, s, vh = np.linalg.svd(biket_to_mat(x, d).T)
+    _, s, vh = np.linalg.svd(x.reshape(d, d).T)
     p_opt = (dagger(vh) * s) @ vh
     pe = _error(value)
     # both bracket the same optimum, so the bound can pass the value only by rounding

@@ -8,8 +8,9 @@ difference. Only repeats are skipped: each Bloch pole is one state, and
 optimizer, the closed forms, linalg.trace_norm or delta_operator, so
 agreement with them is evidence rather than tautology. This module imports
 only channels (for the value types, require_type and check_density_matrix),
-config, errors and linalg's input checks: never discrimination or the
-optimizer.
+errors and linalg's input checks: never discrimination or the optimizer. A
+TwoOutcomePovm checks itself when it is built, so povm_error checks only its
+type.
 
 The product-input search builds, once per call, the d^2 x d^2 superoperator S
 of p1 E1 - p2 E2 from both Kraus lists, and maps each state's vec(v v^dag) to
@@ -33,9 +34,8 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .channels import DiscriminationProblem, TwoOutcomePovm, check_density_matrix, require_type
-from .config import INPUT_TOL
-from .errors import InvalidPovm, UnsupportedDimension
-from .linalg import check_count, check_prior, is_hermitian
+from .errors import UnsupportedDimension
+from .linalg import check_count, check_prior
 
 # Dense search is honest only at tiny dimension.
 _MAX_ORACLE_DIM = 4
@@ -50,26 +50,14 @@ _MAX_ORACLE_DIM = 4
 _STACK_BYTES = 640 * 1024
 
 
-def _check_povm(povm: TwoOutcomePovm) -> None:
-    require_type(povm, TwoOutcomePovm, "povm")
-    d = povm.pi1.shape[0]
-    for name, pi in (("pi1", povm.pi1), ("pi2", povm.pi2)):
-        if not is_hermitian(pi):
-            raise InvalidPovm(f"{name} is not Hermitian within tolerance")
-        if not float(np.min(np.linalg.eigvalsh(pi))) >= -INPUT_TOL:
-            raise InvalidPovm(f"{name} has an eigenvalue below -{INPUT_TOL}")
-    deviation = float(np.max(np.abs(povm.pi1 + povm.pi2 - np.eye(d))))
-    if not deviation <= INPUT_TOL:
-        raise InvalidPovm(f"pi1 + pi2 deviates from identity by {deviation:.3e}")
-
-
 def povm_error(rho1, rho2, p1: float, povm: TwoOutcomePovm) -> float:
     """Error probability p1 Tr[rho1 pi2] + p2 Tr[rho2 pi1] of a given measurement.
 
-    Both states must be d x d, the shape of the POVM's elements.
+    Both states must be d x d, the shape of the POVM's elements. The POVM was
+    checked when it was built.
     """
     p1 = check_prior(p1)
-    _check_povm(povm)
+    require_type(povm, TwoOutcomePovm, "povm")
     d = povm.pi1.shape[0]
     rho1 = check_density_matrix(rho1, d)
     rho2 = check_density_matrix(rho2, d)
@@ -187,11 +175,6 @@ def _stack_rows(ops: np.ndarray) -> int:
     return max(2, _STACK_BYTES // (16 * (2 * n_ops * n + n * n)))  # 16 bytes a complex entry
 
 
-def _weights(prob: DiscriminationProblem) -> np.ndarray:
-    """w_k = p1 for each of prob.op1's Kraus operators, then -p2 for each of prob.op2's."""
-    return np.array([prob.p1] * len(prob.op1.kraus) + [-(1.0 - prob.p1)] * len(prob.op2.kraus))
-
-
 def _min_error(norms: Iterable[np.ndarray]) -> float:
     """Smallest 1/2 (1 - ||delta||_1) over stacks of trace norms of output differences p1 E1(v v^dag) - p2 E2(v v^dag).
 
@@ -199,6 +182,20 @@ def _min_error(norms: Iterable[np.ndarray]) -> float:
     """
     best = min(0.5 * (1.0 - float(np.max(stack))) for stack in norms)
     return max(0.0, best)  # rounding can push a perfect discrimination below 0
+
+
+def _prepared(prob, count, name: str, least: int, seed) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Both searches' checks, in order, then their operands: the checked count and seed, the joined Kraus
+    array of prob.op1 then prob.op2, and its weights w_k = p1 for each of prob.op1's operators, -p2 for each
+    of prob.op2's."""
+    require_type(prob, DiscriminationProblem, "prob")
+    count = check_count(count, name, least)
+    seed = check_count(seed, "seed", 0)
+    if prob.op1.dim > _MAX_ORACLE_DIM:
+        raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {prob.op1.dim}")
+    ops = np.concatenate([prob.op1.kraus, prob.op2.kraus])
+    weights = np.array([prob.p1] * len(prob.op1.kraus) + [-(1.0 - prob.p1)] * len(prob.op2.kraus))
+    return count, seed, ops, weights
 
 
 def _bloch_grid(grid_density: int, rows: int) -> Iterator[np.ndarray]:
@@ -258,18 +255,13 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
     independent check of Delta. Trace norms are closed forms at d = 2 and 3
     and one stacked eigvalsh at d = 4.
     """
-    require_type(prob, DiscriminationProblem, "prob")
+    grid_density, seed, ops, weights = _prepared(prob, grid_density, "grid_density", 2, seed)
     d = prob.op1.dim
-    grid_density = check_count(grid_density, "grid_density", 2)
-    seed = check_count(seed, "seed", 0)
-    if d > _MAX_ORACLE_DIM:
-        raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
-    ops = np.concatenate([prob.op1.kraus, prob.op2.kraus])
     if d == 2:
         states = _bloch_grid(grid_density, _stack_rows(ops))
     else:
         states = _random_pure_states(d, grid_density**3, np.random.default_rng(seed), _stack_rows(ops))
-    sup = _superoperator(ops, _weights(prob))
+    sup = _superoperator(ops, weights)
     return _min_error(_trace_norms(_product_differences(sup, v)) for v in states)
 
 
@@ -281,13 +273,8 @@ def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int =
     positive directions P with Tr[P^2] = 1 via the correspondence xi^T = P.
     Dimensions above 4 are refused.
     """
-    require_type(prob, DiscriminationProblem, "prob")
+    samples, seed, ops, weights = _prepared(prob, samples, "samples", 1, seed)
     d = prob.op1.dim
-    samples = check_count(samples, "samples", 1)
-    seed = check_count(seed, "seed", 0)
-    if d > _MAX_ORACLE_DIM:
-        raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {d}")
-    ops = np.kron(np.concatenate([prob.op1.kraus, prob.op2.kraus]), np.eye(d)[None])  # every K x I
-    weights = _weights(prob)
+    ops = np.kron(ops, np.eye(d)[None])  # every K x I
     states = _entangled_states(d, samples, np.random.default_rng(seed), _stack_rows(ops))
     return _min_error(_trace_norms(_output_differences(ops, weights, v)) for v in states)

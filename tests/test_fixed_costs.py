@@ -185,17 +185,39 @@ def test_pauli_delta_summary_checks_python_floats_without_numpy(monkeypatch, q1,
     "build, checks",
     [
         pytest.param(lambda: opdisc.make_operation([np.eye(2), np.zeros((2, 2))]), 2, id="make_operation"),
-        pytest.param(lambda: opdisc.weyl_channel(2, [0.25] * 4), 4, id="weyl_channel-2"),
-        pytest.param(lambda: opdisc.weyl_channel(3, [1 / 9] * 9), 10, id="weyl_channel-3"),
+        pytest.param(lambda: opdisc.weyl_channel(2, [0.25] * 4), 0, id="weyl_channel-2"),
+        pytest.param(lambda: opdisc.weyl_channel(3, [1 / 9] * 9), 1, id="weyl_channel-3"),
+        pytest.param(lambda: opdisc.weyl_channel(4, [1 / 16] * 16), 1, id="weyl_channel-4"),
     ],
 )
 def test_constructors_check_each_matrix_and_weight_vector_once(monkeypatch, build, checks):
-    """Former route: 4, 8 and 20 calls. make_operation checked each Kraus operator again in
-    QuantumOperation, and weyl_channel each unitary again in is_unitary and its nine weights again
-    in RandomUnitaryChannel (four Python floats skip numpy)."""
+    """Former routes: 4 calls for make_operation, which checked each Kraus operator again in
+    QuantumOperation; 8 / 20 and then 4 / 10 / 17 for weyl_channel at d = 2 / 3 / 4, which checked
+    the unitaries it had just built, once or twice each. Now only a weight vector of at least _SHORT
+    entries goes through require_finite (four Python floats skip numpy)."""
     calls = _count(monkeypatch, "require_finite")
     build()
     assert len(calls) == checks
+
+
+@pytest.mark.parametrize(
+    "build, completeness_sums",
+    [
+        pytest.param(lambda: opdisc.pauli_channel([0.5, 0.25, 0.0, 0.25]), 0, id="pauli_channel"),
+        *(pytest.param(lambda d=d: opdisc.weyl_channel(d, [1 / d**2] * d**2), 0, id=f"weyl-{d}") for d in (2, 3, 4)),
+        pytest.param(lambda: opdisc.weyl_channel(3, [1 / 9] * 9).as_operation(), 1, id="as_operation"),
+    ],
+)
+def test_builders_never_check_again_what_they_built(monkeypatch, build, completeness_sums):
+    """Former route: weyl_channel tested each of its d^2 exact unitaries for unitarity, and
+    pauli_channel summed sum q_a sigma_a^dag sigma_a, which is sum q I. as_operation keeps its sum:
+    weights off by up to PROBABILITY_TOL can push sum w U^dag U past INPUT_TOL for unitaries at the
+    tolerance edge."""
+    unitarity = _count(monkeypatch, "_is_unitary")
+    completeness = _count(monkeypatch, "_complete")
+    build()
+    assert unitarity == []
+    assert len(completeness) == completeness_sums
 
 
 # --- the former checks, as references ---

@@ -7,6 +7,7 @@ evaluation against a plain one-state-at-a-time loop.
 
 import ast
 import importlib.util
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -87,6 +88,40 @@ def test_povm_error_rejects_bad_measurements():
         TwoOutcomePovm(pi1=np.eye(2), pi2=np.eye(3))
     with pytest.raises(ValueError):
         povm_error(KET0, PLUS, 1.5, TwoOutcomePovm(pi1=np.eye(2), pi2=np.zeros((2, 2))))
+
+
+def test_a_povm_holds_read_only_copies_of_what_it_was_given():
+    """Formerly it held its caller's complex arrays: the same POVM read 0.3 after these writes."""
+    a, b = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    povm = TwoOutcomePovm(pi1=a, pi2=b)
+    assert abs(povm_error(KET0, PLUS, 0.3, povm) - 0.7) < 1e-15
+    a[:] = 0
+    b[:] = np.eye(2)
+    assert abs(povm_error(KET0, PLUS, 0.3, povm) - 0.7) < 1e-15
+    with pytest.raises(ValueError, match="read-only"):
+        povm.pi1[0, 0] = 1
+
+
+def test_helstroms_povm_is_read_only():
+    _, povm = helstrom(KET0, PLUS, 0.5)
+    for pi in (povm.pi1, povm.pi2):
+        with pytest.raises(ValueError, match="read-only"):
+            pi[0, 0] = 1
+
+
+@pytest.mark.parametrize(
+    "pi1, pi2, error, message",
+    [
+        (np.diag([2.0, 0.0]), np.diag([-1.0, 1.0]), InvalidPovm, "pi2 has an eigenvalue below -1e-09"),
+        (np.eye(2), np.eye(2), InvalidPovm, "pi1 + pi2 deviates from identity by 1.000e+00"),
+        (np.eye(2), np.eye(3), DimensionMismatch, "pi2 of shape (3, 3) is not 2x2"),
+    ],
+    ids=["negative", "sums-to-2I", "shapes"],
+)
+def test_a_povm_refuses_a_bad_measurement_when_it_is_built(pi1, pi2, error, message):
+    """The bad measurements of test_povm_error_rejects_bad_measurements, with povm_error's former messages."""
+    with pytest.raises(error, match=re.escape(message)):
+        TwoOutcomePovm(pi1=pi1, pi2=pi2)
 
 
 # Hermitian with unit trace, but an eigenvalue of -0.5
@@ -540,7 +575,31 @@ def _package_imports(module) -> set[str]:
     return {name.split(".")[1] if "." in name else name for name in names if name.split(".")[0] == "opdisc"}
 
 
+def _code_words(module) -> list[str]:
+    """Every name, attribute, argument and string constant in `module`'s source; docstrings and comments left out."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {id(n.body[0].value) for n in ast.walk(tree) if isinstance(n, documented) and ast.get_docstring(n)}
+    words = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            words.append(node.value)
+        for field in ("id", "attr", "name", "asname", "arg", "module"):
+            if isinstance(word := getattr(node, field, None), str):
+                words.append(word)
+    return words
+
+
+def _delta_names(module) -> set[str]:
+    """Which of the library's routes to Delta and the see-saw's arrays `module`'s code names."""
+    names = {"_delta", "_seesaw", "delta_operator"}
+    return {name for name in names if any(name in word for word in _code_words(module))}
+
+
 def test_the_oracle_and_the_library_never_import_each_other():
-    """The oracle shares only the value types and input checks; discrimination never reaches it."""
+    """The oracle shares only the value types and input checks; discrimination never reaches it. Outside
+    its docstrings the oracle names none of the library's routes to Delta, which discrimination does."""
     assert _package_imports(oracle_module) <= {"channels", "config", "errors", "linalg"}
     assert "oracle" not in _package_imports(discrimination)
+    assert _delta_names(oracle_module) == set()
+    assert _delta_names(discrimination) == {"_delta", "_seesaw", "delta_operator"}
