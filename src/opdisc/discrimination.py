@@ -487,7 +487,8 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
     for i in (1, 2):
         if candidates[i] > candidates[best]:
             best = i
-    return PauliDiscriminationSummary(
+    return _checked(
+        PauliDiscriminationSummary,
         r=(r0, r1, r2, r3),
         det_sign=(product > 0) - (product < 0),
         m=candidates[best],

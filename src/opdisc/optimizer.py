@@ -77,27 +77,20 @@ def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts
         raise DimensionMismatch(f"starts must be a nonempty 2-D stack, one start per row, got shape {x0.shape}")
     x0 = x0.astype(np.result_type(x0, float), copy=False)  # steps move integer rows off the integers
     n_starts = len(x0)
-    best = np.full(n_starts, -np.inf)
-    argmax = x0.copy()
-    converged = np.zeros(n_starts, dtype=bool)
+    best, argmax, converged = np.empty(n_starts), np.empty_like(x0), np.zeros(n_starts, dtype=bool)
     active = np.arange(n_starts)
+    peak, peak_x = np.full(n_starts, -np.inf), x0  # each active start's best value and input so far
     x1 = x2 = None
     steps = n_evaluations = 0
     while active.size and steps < MAX_STEPS:
         # the starts, then x1 = step(x0), then the extrapolated input, then x1 again, ...
         x = x0 if x1 is None else x1 if x2 is None else _extrapolate(x0, x1, x2)
         values, moved = step(x)
-        values = np.asarray(values)
         steps += 1
         n_evaluations += active.size
-        gain = values - best[active]
+        gain = values - peak
         better = gain > 0  # False for NaN
-        # when every row agrees, whole stacks are assigned without masks or compaction
-        if better.all():
-            best[active], argmax[active] = values, x
-        else:
-            best[active[better]] = values[better]
-            argmax[active[better]] = x[better]
+        peak, peak_x = np.where(better, values, peak), np.where(better[:, None], x, peak_x)
         going = gain > FTOL
         if x1 is None:
             x1 = moved
@@ -105,16 +98,15 @@ def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts
             x2 = moved
         else:  # x was extrapolated: at least as good as x1 is kept, else x1 is the next base
             kept = gain >= 0
-            if kept.all():
-                x0, x1, x2 = x, moved, None
-            else:
-                going |= ~kept
-                x0, x1, x2 = np.where(kept[:, None], x, x1), np.where(kept[:, None], moved, x2), None
-        converged[active] = ~going
-        if not going.all():
-            active, x0, x1 = active[going], x0[going], x1[going]
+            going |= ~kept
+            x0, x1, x2 = np.where(kept[:, None], x, x1), np.where(kept[:, None], moved, x2), None
+        if not going.all():  # the other starts stop here, converged
+            stop = ~going
+            best[active[stop]], argmax[active[stop]], converged[active[stop]] = peak[stop], peak_x[stop], True
+            active, x0, x1, peak, peak_x = active[going], x0[going], x1[going], peak[going], peak_x[going]
             if x2 is not None:
                 x2 = x2[going]
+    best[active], argmax[active] = peak, peak_x  # the starts MAX_STEPS cut off, not converged
 
     finite = np.isfinite(best)
     if not finite.any():

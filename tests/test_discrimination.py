@@ -1,5 +1,6 @@
 """Tests for the discrimination quantities: Helstrom, Delta, closed forms, bounds."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -964,7 +965,11 @@ def test_pauli_summary_on_python_floats_matches_the_former_numpy_route():
     # the former p1 * q1 - (1.0 - p1) * q2, one row at a time: elementwise, the same IEEE operations
     r = (p1[:, None] * q1 - (1.0 - p1)[:, None] * q2).tolist()
     for a, b, p, former in zip(q1, q2, p1.tolist(), r):
-        assert repr(pauli_delta_summary(a, b, p)) == repr(_former_pauli_summary(former))
+        summary, expected = pauli_delta_summary(a, b, p), _former_pauli_summary(former)
+        assert repr(summary) == repr(expected)
+        assert summary == expected and hash(summary) == hash(expected)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        summary.m = 0.0
 
 
 def test_pauli_summary_rejects_bad_inputs():

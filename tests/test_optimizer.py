@@ -263,15 +263,33 @@ def _former_maximize(step, starts):
     return best, argmax, converged
 
 
-@pytest.mark.parametrize("d, ancilla", [(2, 2), (3, 1), (3, 3), (4, 1)])
-def test_maximize_matches_the_former_masked_bookkeeping_bit_for_bit(d, ancilla):
+def _former_cases():
+    """Each (d, ancilla) at the default MAX_STEPS and at 1, 2, 3 and 5 step calls, with and without NaN rows."""
+    for nan_rows in (False, True):
+        for max_steps in (None, 1, 2, 3, 5):
+            for d, ancilla in [(2, 2), (3, 1), (3, 3), (4, 1)]:
+                tail = ("" if max_steps is None else f"-steps{max_steps}") + ("-nan" if nan_rows else "")
+                yield pytest.param(d, ancilla, max_steps, nan_rows, id=f"{d}-{ancilla}{tail}")
+
+
+@pytest.mark.parametrize("d, ancilla, max_steps, nan_rows", _former_cases())
+def test_maximize_matches_the_former_masked_bookkeeping_bit_for_bit(d, ancilla, max_steps, nan_rows, monkeypatch):
+    if max_steps is not None:
+        monkeypatch.setattr(optimizer, "MAX_STEPS", max_steps)
     rng = np.random.default_rng(70 + d * ancilla)
     prob = DiscriminationProblem(random_kraus_operation(d, 2, rng), random_kraus_operation(d, 3, rng), 0.45)
-    step = _seesaw_step(prob, ancilla=ancilla)
+    seesaw = _seesaw_step(prob, ancilla=ancilla)
+
+    def step(x):
+        # with nan_rows, every third row of each stack from row 1 on fails, so starts fail at different steps
+        values, moved = seesaw(x)
+        return np.where(nan_rows & (np.arange(len(x)) % 3 == 1), np.nan, values), moved
+
     for starts in (_unit_rows(1, d * ancilla, d), _unit_rows(12, d * ancilla, d)):
         res = maximize(step, starts)
         best, argmax, converged = _former_maximize(step, starts)
         assert res.summary.start_values == tuple(best.tolist())
+        assert res.summary.failed_starts == tuple(np.flatnonzero(~np.isfinite(best)).tolist())
         assert res.argmax.tobytes() == argmax[res.summary.best_start].tobytes()
         assert res.summary.converged == converged[res.summary.best_start]
 
