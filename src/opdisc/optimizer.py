@@ -63,14 +63,15 @@ def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts
     starts there if its value is at least the value at x1; otherwise it
     starts at x1, so x2 is evaluated next. A start keeps the best input it
     evaluated, and stops once an evaluation gains no more than FTOL over its
-    best (converged) or after MAX_STEPS step calls; a rejected extrapolated
-    input does not stop it. The first two step calls evaluate only the
-    starts and their steps, so a start that stops there never extrapolates.
-    The result is the lowest-index start within FTOL of the best value, so a
-    rounding-level tie never moves it off an earlier row. starts must be a
-    nonempty 2-D stack (DimensionMismatch otherwise); it is copied, never
-    written, so a read-only stack is fine. Raises OptimizerFailure only if
-    no start reaches a finite value.
+    best (converged), at a NaN value (not converged) or after MAX_STEPS step
+    calls; a rejected extrapolated input, NaN included, does not stop it.
+    The first two step calls evaluate only the starts and their steps, so a
+    start that stops there never extrapolates. The result is the
+    lowest-index start within FTOL of the best value, so a rounding-level
+    tie never moves it off an earlier row. starts must be a nonempty 2-D
+    stack (DimensionMismatch otherwise); it is copied, never written, so a
+    read-only stack is fine. Raises OptimizerFailure only if no start
+    reaches a finite value.
     """
     x0 = np.array(starts)  # each active start's cycle base
     if x0.ndim != 2 or not x0.size:
@@ -100,9 +101,10 @@ def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts
             kept = gain >= 0
             going |= ~kept
             x0, x1, x2 = np.where(kept[:, None], x, x1), np.where(kept[:, None], moved, x2), None
-        if not going.all():  # the other starts stop here, converged
+        if not going.all():  # the other starts stop here, converged unless their value was NaN
             stop = ~going
-            best[active[stop]], argmax[active[stop]], converged[active[stop]] = peak[stop], peak_x[stop], True
+            done = active[stop]
+            best[done], argmax[done], converged[done] = peak[stop], peak_x[stop], gain[stop] <= FTOL
             active, x0, x1, peak, peak_x = active[going], x0[going], x1[going], peak[going], peak_x[going]
             if x2 is not None:
                 x2 = x2[going]

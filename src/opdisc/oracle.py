@@ -16,15 +16,14 @@ The product-input search builds, once per call, the d^2 x d^2 superoperator S
 of p1 E1 - p2 E2 from both Kraus lists, and maps each state's vec(v v^dag) to
 its output difference with one row-times-S product. S is a reshuffle of the
 library's Delta; the oracle builds it itself and never reads delta_operator.
-The entangled search applies every K x I to its inputs. Input states are made
-and evaluated in stacks sized by memory: a stack holds as many states as
-_STACK_BYTES allows for their Kraus products (K x I on the entangled search),
-the products' conjugates and the output differences. A 2 x 2 or 3 x 3 output difference's trace norm comes
-from its eigenvalues in closed form (a 3 x 3 one near a double eigenvalue
-that meets zero goes to eigvalsh); every larger stack takes one stacked
-eigvalsh. Memory stays flat in the grid density, the sample count and the
-number of Kraus operators, and a seed draws the same states as a
-one-state-at-a-time loop would.
+The entangled search reshuffles S into the Choi matrix J and takes each output
+difference as (I x P) J (I x P), two products of d^5 multiply-adds a state.
+Input states are made and evaluated in stacks sized by memory (_STACK_BYTES).
+A 2 x 2 or 3 x 3 output difference's trace norm comes from its eigenvalues in
+closed form (a 3 x 3 one near a double eigenvalue that meets zero goes to
+eigvalsh); every larger stack takes one stacked eigvalsh. Memory stays flat in
+the grid density, the sample count and the number of Kraus operators, and a
+seed draws the same states as a one-state-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -39,14 +38,11 @@ from .linalg import check_count, check_prior
 
 # Dense search is honest only at tiny dimension.
 _MAX_ORACLE_DIM = 4
-# Bytes of complex working set one stack of input states may hold: for each
-# state of dimension D, its n products K_k v, their conjugates and its D x D
-# output difference. The product search sizes its stacks the same way but holds
-# only vec(v v^dag) and the difference, 2 D^2 entries a state, well inside the
-# budget. With few Kraus operators the differences dominate: a budget on the
-# products alone would let a d = 4 unitary pair's entangled stack pass 3 MB. 640 KiB holds 32 entangled states of a d = 4 Weyl pair
-# (n = 32, D = 16); no product in a stack is large enough for a threaded BLAS
-# to split, and waking its threads would cost more than the product.
+# Bytes of complex working set one stack of input states may hold: two d^4-entry
+# products and about 4 d^2 entries of draws an entangled state (71 states at d = 4),
+# 2 n d + d^2 entries a product-search state for n Kraus operators (_stack_rows),
+# though it holds only vec(v v^dag) and its difference. No product in a stack is large
+# enough for a threaded BLAS to split, and waking its threads would cost more than it.
 _STACK_BYTES = 640 * 1024
 
 
@@ -77,17 +73,6 @@ def _stacks(count: int, rows: int) -> Iterator[tuple[int, int]]:
         yield start, start + rows if start + rows < count - 1 else count
 
 
-def _output_differences(ops: np.ndarray, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """delta_m = sum_k w_k (K_k v_m)(K_k v_m)^dag for every row v_m of the stack v: the entangled search's route.
-
-    A function of its own so that the outputs are freed before the eigvalsh.
-    """
-    outputs = v @ ops.transpose(0, 2, 1)  # outputs[k, m] = K_k v_m
-    conj = outputs.conj()
-    outputs *= weights[:, None, None]
-    return outputs.transpose(1, 2, 0) @ conj.transpose(1, 0, 2)
-
-
 def _superoperator(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """S[(a, b), (i, j)] = sum_k w_k K_k[i, a] conj(K_k[j, b]): the d^2 x d^2 map vec(rho) -> vec(delta) on rows.
 
@@ -102,6 +87,18 @@ def _product_differences(sup: np.ndarray, v: np.ndarray) -> np.ndarray:
     """delta_m = sum_k w_k K_k v_m v_m^dag K_k^dag for every row v_m of the stack v, as vec(v_m v_m^dag) S."""
     m, d = v.shape
     return ((v[:, :, None] * v.conj()[:, None, :]).reshape(m, d * d) @ sup).reshape(m, d, d)
+
+
+def _entangled_differences(choi: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """delta_m = (I x P_m) J (I x P_m), the output difference of |xi>> with xi^T = P_m, for every P_m of the stack p.
+
+    choi holds J[i, c, j, e] = sum_k w_k K_k[i, c] conj(K_k[j, e]) as the (d, d^3)
+    array [c, (i, j, e)]: (I x P_m) J is one product over the stack, its product
+    with I x P_m one a state, and one copy reorders row (a, i) to row (i, a).
+    """
+    m, d = p.shape[:2]
+    out = ((p.reshape(m * d, d) @ choi).reshape(m, d**3, d) @ p).reshape(m, d, d, d * d)
+    return out.transpose(0, 2, 1, 3).reshape(m, d * d, d * d)
 
 
 # A row whose closed-form angle has 1 - |cos 3 phi| below _NEAR_DOUBLE holds a
@@ -170,7 +167,7 @@ def _trace_norms(deltas: np.ndarray) -> np.ndarray:
 
 
 def _stack_rows(ops: np.ndarray) -> int:
-    """States in a stack through the (n_ops, n, n) array ops: as many as _STACK_BYTES holds, at least 2."""
+    """States in a product-search stack for the (n_ops, n, n) array ops: as many as _STACK_BYTES holds, at least 2."""
     n_ops, n = ops.shape[:2]
     return max(2, _STACK_BYTES // (16 * (2 * n_ops * n + n * n)))  # 16 bytes a complex entry
 
@@ -222,7 +219,7 @@ def _random_pure_states(d: int, count: int, rng: np.random.Generator, rows: int)
 
 
 def _entangled_states(d: int, count: int, rng: np.random.Generator, rows: int) -> Iterator[np.ndarray]:
-    """|phi+> = vec(I)/sqrt(d), then |xi>> with xi^T = P for `count` random positive P with Tr[P^2] = 1."""
+    """Stacks of P for |xi>> with xi^T = P: I/sqrt(d) (|phi+>), then `count` random positive P with Tr[P^2] = 1."""
     # Every maximally entangled input (U x I)|phi+> has P = I/sqrt(d), so |phi+>
     # stands for all of them. A seed's positive directions follow `count` Haar
     # unitaries' worth of draws, taken a stack at a time and discarded: each
@@ -235,8 +232,7 @@ def _entangled_states(d: int, count: int, rng: np.random.Generator, rows: int) -
         g = x[:, 0] + 1j * x[:, 1]
         gram = g @ g.conj().transpose(0, 2, 1)
         p = gram / np.linalg.norm(gram, axis=(-2, -1), keepdims=True)
-        v = p.transpose(0, 2, 1).reshape(m, d * d)
-        yield v if start else np.concatenate([np.eye(d).reshape(1, d * d) / np.sqrt(d), v])
+        yield p if start else np.concatenate([np.eye(d)[None] / np.sqrt(d), p])
 
 
 def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed: int = 0) -> float:
@@ -271,10 +267,12 @@ def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int =
     Evaluates |phi+> = vec(I)/sqrt(d) once, which has the error of every
     maximally entangled input, then `samples` states built from random
     positive directions P with Tr[P^2] = 1 via the correspondence xi^T = P.
-    Dimensions above 4 are refused.
+    Dimensions above 4 are refused. The Choi matrix J of p1 E1 - p2 E2 is built
+    once per call; each stack's differences (I x P) J (I x P) take one eigvalsh.
     """
     samples, seed, ops, weights = _prepared(prob, samples, "samples", 1, seed)
     d = prob.op1.dim
-    ops = np.kron(ops, np.eye(d)[None])  # every K x I
-    states = _entangled_states(d, samples, np.random.default_rng(seed), _stack_rows(ops))
-    return _min_error(_trace_norms(_output_differences(ops, weights, v)) for v in states)
+    choi = _superoperator(ops, weights).reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d, d**3)
+    rows = max(2, _STACK_BYTES // (16 * (2 * d**4 + 4 * d * d)))  # two d^4-entry products, and the draws
+    states = _entangled_states(d, samples, np.random.default_rng(seed), rows)
+    return _min_error(_trace_norms(_entangled_differences(choi, p)) for p in states)

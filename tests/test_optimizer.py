@@ -217,6 +217,19 @@ def test_maximize_goes_on_from_x2_when_the_extrapolated_point_fails():
     assert res.value == -float(np.sum(res.argmax**2))
 
 
+def test_maximize_stops_a_start_whose_plain_step_returns_nan_unconverged():
+    def halving_undefined_near_0(x):
+        values, moved = _halving(x)
+        return np.where(np.sum(x**2, axis=1) < 0.05, np.nan, values), moved
+
+    res = maximize(halving_undefined_near_0, np.array([[1.0, -2.0]]))
+    # every extrapolated input is 0, and rejected; the first plain step inside |x|^2 < 0.05 stops the start
+    assert res.value == -0.078125
+    assert res.summary.n_evaluations == 8
+    assert not res.summary.converged
+    assert res.summary.failed_starts == ()
+
+
 def test_maximize_caps_steps_at_max_iters(monkeypatch):
     monkeypatch.setattr(optimizer, "MAX_STEPS", 2)
     res = maximize(_halving, _uniform(3, 2))
@@ -256,7 +269,7 @@ def _former_maximize(step, starts):
             kept = gain >= 0
             going |= ~kept
             x0, x1, x2 = np.where(kept[:, None], x, x1), np.where(kept[:, None], moved, x2), None
-        converged[active] = ~going
+        converged[active] = ~going & ~np.isnan(gain)  # a start that a NaN value stopped has not converged
         active, x0, x1 = active[going], x0[going], x1[going]
         if x2 is not None:
             x2 = x2[going]

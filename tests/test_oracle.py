@@ -298,7 +298,7 @@ def _weyl_problem(d, rng, p1=0.4):
 def test_stacked_oracles_match_a_per_state_loop(d, seed, monkeypatch, stack_sizes):
     prob = _random_problem(d, np.random.default_rng(100 * d + seed))
     # a budget that splits every count below into at least three stacks, the last one partial
-    monkeypatch.setattr(oracle_module, "_STACK_BYTES", 48 * 1024)
+    monkeypatch.setattr(oracle_module, "_STACK_BYTES", (56 if d == 4 else 48) * 1024)
     grid = 40 if d == 2 else 9
     unent = brute_force_unentangled(prob, grid, seed=seed)
     assert _spans_three_stacks_the_last_partial(stack_sizes)
@@ -476,6 +476,32 @@ def test_the_qubit_grid_calls_no_eigvalsh_and_every_other_stack_one(monkeypatch,
         calls.clear()
         oracle(prob, count)
         assert len(stack_sizes) >= 3 and len(calls) == len(stack_sizes)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_entangled_search_builds_one_choi_matrix_a_call_and_no_k_x_i(d, monkeypatch, stack_sizes):
+    """A count, not a time: one _superoperator a call, no np.kron, one eigvalsh a stack.
+
+    Applying every K x I took one np.kron a call and a product with each of them a stack.
+    """
+    prob = _weyl_problem(d, np.random.default_rng(65))
+    calls = {"kron": 0, "superoperator": 0, "eigvalsh": 0}
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(np, "kron", counting("kron", np.kron))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(oracle_module, "_superoperator", counting("superoperator", oracle_module._superoperator))
+    monkeypatch.setattr(oracle_module, "_STACK_BYTES", 8 * 1024)
+    for call in (1, 2):
+        brute_force_entangled(prob, 60, seed=call)
+        assert len(stack_sizes) >= 3 * call
+        assert calls == {"kron": 0, "superoperator": call, "eigvalsh": len(stack_sizes)}
 
 
 @pytest.mark.parametrize("budget", [8 * 1024, 640 * 1024])
