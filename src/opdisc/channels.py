@@ -30,7 +30,16 @@ from .errors import (
     NonFinite,
     UnsupportedDimension,
 )
-from .linalg import _is_unitary, check_count, check_prior, dagger, require_dim, require_finite, require_matrix
+from .linalg import (
+    _is_hermitian,
+    _is_unitary,
+    check_count,
+    check_prior,
+    dagger,
+    require_dim,
+    require_finite,
+    require_matrix,
+)
 
 # numpy sums fewer than 8 float64 entries one by one from 0.0, left to right, as reduce(add, q, 0.0) does
 _SHORT = 8
@@ -221,7 +230,7 @@ class TwoOutcomePovm:
         pi1 = _read_only(require_matrix(self.pi1, "pi1"))
         pi2 = _read_only(require_matrix(self.pi2, "pi2", len(pi1)))
         for name, pi in (("pi1", pi1), ("pi2", pi2)):
-            if not float(np.max(np.abs(pi - dagger(pi)))) <= INPUT_TOL:  # linalg.is_hermitian's test
+            if not _is_hermitian(pi):
                 raise InvalidPovm(f"{name} is not Hermitian within tolerance")
             if not float(np.min(np.linalg.eigvalsh(pi))) >= -INPUT_TOL:
                 raise InvalidPovm(f"{name} has an eigenvalue below -{INPUT_TOL}")
@@ -276,7 +285,7 @@ def check_density_matrix(rho, d: int) -> np.ndarray:
 
 def check_state(rho: np.ndarray) -> np.ndarray:
     """check_density_matrix's checks on rho, a matrix that already passed require_matrix."""
-    if not float(np.max(np.abs(rho - dagger(rho)))) <= INPUT_TOL:  # linalg.is_hermitian's test
+    if not _is_hermitian(rho):
         raise InvalidState("state is not Hermitian within tolerance")
     trace = complex(np.trace(rho))
     if not abs(trace - 1.0) <= INPUT_TOL:

@@ -129,6 +129,11 @@ def is_hermitian(a) -> bool:
         a = require_matrix(a, "matrix")
     except NonSquare:
         return False
+    return _is_hermitian(a)
+
+
+def _is_hermitian(a: np.ndarray) -> bool:
+    """is_hermitian of a finite square complex matrix, such as one that already passed require_matrix."""
     return float(np.max(np.abs(a - dagger(a)))) <= INPUT_TOL
 
 

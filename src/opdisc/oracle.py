@@ -18,7 +18,10 @@ its output difference with one row-times-S product. S is a reshuffle of the
 library's Delta; the oracle builds it itself and never reads delta_operator.
 The entangled search reshuffles S into the Choi matrix J and takes each output
 difference as (I x P) J (I x P), two products of d^5 multiply-adds a state.
-Input states are made and evaluated in stacks sized by memory (_STACK_BYTES).
+Neither search sees the Kraus operators again once S is built. Input states
+are made and evaluated in stacks sized by one rule (_stack_rows): by the
+memory (_STACK_BYTES) that n x n output differences take, with n = d for
+product inputs and n = d^2 for entangled ones.
 A 2 x 2 or 3 x 3 output difference's trace norm comes from its eigenvalues in
 closed form (a 3 x 3 one near a double eigenvalue that meets zero goes to
 eigvalsh); every larger stack takes one stacked eigvalsh. Memory stays flat in
@@ -38,10 +41,8 @@ from .linalg import check_count, check_prior
 
 # Dense search is honest only at tiny dimension.
 _MAX_ORACLE_DIM = 4
-# Bytes of complex working set one stack of input states may hold: two d^4-entry
-# products and about 4 d^2 entries of draws an entangled state (71 states at d = 4),
-# 2 n d + d^2 entries a product-search state for n Kraus operators (_stack_rows),
-# though it holds only vec(v v^dag) and its difference. No product in a stack is large
+# Bytes of complex working set one stack of input states may hold (_stack_rows): 853
+# product states or 71 entangled states at d = 4. No product in a stack is large
 # enough for a threaded BLAS to split, and waking its threads would cost more than it.
 _STACK_BYTES = 640 * 1024
 
@@ -166,10 +167,15 @@ def _trace_norms(deltas: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(a + c), np.hypot(a - c, 2.0 * np.abs(b)))  # 2 |m| and 2 r
 
 
-def _stack_rows(ops: np.ndarray) -> int:
-    """States in a product-search stack for the (n_ops, n, n) array ops: as many as _STACK_BYTES holds, at least 2."""
-    n_ops, n = ops.shape[:2]
-    return max(2, _STACK_BYTES // (16 * (2 * n_ops * n + n * n)))  # 16 bytes a complex entry
+def _stack_rows(n: int) -> int:
+    """States in a stack whose output differences are n x n: as many as _STACK_BYTES holds, at least 2.
+
+    A state holds about 2 n^2 + 4 n complex entries: a product state vec(v v^dag)
+    and its difference (n = d), an entangled state the two d^4-entry products
+    (n = d^2), and each its draws. Each added product state took about 14 / 28 / 39
+    entries at d = 2 / 3 / 4 under tracemalloc, against 16 / 30 / 48 budgeted.
+    """
+    return max(2, _STACK_BYTES // (16 * (2 * n * n + 4 * n)))  # 16 bytes a complex entry
 
 
 def _min_error(norms: Iterable[np.ndarray]) -> float:
@@ -181,10 +187,10 @@ def _min_error(norms: Iterable[np.ndarray]) -> float:
     return max(0.0, best)  # rounding can push a perfect discrimination below 0
 
 
-def _prepared(prob, count, name: str, least: int, seed) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Both searches' checks, in order, then their operands: the checked count and seed, the joined Kraus
-    array of prob.op1 then prob.op2, and its weights w_k = p1 for each of prob.op1's operators, -p2 for each
-    of prob.op2's."""
+def _prepared(prob, count, name: str, least: int, seed) -> tuple[int, int, np.ndarray]:
+    """Both searches' checks, in order, then their operands: the checked count and seed, and the
+    superoperator S of the joined Kraus array of prob.op1 then prob.op2, with weights w_k = p1 for
+    each of prob.op1's operators, -p2 for each of prob.op2's."""
     require_type(prob, DiscriminationProblem, "prob")
     count = check_count(count, name, least)
     seed = check_count(seed, "seed", 0)
@@ -192,10 +198,10 @@ def _prepared(prob, count, name: str, least: int, seed) -> tuple[int, int, np.nd
         raise UnsupportedDimension(f"brute force supports dimension <= {_MAX_ORACLE_DIM}, got {prob.op1.dim}")
     ops = np.concatenate([prob.op1.kraus, prob.op2.kraus])
     weights = np.array([prob.p1] * len(prob.op1.kraus) + [-(1.0 - prob.p1)] * len(prob.op2.kraus))
-    return count, seed, ops, weights
+    return count, seed, _superoperator(ops, weights)
 
 
-def _bloch_grid(grid_density: int, rows: int) -> Iterator[np.ndarray]:
+def _bloch_grid(grid_density: int) -> Iterator[np.ndarray]:
     """The (polar, azimuthal) grid in row order, with each pole once: at phi = 0.
 
     cos(theta/2), sin(theta/2) and e^(i phi) are tabled once per angle and
@@ -204,26 +210,27 @@ def _bloch_grid(grid_density: int, rows: int) -> Iterator[np.ndarray]:
     half = np.linspace(0.0, np.pi, grid_density) / 2
     cos, sin = np.cos(half), np.sin(half)
     phase = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, grid_density, endpoint=False))
-    for start, stop in _stacks((grid_density - 2) * grid_density + 2, rows):
+    for start, stop in _stacks((grid_density - 2) * grid_density + 2, _stack_rows(2)):
         i = np.arange(start, stop)
         i = np.where(i > 0, i + grid_density - 1, 0)  # index into the full grid, past the first pole's azimuths
         polar = i // grid_density
         yield np.stack([cos[polar], phase[i % grid_density] * sin[polar]], axis=-1)
 
 
-def _random_pure_states(d: int, count: int, rng: np.random.Generator, rows: int) -> Iterator[np.ndarray]:
-    for start, stop in _stacks(count, rows):
+def _random_pure_states(d: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    for start, stop in _stacks(count, _stack_rows(d)):
         x = rng.standard_normal((stop - start, 2, d))  # real then imaginary parts, per state
         v = x[:, 0] + 1j * x[:, 1]
         yield v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _entangled_states(d: int, count: int, rng: np.random.Generator, rows: int) -> Iterator[np.ndarray]:
+def _entangled_states(d: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Stacks of P for |xi>> with xi^T = P: I/sqrt(d) (|phi+>), then `count` random positive P with Tr[P^2] = 1."""
     # Every maximally entangled input (U x I)|phi+> has P = I/sqrt(d), so |phi+>
     # stands for all of them. A seed's positive directions follow `count` Haar
     # unitaries' worth of draws, taken a stack at a time and discarded: each
     # seed keeps the values it printed, and memory stays flat in `count`.
+    rows = _stack_rows(d * d)
     for start in range(0, count, rows):
         rng.standard_normal((min(rows, count - start), 2, d, d))
     for start, stop in _stacks(count + 1, rows):  # row 0 is |phi+>
@@ -251,13 +258,12 @@ def brute_force_unentangled(prob: DiscriminationProblem, grid_density: int, seed
     independent check of Delta. Trace norms are closed forms at d = 2 and 3
     and one stacked eigvalsh at d = 4.
     """
-    grid_density, seed, ops, weights = _prepared(prob, grid_density, "grid_density", 2, seed)
+    grid_density, seed, sup = _prepared(prob, grid_density, "grid_density", 2, seed)
     d = prob.op1.dim
     if d == 2:
-        states = _bloch_grid(grid_density, _stack_rows(ops))
+        states = _bloch_grid(grid_density)
     else:
-        states = _random_pure_states(d, grid_density**3, np.random.default_rng(seed), _stack_rows(ops))
-    sup = _superoperator(ops, weights)
+        states = _random_pure_states(d, grid_density**3, np.random.default_rng(seed))
     return _min_error(_trace_norms(_product_differences(sup, v)) for v in states)
 
 
@@ -270,9 +276,8 @@ def brute_force_entangled(prob: DiscriminationProblem, samples: int, seed: int =
     Dimensions above 4 are refused. The Choi matrix J of p1 E1 - p2 E2 is built
     once per call; each stack's differences (I x P) J (I x P) take one eigvalsh.
     """
-    samples, seed, ops, weights = _prepared(prob, samples, "samples", 1, seed)
+    samples, seed, sup = _prepared(prob, samples, "samples", 1, seed)
     d = prob.op1.dim
-    choi = _superoperator(ops, weights).reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d, d**3)
-    rows = max(2, _STACK_BYTES // (16 * (2 * d**4 + 4 * d * d)))  # two d^4-entry products, and the draws
-    states = _entangled_states(d, samples, np.random.default_rng(seed), rows)
+    choi = sup.reshape(d, d, d, d).transpose(0, 2, 3, 1).reshape(d, d**3)
+    states = _entangled_states(d, samples, np.random.default_rng(seed))
     return _min_error(_trace_norms(_entangled_differences(choi, p)) for p in states)

@@ -339,13 +339,32 @@ def test_oracle_values_do_not_depend_on_the_stack_size(d, grid, problem, monkeyp
     assert smallest == default
 
 
-@pytest.mark.parametrize("d, kind, count, most", [(2, "unentangled", 25, 1), (4, "entangled", 60, 2)])
+@pytest.mark.parametrize(
+    "d, kind, count, most", [(2, "unentangled", 25, 1), (4, "unentangled", 6, 1), (4, "entangled", 60, 2)]
+)
 def test_structured_sized_oracle_calls_take_few_stacks(d, kind, count, most, stack_sizes):
-    """A count of calls, not a time: noise cannot move it. 32-state stacks took 19 and 3."""
+    """A count of calls, not a time: noise cannot move it. 32-state stacks took 19, 7 and 3; stacks
+    sized by the Weyl pair's 32 Kraus operators took 2 for the 216 states at d = 4."""
     prob = _weyl_problem(d, np.random.default_rng(44))
     oracle = brute_force_unentangled if kind == "unentangled" else brute_force_entangled
     oracle(prob, count, seed=1)
     assert len(stack_sizes) <= most
+
+
+@pytest.mark.parametrize("d, grid", [(2, 25), (3, 6), (4, 4)])
+def test_product_stacks_do_not_depend_on_the_kraus_count(d, grid, monkeypatch, stack_sizes):
+    """Identity vs identity (2 Kraus operators) and a Weyl pair (2 d^2) take the same stacks.
+
+    Stacks sized by the Kraus count gave the Weyl pair a third to an eighth of the identity pair's.
+    """
+    monkeypatch.setattr(oracle_module, "_STACK_BYTES", 8 * 1024)
+    identity = make_operation([np.eye(d)])
+    brute_force_unentangled(DiscriminationProblem(identity, identity, 0.4), grid, seed=1)
+    sizes = list(stack_sizes)
+    stack_sizes.clear()
+    brute_force_unentangled(_weyl_problem(d, np.random.default_rng(45)), grid, seed=1)
+    assert stack_sizes == sizes
+    assert len(sizes) >= 3 and sizes[0] == oracle_module._stack_rows(d)
 
 
 # --- qubit and qutrit output differences in closed form ---
@@ -509,9 +528,7 @@ def test_the_entangled_search_builds_one_choi_matrix_a_call_and_no_k_x_i(d, monk
 def test_bloch_grid_stacks_are_the_per_state_formula_byte_for_byte(grid, budget, monkeypatch):
     """Tabling cos(theta/2), sin(theta/2) and e^(i phi) per angle moves no bit of any state."""
     monkeypatch.setattr(oracle_module, "_STACK_BYTES", budget)
-    prob = _identity_vs_depolarizing()
-    rows = oracle_module._stack_rows(np.concatenate([prob.op1.kraus, prob.op2.kraus]))
-    stacks = list(oracle_module._bloch_grid(grid, rows))
+    stacks = list(oracle_module._bloch_grid(grid))
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     # row order: the first pole, every azimuth of each inner polar angle, the last pole
@@ -549,17 +566,19 @@ def test_entangled_memory_is_flat_in_the_sample_count():
     assert peak < 1_000_000
 
 
-def test_unentangled_memory_is_flat_in_the_state_count():
-    """64,000 qutrit states evaluated in stacks; holding them all at once took over 10 MB."""
-    prob = _weyl_problem(3, np.random.default_rng(41))
+@pytest.mark.parametrize("d, grid, bound", [(3, 40, 2_000_000), (4, 30, 1_200_000)])
+def test_unentangled_memory_is_flat_in_the_state_count(d, grid, bound):
+    """64,000 qutrit and 27,000 ququart states of a Weyl pair evaluated in stacks; holding the
+    64,000 qutrit states all at once took over 10 MB."""
+    prob = _weyl_problem(d, np.random.default_rng(41))
     brute_force_unentangled(prob, 2)  # first-call allocations are not the oracle's working set
     tracemalloc.start()
     try:
-        brute_force_unentangled(prob, 40, seed=1)
+        brute_force_unentangled(prob, grid, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000
+    assert peak < bound
 
 
 @pytest.mark.parametrize("problem", ["weyl", "unitary"])
