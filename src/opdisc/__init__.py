@@ -3,108 +3,22 @@
 Closed forms for channels mixing orthogonal unitary families (qubit Pauli
 channels in particular), a numeric path for arbitrary Kraus maps with and
 without an entangled ancilla, and naive brute-force oracles to check both.
+
+Each module lists the public names it defines in its own __all__; the
+package exports exactly those.
 """
 
-from .errors import (
-    CompletenessViolation,
-    DimensionMismatch,
-    FamilyMismatch,
-    InvalidPovm,
-    InvalidProbabilityVector,
-    InvalidState,
-    NonFinite,
-    NonHermitian,
-    NonSquare,
-    NotOrthogonal,
-    OpdiscError,
-    OptimizerFailure,
-    UnsupportedDimension,
-)
-from .linalg import (
-    EigDecomposition,
-    biket_to_mat,
-    eig_hermitian,
-    is_hermitian,
-    is_unitary,
-    mat_to_biket,
-    trace_norm,
-)
-from .channels import (
-    PAULI_MATRICES,
-    DiscriminationProblem,
-    QuantumOperation,
-    RandomUnitaryChannel,
-    TwoOutcomePovm,
-    apply_extended,
-    make_operation,
-    pauli_channel,
-    unnormalized_choi,
-    weyl_channel,
-    weyl_unitaries,
-)
-from .optimizer import MaximizeSummary
-from .discrimination import (
-    DiscriminationResult,
-    PauliDiscriminationSummary,
-    bound_max_entangled,
-    delta_operator,
-    helstrom,
-    is_orthogonal_unitary_family,
-    pauli_delta_summary,
-    pe_entangled,
-    pe_random_unitary_bounds,
-    pe_random_unitary_exact,
-    pe_unentangled,
-)
-from .oracle import brute_force_entangled, brute_force_unentangled, povm_error
+from . import errors, linalg, channels, optimizer, discrimination, oracle
+from .errors import *
+from .linalg import *
+from .channels import *
+from .optimizer import *
+from .discrimination import *
+from .oracle import *
 
 __all__ = [
-    "OpdiscError",
-    "NonFinite",
-    "NonSquare",
-    "NonHermitian",
-    "DimensionMismatch",
-    "CompletenessViolation",
-    "InvalidProbabilityVector",
-    "InvalidState",
-    "InvalidPovm",
-    "FamilyMismatch",
-    "NotOrthogonal",
-    "UnsupportedDimension",
-    "OptimizerFailure",
-    "EigDecomposition",
-    "eig_hermitian",
-    "trace_norm",
-    "mat_to_biket",
-    "biket_to_mat",
-    "is_hermitian",
-    "is_unitary",
-    "PAULI_MATRICES",
-    "QuantumOperation",
-    "RandomUnitaryChannel",
-    "make_operation",
-    "pauli_channel",
-    "weyl_channel",
-    "weyl_unitaries",
-    "apply_extended",
-    "unnormalized_choi",
-    "MaximizeSummary",
-    "DiscriminationProblem",
-    "DiscriminationResult",
-    "PauliDiscriminationSummary",
-    "helstrom",
-    "delta_operator",
-    "bound_max_entangled",
-    "pe_entangled",
-    "pe_unentangled",
-    "is_orthogonal_unitary_family",
-    "pe_random_unitary_exact",
-    "pe_random_unitary_bounds",
-    "pauli_delta_summary",
-    "TwoOutcomePovm",
-    "povm_error",
-    "brute_force_unentangled",
-    "brute_force_entangled",
+    *errors.__all__, *linalg.__all__, *channels.__all__,
+    *optimizer.__all__, *discrimination.__all__, *oracle.__all__,
 ]
 
 __version__ = "0.1.0"

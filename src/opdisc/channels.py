@@ -41,6 +41,11 @@ from .linalg import (
     require_matrix,
 )
 
+__all__ = [
+    "PAULI_MATRICES", "QuantumOperation", "RandomUnitaryChannel", "DiscriminationProblem", "TwoOutcomePovm",
+    "make_operation", "pauli_channel", "weyl_channel", "weyl_unitaries", "apply_extended", "unnormalized_choi",
+]
+
 # numpy sums fewer than 8 float64 entries one by one from 0.0, left to right, as reduce(add, q, 0.0) does
 _SHORT = 8
 

@@ -51,6 +51,7 @@ from .channels import (
 )
 from .config import CERTIFIED_GAP, FTOL, INPUT_TOL
 from .discrimination import (
+    _SEED_BITS,
     bound_max_entangled,
     pauli_delta_summary,
     pe_entangled,
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     general.add_argument(
         "--seed",
-        type=_count_arg(0, bits=64),
+        type=_count_arg(0, bits=_SEED_BITS),
         default=0,
         help="optimizer seed (pe_unentangled's random starts, at d >= 3)",
     )

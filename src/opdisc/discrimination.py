@@ -49,6 +49,12 @@ from .errors import FamilyMismatch, NotOrthogonal
 from .linalg import _eig_hermitian, check_count, check_prior, dagger, require_matrix, trace_norm
 from .optimizer import MaximizeSummary, decode_pure_state, maximize
 
+__all__ = [
+    "DiscriminationResult", "PauliDiscriminationSummary", "helstrom", "delta_operator", "bound_max_entangled",
+    "pe_entangled", "pe_unentangled", "is_orthogonal_unitary_family", "pe_random_unitary_exact",
+    "pe_random_unitary_bounds", "pauli_delta_summary",
+]
+
 # Weight of I/d mixed into the input's reduced state before the dual
 # certificate inverts its square root.
 _CERTIFICATE_EPS = 1e-8
@@ -64,6 +70,9 @@ _TIE_RTOL = 1e-12
 
 # pe_unentangled's start stacks kept for reuse, one per (d, num_starts, seed).
 _START_STACKS = 4
+
+# pe_unentangled's seed is below 2**_SEED_BITS: random start i is keyed (seed << _SEED_BITS) + i.
+_SEED_BITS = 64
 
 
 def _error(norm) -> float:
@@ -163,7 +172,7 @@ def _unentangled_starts(d: int, num_starts: int, seed: int) -> np.ndarray:
     seeds = np.zeros((2, d), dtype=complex)
     seeds[0, 0] = 1.0  # |0>
     seeds[1] = 1 / np.sqrt(d)  # the uniform superposition
-    keys = ((seed << 64) + i for i in range(2, num_starts))
+    keys = ((seed << _SEED_BITS) + i for i in range(2, num_starts))
     draws = (decode_pure_state(np.random.Generator(np.random.Philox(key=k)).uniform(-1.0, 1.0, 2 * d), d) for k in keys)
     stack = np.vstack([seeds[:num_starts], *draws])
     stack.flags.writeable = False
@@ -390,8 +399,8 @@ def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: i
     require_type(prob, DiscriminationProblem, "prob")
     num_starts = check_count(num_starts, "num_starts", 1)
     seed = check_count(seed, "seed", 0)
-    if seed >= 2**64:
-        raise ValueError(f"seed must be below 2**64, got {seed!r}")
+    if seed >= 2**_SEED_BITS:
+        raise ValueError(f"seed must be below 2**{_SEED_BITS}, got {seed!r}")
     d = prob.op1.dim
     if _degenerate_prior(prob):
         psi = np.zeros(d, dtype=complex)

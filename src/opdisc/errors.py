@@ -1,5 +1,11 @@
 """Exception types raised by the library."""
 
+__all__ = [
+    "OpdiscError", "NonFinite", "NonSquare", "NonHermitian", "DimensionMismatch", "CompletenessViolation",
+    "InvalidProbabilityVector", "InvalidState", "InvalidPovm", "FamilyMismatch", "NotOrthogonal",
+    "UnsupportedDimension", "OptimizerFailure",
+]
+
 
 class OpdiscError(Exception):
     """Base class for every error this package raises on bad input or failure."""

@@ -21,6 +21,9 @@ import numpy as np
 from .config import INPUT_TOL
 from .errors import DimensionMismatch, NonFinite, NonHermitian, NonSquare
 
+__all__ = [
+    "EigDecomposition", "eig_hermitian", "trace_norm", "mat_to_biket", "biket_to_mat", "is_hermitian", "is_unitary",
+]
 
 _REAL = (int, float, np.integer, np.floating)
 _COMPLEX = (*_REAL, complex, np.complexfloating)

@@ -25,6 +25,9 @@ from .config import FTOL, MAX_STEPS
 from .errors import DimensionMismatch, NonFinite, OptimizerFailure
 from .linalg import require_finite
 
+# maximize, MaximizeResult and the decoders stay in this module; only the summary type is exported
+__all__ = ["MaximizeSummary"]
+
 
 @dataclass(frozen=True)
 class MaximizeSummary:

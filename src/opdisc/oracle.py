@@ -39,6 +39,8 @@ from .channels import DiscriminationProblem, TwoOutcomePovm, check_density_matri
 from .errors import UnsupportedDimension
 from .linalg import check_count, check_prior
 
+__all__ = ["povm_error", "brute_force_unentangled", "brute_force_entangled"]
+
 # Dense search is honest only at tiny dimension.
 _MAX_ORACLE_DIM = 4
 # Bytes of complex working set one stack of input states may hold (_stack_rows): 853

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 import opdisc
-from opdisc.cli import main as cli_main
+from opdisc.cli import _fmt, main as cli_main
 
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
@@ -68,7 +68,7 @@ def _line(name: str, result) -> dict:
     return {
         "name": name,
         "floats": {f: repr(v) for f, v in values.items()},
-        "printed": {f: f"{v:.10g}" for f, v in values.items()},  # as the CLI prints them
+        "printed": {f: _fmt(v) for f, v in values.items()},
         "input": _digest(found),
         "diagnostics": repr(result.diagnostics),
     }
@@ -94,7 +94,7 @@ def _structured_line(name: str, out) -> dict:
     return {
         "name": name,
         "floats": {f: repr(v) for f, v in values.items()},
-        "printed": {f: f"{v:.10g}" for f, v in values.items()},
+        "printed": {f: _fmt(v) for f, v in values.items()},
         "other": other,
     }
 

@@ -194,6 +194,8 @@ def test_random_unitary_channel_rejects_non_unitary():
 def test_random_unitary_channel_rejects_count_mismatch():
     with pytest.raises(DimensionMismatch):
         RandomUnitaryChannel(dim=2, unitaries=(SI, SX), weights=np.array([1.0]))
+    with pytest.raises(CompletenessViolation, match="^a random-unitary channel needs at least one unitary$"):
+        RandomUnitaryChannel(dim=2, unitaries=(), weights=np.array([]))
 
 
 def test_operations_hold_read_only_copies_of_the_callers_arrays():

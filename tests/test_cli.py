@@ -266,19 +266,33 @@ def test_general_exits_3_when_the_optimizer_fails(monkeypatch):
     assert err == "error: no start reached a finite value\n"
 
 
-def test_general_rejects_malformed_spec_files(tmp_path):
-    bad = write_spec(tmp_path / "bad.json", {"dim": 2, "kind": "pauli", "q": [0.5, 0.5, 0.5]})
-    ok = write_spec(tmp_path / "ok.json", {"dim": 2, "kind": "depolarizing"})
-    code, _, err = run_cli(["general", "--file1", bad, "--file2", ok])
-    assert code == 2 and "expected 4 entries" in err
-    code, _, err = run_cli(["general", "--file1", str(tmp_path / "missing.json"), "--file2", ok])
-    assert code == 2 and err.startswith("error:")
-    not_unitary = write_spec(
-        tmp_path / "nu.json",
-        {"dim": 2, "kind": "unitary", "u": [[[1, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
-    )
-    code, _, err = run_cli(["general", "--file1", not_unitary, "--file2", ok])
-    assert code == 2 and "not unitary" in err
+# (spec file, its document or None for no file, the error line it gets)
+MALFORMED_SPECS = [
+    ("short.json", {"dim": 2, "kind": "pauli", "q": [0.5, 0.5, 0.5]},
+     "short.json: q: expected 4 entries, got [0.5, 0.5, 0.5]"),
+    ("missing.json", None, "[Errno 2] No such file or directory: 'missing.json'"),
+    ("nu.json", {"dim": 2, "kind": "unitary", "u": [[[1, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+     "nu.json: u is not unitary within tolerance"),
+    ("list.json", [{"dim": 2, "kind": "depolarizing"}], "list.json: expected a JSON object"),
+    ("kind.json", {"dim": 2, "kind": "amplitude-damping"},
+     "kind.json: kind must be one of kraus, pauli, weyl, depolarizing, unitary; got 'amplitude-damping'"),
+    ("kraus.json", {"dim": 2, "kind": "kraus"}, "kraus.json: kind kraus needs a 'kraus' list"),
+    ("pauli3.json", {"dim": 3, "kind": "pauli", "q": [1, 0, 0, 0]}, "pauli3.json: kind pauli requires dim 2, got 3"),
+    ("nou.json", {"dim": 2, "kind": "unitary"}, "nou.json: kind unitary needs a 'u' matrix"),
+    ("neg.json", {"dim": 2, "kind": "pauli", "q": [1.5, -0.5, 0, 0]}, "neg.json: q: negative entry -0.5"),
+]
+
+
+def test_general_rejects_malformed_spec_files(tmp_path, monkeypatch):
+    """Each refusal exits 2, prints nothing to stdout and one error line naming the file or flag."""
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path / "ok.json", {"dim": 2, "kind": "depolarizing"})
+    for name, doc, error in MALFORMED_SPECS:
+        if doc is not None:
+            write_spec(tmp_path / name, doc)
+        assert run_cli(["general", "--file1", name, "--file2", "ok.json"]) == (2, "", f"error: {error}\n")
+    refusal = "error: --q1: expected comma-separated decimals, got 'a,b,c,d'\n"
+    assert run_cli(["pauli", "--q1", "a,b,c,d", "--q2", Q_DEP]) == (2, "", refusal)
 
 
 @pytest.mark.parametrize("depth", [600, 5000], ids=["numpy-too-deep", "json-too-deep"])

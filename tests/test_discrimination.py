@@ -1,7 +1,9 @@
 """Tests for the discrimination quantities: Helstrom, Delta, closed forms, bounds."""
 
+import ast
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -795,6 +797,12 @@ def test_exact_rejects_family_mismatch_and_non_orthogonal():
     ch2 = RandomUnitaryChannel(dim=2, unitaries=(SI, SZ), weights=np.array([0.5, 0.5]))
     with pytest.raises(FamilyMismatch, match="differ at index 1$"):
         pe_random_unitary_exact(ch1, ch2, 0.5)
+    qutrit = weyl_channel(3, np.full(9, 1.0 / 9.0))
+    with pytest.raises(FamilyMismatch, match="^dimension mismatch: 2 vs 3$"):
+        pe_random_unitary_exact(ch1, qutrit, 0.5)
+    single = RandomUnitaryChannel(dim=2, unitaries=(SI,), weights=np.array([1.0]))
+    with pytest.raises(FamilyMismatch, match="^unitary lists of lengths 2 and 1$"):
+        pe_random_unitary_exact(ch1, single, 0.5)
     skew = (np.eye(2) + 1j * SX) / np.sqrt(2)
     ch3 = RandomUnitaryChannel(dim=2, unitaries=(SI, skew), weights=np.array([0.5, 0.5]))
     ch4 = RandomUnitaryChannel(dim=2, unitaries=(SI, skew), weights=np.array([0.2, 0.8]))
@@ -802,8 +810,9 @@ def test_exact_rejects_family_mismatch_and_non_orthogonal():
         pe_random_unitary_exact(ch3, ch4, 0.5)
     lower, upper = pe_random_unitary_bounds(ch3, ch4, 0.5)   # bounds skip orthogonality
     assert lower <= upper + 1e-9
-    with pytest.raises(FamilyMismatch):
-        pe_random_unitary_bounds(ch1, ch2, 0.5)
+    for other in (ch2, qutrit, single):
+        with pytest.raises(FamilyMismatch):
+            pe_random_unitary_bounds(ch1, other, 0.5)
 
 
 def test_bounds_collapse_for_orthogonal_family():
@@ -1029,6 +1038,18 @@ def test_conjugation_covariance():
 
 # --- the public surface ---
 
+def _top_level_names(module) -> set[str]:
+    """The names a module's own source defines at top level: functions, classes and assignments."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def test_public_names_resolve_once_and_omit_the_removed_wrappers():
     assert len(opdisc.__all__) == len(set(opdisc.__all__))
     assert all(hasattr(opdisc, name) for name in opdisc.__all__)
@@ -1050,3 +1071,17 @@ def test_public_names_resolve_once_and_omit_the_removed_wrappers():
     moved = ("maximize", "MaximizeResult", "decode_p", "decode_pure_state")
     assert all(hasattr(opdisc.optimizer, name) for name in moved)
     assert len(opdisc.__all__) == 46
+    # each module declares its own public names once, and the package exports exactly their union
+    modules = [opdisc.errors, opdisc.linalg, opdisc.channels, opdisc.optimizer, opdisc.discrimination, opdisc.oracle]
+    assert [len(m.__all__) for m in modules] == [13, 7, 11, 1, 11, 3]
+    assert opdisc.__all__ == [name for m in modules for name in m.__all__]
+    star = {}
+    exec("from opdisc import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(opdisc.__all__)
+    for module in modules:
+        assert set(module.__all__) <= _top_level_names(module), module.__name__
+        assert all(star[name] is getattr(module, name) for name in module.__all__)
+    # the package file imports the modules' lists and writes none of the names itself
+    words = set(re.findall(r"\w+", Path(opdisc.__file__).read_text(encoding="utf-8")))
+    assert not words & set(opdisc.__all__)
