@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from numbers import Integral
-from operator import add
 
 import numpy as np
 
@@ -46,27 +45,40 @@ __all__ = [
     "make_operation", "pauli_channel", "weyl_channel", "weyl_unitaries", "apply_extended", "unnormalized_choi",
 ]
 
-# numpy sums fewer than 8 float64 entries one by one from 0.0, left to right, as reduce(add, q, 0.0) does
+# numpy sums fewer than 8 float64 entries one by one from 0.0, left to right, as a Python loop does
 _SHORT = 8
 
 
 def check_probability_vector(q, length: int | None = None) -> list[float]:
     """Validate a 1-D list of nonnegative entries summing to 1; returns the entries as Python floats.
 
-    Fewer than _SHORT finite floats (a list, tuple or float64 array) skip numpy, with the same refusals."""
+    Fewer than _SHORT finite floats (a list, tuple or float64 array) skip numpy: one pass tests
+    each entry and keeps the least one and the sum from 0.0, left to right, which is what numpy's
+    min and sum give. Anything else goes through require_finite and numpy. Both routes then refuse
+    a wrong length, a negative entry and a sum off 1, in that order, with the same messages."""
     if type(q) is np.ndarray and q.dtype == np.float64 and q.ndim == 1 and len(q) < _SHORT:
         q = q.tolist()
-    short = type(q) in (list, tuple) and len(q) < _SHORT and all(type(x) is float and math.isfinite(x) for x in q)
+    short = type(q) in (list, tuple) and len(q) < _SHORT
+    if short:
+        least, total = math.inf, 0.0  # an empty q fails the sum
+        for x in q:
+            if type(x) is not float or not math.isfinite(x):
+                short = False
+                break
+            if x < least:
+                least = x
+            total += x
     if not short:
         q = require_finite(q, "probability vector", float)
         if q.ndim != 1:
             raise InvalidProbabilityVector(f"expected a flat list of weights, got shape {q.shape}")
+        least = float(q.min(initial=np.inf))
     if length is not None and len(q) != length:
         raise InvalidProbabilityVector(f"expected {length} entries, got {len(q)}")
-    least = min(q, default=math.inf) if short else float(q.min(initial=np.inf))  # an empty q fails the sum
     if not least >= -PROBABILITY_TOL:
         raise InvalidProbabilityVector(f"negative entry {least:.3e}")
-    total = reduce(add, q, 0.0) if short else float(q.sum())
+    if not short:
+        total = float(q.sum())  # after the refusals above: a sum that overflows warns, and must not for a q they refuse
     if not abs(total - 1.0) <= PROBABILITY_TOL:
         raise InvalidProbabilityVector(f"entries sum to {total!r}, not 1")
     return list(q) if short else q.tolist()

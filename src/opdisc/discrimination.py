@@ -130,7 +130,7 @@ def helstrom(rho1, rho2, p1: float) -> tuple[float, TwoOutcomePovm]:
     p1 = check_prior(p1)
     rho1 = check_state(require_matrix(rho1, "state"))
     rho2 = check_density_matrix(rho2, len(rho1))
-    dec = _eig_hermitian(p1 * rho1 - (1.0 - p1) * rho2)  # built from checked states: no second check
+    dec = _eig_hermitian(p1 * rho1 - (1.0 - p1) * rho2)  # built from checked states: not tested again
     pe = _error(np.sum(np.abs(dec.eigenvalues)))
     keep = dec.eigenvalues >= 0
     v_pos = dec.eigenvectors[:, keep]
@@ -479,31 +479,28 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
     sigma_x or sigma_y, whichever maximizes the matching bracket (ties broken
     in that order); entanglement strictly helps exactly when r0 r1 r2 r3 < 0.
     """
-    q1 = check_probability_vector(q1, 4)
-    q2 = check_probability_vector(q2, 4)
+    a0, a1, a2, a3 = check_probability_vector(q1, 4)
+    b0, b1, b2, b3 = check_probability_vector(q2, 4)
     p1 = check_prior(p1)
     # Python floats throughout: on four numbers, numpy's per-call overhead outweighs the arithmetic.
     # p1 a - p2 b entry by entry is the same IEEE arithmetic as the array expression p1 q1 - p2 q2.
     p2 = 1.0 - p1
-    r0, r1, r2, r3 = (p1 * a - p2 * b for a, b in zip(q1, q2))
+    r0, r1, r2, r3 = p1 * a0 - p2 * b0, p1 * a1 - p2 * b1, p1 * a2 - p2 * b2, p1 * a3 - p2 * b3
     product = r0 * r1 * r2 * r3
-    candidates = (
-        abs(r0 + r3) + abs(r1 + r2),  # sigma_z eigenstate input
-        abs(r0 + r1) + abs(r2 + r3),  # sigma_x eigenstate input
-        abs(r0 + r2) + abs(r1 + r3),  # sigma_y eigenstate input
-    )
-    best = 0
-    for i in (1, 2):
-        if candidates[i] > candidates[best]:
-            best = i
+    # the best product input: an eigenstate of sigma_z, sigma_x or sigma_y, ties going to the earlier axis
+    m, axis = abs(r0 + r3) + abs(r1 + r2), "z"
+    if (x := abs(r0 + r1) + abs(r2 + r3)) > m:
+        m, axis = x, "x"
+    if (y := abs(r0 + r2) + abs(r1 + r3)) > m:
+        m, axis = y, "y"
     return _checked(
         PauliDiscriminationSummary,
         r=(r0, r1, r2, r3),
         det_sign=(product > 0) - (product < 0),
-        m=candidates[best],
+        m=m,
         pe_entangled=_error(abs(r0) + abs(r1) + abs(r2) + abs(r3)),
-        pe_unentangled=_error(candidates[best]),
-        optimal_unentangled_axis=("z", "x", "y")[best],
+        pe_unentangled=_error(m),
+        optimal_unentangled_axis=axis,
         entanglement_needed=product < 0,
     )
 

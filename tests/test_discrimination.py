@@ -116,6 +116,23 @@ def test_helstrom_rejects_bad_inputs():
         helstrom(KET0, PLUS, -0.2)
 
 
+def test_helstrom_accepts_states_whose_difference_misses_hermitian_by_a_rounding_step():
+    """Each state is e <= INPUT_TOL from Hermitian, and p1 rho1 - p2 rho2 can miss it by one rounding
+    step more: helstrom once tested that difference again and raised NonHermitian on 44 of these
+    2,000 draws, and on the first pair, `matrix deviates from Hermitian by 1.000e-09`."""
+    rng = np.random.default_rng(0)
+    draws = [(9.999999959026478e-10, 0.06487487197567618)]
+    draws += [(1e-9 * (1.0 - rng.uniform(0.0, 1e-7)), rng.uniform(0.05, 0.95)) for _ in range(2000)]
+    for e, p1 in draws:
+        rho1 = np.array([[0.5, 0.1 + e], [0.1, 0.5]])
+        rho2 = np.array([[0.5, 0.2 - e], [0.2, 0.5]])
+        pe, povm = helstrom(rho1, rho2, p1)
+        delta = p1 * rho1 - (1.0 - p1) * rho2
+        expected = 0.5 * (1.0 - np.sum(np.abs(np.linalg.eigvalsh((delta + delta.T) / 2))))
+        assert abs(pe - expected) < 1e-15
+        assert abs(povm_error(rho1, rho2, p1, povm) - pe) < 1e-12
+
+
 # --- DiscriminationProblem ---
 
 def test_problem_validates_dimensions_and_prior():
@@ -966,17 +983,20 @@ def _pauli_weights(rng, n):
 
 
 def test_pauli_summary_on_python_floats_matches_the_former_numpy_route():
-    """20,000 inputs: random, tied, one-hot and uniform weights, p1 in {0, 0.5, 1, random}."""
+    """20,000 inputs: random, tied, one-hot and uniform weights, p1 in {0, 0.5, 1, random}, each
+    given as float64 arrays, as lists and as tuples."""
     rng = np.random.default_rng(70)
     n = 20_000
     q1, q2 = _pauli_weights(rng, n), _pauli_weights(rng, n)
     p1 = np.where(rng.integers(4, size=n) < 3, rng.choice([0.0, 0.5, 1.0], size=n), rng.uniform(size=n))
     # the former p1 * q1 - (1.0 - p1) * q2, one row at a time: elementwise, the same IEEE operations
     r = (p1[:, None] * q1 - (1.0 - p1)[:, None] * q2).tolist()
-    for a, b, p, former in zip(q1, q2, p1.tolist(), r):
-        summary, expected = pauli_delta_summary(a, b, p), _former_pauli_summary(former)
-        assert repr(summary) == repr(expected)
-        assert summary == expected and hash(summary) == hash(expected)
+    expected = [_former_pauli_summary(former) for former in r]
+    for form in (list, lambda rows: rows.tolist(), lambda rows: list(map(tuple, rows.tolist()))):
+        for a, b, p, want in zip(form(q1), form(q2), p1.tolist(), expected):
+            summary = pauli_delta_summary(a, b, p)
+            assert repr(summary) == repr(want)
+            assert summary == want and hash(summary) == hash(want)
     with pytest.raises(dataclasses.FrozenInstanceError):
         summary.m = 0.0
 

@@ -165,20 +165,41 @@ def test_helstrom_checks_each_argument_once(monkeypatch, p1, as_list):
     assert hermitian == []
 
 
+def _count_numpy(monkeypatch):
+    """Wrap np.asarray, np.sum and np.min; the list gets the name of each call."""
+    calls = []
+    for name in ("asarray", "sum", "min"):
+        original = getattr(np, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "q1, q2, p1, checked",
     [
         pytest.param([0.5, 0.5, 0.0, 0.0], (0.25,) * 4, 0.3, [], id="floats"),
+        pytest.param([0.5, 0.5, 0.0, 0.0], [0.25] * 4, 0.3, [], id="lists"),
+        pytest.param((0.5, 0.5, 0.0, 0.0), (0.25,) * 4, 0.3, [], id="tuples"),
         pytest.param(np.full(4, 0.25), np.array([1.0, 0.0, 0.0, 0.0]), 0.3, [], id="float64-arrays"),
         pytest.param([1, 0, 0, 0], [0.25] * 4, np.float64(0.3), ["q1", "p1"], id="ints-and-float64"),
         pytest.param(np.full(4, 0.25, dtype=np.float32), [0.25] * 4, 0.3, ["q1"], id="float32"),
     ],
 )
 def test_pauli_delta_summary_checks_python_floats_without_numpy(monkeypatch, q1, q2, p1, checked):
-    """Former route: require_finite on every argument, numpy arrays of four entries and a 0-d prior."""
+    """Former route: require_finite on every argument, numpy arrays of four entries and a 0-d prior.
+    Four finite floats in a list, tuple or float64 array now take one pass in Python, with no numpy
+    conversion, sum or minimum."""
     calls = _count(monkeypatch, "require_finite")
+    numpy_calls = _count_numpy(monkeypatch)
     pauli_delta_summary(q1, q2, p1)
     assert sorted(map(id, calls)) == sorted(id({"q1": q1, "q2": q2, "p1": p1}[name]) for name in checked)
+    if not checked:
+        assert numpy_calls == []
 
 
 @pytest.mark.parametrize(
@@ -194,7 +215,7 @@ def test_constructors_check_each_matrix_and_weight_vector_once(monkeypatch, buil
     """Former routes: 4 calls for make_operation, which checked each Kraus operator again in
     QuantumOperation; 8 / 20 and then 4 / 10 / 17 for weyl_channel at d = 2 / 3 / 4, which checked
     the unitaries it had just built, once or twice each. Now only a weight vector of at least _SHORT
-    entries goes through require_finite (four Python floats skip numpy)."""
+    entries goes through require_finite: four Python floats take one pass in Python."""
     calls = _count(monkeypatch, "require_finite")
     build()
     assert len(calls) == checks

@@ -19,6 +19,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -526,6 +527,44 @@ def test_an_empty_matrix_is_neither_hermitian_nor_unitary(predicate):
 def test_a_weight_or_biket_vector_must_be_1d(call, error):
     with pytest.raises(error, match=r"shape"):
         call()
+
+
+_NAMED = "NonFinite: probability vector"
+_REFUSED = "InvalidProbabilityVector:"
+
+
+@pytest.mark.parametrize(
+    "q, outcome",
+    [
+        pytest.param([-0.5, 0.5, 0.5, "x"], f"{_NAMED}[3]: expected a real number, got 'x'", id="str-after-neg"),
+        pytest.param([-0.5, 0.5, 0.5, True], f"{_NAMED}[3]: expected a real number, got True", id="bool-after-neg"),
+        pytest.param([-0.5, 0.5, 0.5, 1], f"{_REFUSED} negative entry -5.000e-01", id="int-after-neg"),
+        pytest.param([-0.5, 0.5, 0.5, np.float64(1)], f"{_REFUSED} negative entry -5.000e-01", id="float64-after-neg"),
+        pytest.param([-0.5, 0.5, math.nan, 1.0], f"{_NAMED}[2]: non-finite entry nan", id="nan-after-neg"),
+        pytest.param([math.nan, 0.5, "x", 0.5], f"{_NAMED}[2]: expected a real number, got 'x'", id="str-after-nan"),
+        pytest.param([-0.5, math.inf, 0.5], f"{_NAMED}[1]: non-finite entry inf", id="inf-in-a-short-vector"),
+        pytest.param([-0.5, 1.5, 0.0], f"{_REFUSED} expected 4 entries, got 3", id="short-and-negative"),
+        pytest.param((-0.5, 1.5, 0.0, 0.0, 0.0), f"{_REFUSED} expected 4 entries, got 5", id="long-and-negative"),
+        pytest.param([-0.5, 1.5, 0.0, 0], f"{_REFUSED} negative entry -5.000e-01", id="negative-then-int"),
+        pytest.param([2.0, 0.0, 0.0], f"{_REFUSED} expected 4 entries, got 3", id="short-and-heavy"),
+        pytest.param([-2e-12, 0.5, 0.5, 2e-12], f"{_REFUSED} negative entry -2.000e-12", id="negative-summing-to-1"),
+        pytest.param([-0.0, -0.0, -0.0, 1.0], "[-0.0, -0.0, -0.0, 1.0]", id="negative-zeros"),
+        pytest.param([-0.0] * 4, f"{_REFUSED} entries sum to 0.0, not 1", id="all-negative-zeros"),
+        pytest.param([0.0, 1.0, -0.0, 0.0], "[0.0, 1.0, -0.0, 0.0]", id="zero-before-negative-zero"),
+        pytest.param([5e-324, 1.0, 0.0, 0.0], "[5e-324, 1.0, 0.0, 0.0]", id="subnormal"),
+        pytest.param([-5e-324, 1.0, 0.0, 5e-324], "[-5e-324, 1.0, 0.0, 5e-324]", id="negative-subnormal"),
+        pytest.param(np.array([-0.5, 1.5, 0.0]), f"{_REFUSED} expected 4 entries, got 3", id="float64-array-short"),
+    ],
+)
+def test_a_short_weight_vector_is_refused_for_its_first_fault(q, outcome):
+    """Fewer than 8 weights take one pass in Python. A vector that fails on several counts is refused
+    for the first one numpy's route finds: an entry that is no real number (by its index path), a
+    NaN or infinity, then the length, a negative entry and the sum. Signed zeros and subnormals pass."""
+    try:
+        got = repr(check_probability_vector(q, 4))
+    except OpdiscError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == outcome
 
 
 @pytest.mark.parametrize(
