@@ -255,37 +255,49 @@ def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
     enter S, and a product input steps to a product input. With S fixed, the
     value at a unit x' is at least x'^dag M x' with M = sum_k w_k A_k^dag S A_k,
     and equal at x' = x, since |S| <= 1; so the top eigenvector of M does at
-    least as well as x. The step maps a stack of inputs to (their values,
-    those eigenvectors), each turned so that <x, x'> is real and nonnegative:
-    that makes the step a smooth map near a fixed point, which maximize's
-    extrapolation needs. Every product and eigensolver call works row by row,
-    so a row's result does not depend on the stack it comes in.
+    least as well as x. step(x) returns (the values of a stack of inputs,
+    move); move(rows) returns the next inputs of the rows selected (a boolean
+    mask, or slice(None) for all): those eigenvectors, each turned so that
+    <x, x'> is real and nonnegative, which makes the step a smooth map near a
+    fixed point, as maximize's extrapolation needs. step takes the Kraus
+    products (one product of the stacked n d x d Kraus matrix with each
+    row's d x e block), the output difference, its eigh and the values; move
+    builds S, M and M's top eigenvector only for the rows asked for. Every
+    product and eigensolver call works row by row, so a row's result depends
+    neither on the stack it comes in nor on the rows moved with it.
     """
     kraus, weights, adjoint = prob._seesaw  # derived once per problem
     n, d, _ = kraus.shape
+    stacked = kraus.reshape(n * d, d)
     e = int(ancilla)
     kernel_tol = d * e * np.finfo(float).eps
 
-    def step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(x: np.ndarray):
         b = len(x)
-        y = (kraus @ x.reshape(b, 1, d, e)).reshape(b, n, d * e)  # A_k x, one row per k
+        y = (stacked @ x.reshape(b, d, e)).reshape(b, n, d * e)  # A_k x, one row per k
         out = (y.transpose(0, 2, 1) * weights) @ y.conj()
         evals, evecs = np.linalg.eigh(out)
         size = np.abs(evals)
-        # numpy's matrix_rank tolerance: S is 0, not a rounding sign, on the kernel;
-        # eigh sorts the eigenvalues, so the largest |lambda| is at one end
-        signs = np.sign(evals)
-        signs[size <= kernel_tol * np.maximum(size[:, :1], size[:, -1:])] = 0.0
-        sign = (evecs * signs[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
-        # M applies the adjoint map to each ancilla block of S
-        blocks = sign.reshape(b, d, e, d, e).transpose(0, 2, 4, 1, 3).reshape(b, e * e, d * d)
-        m = (blocks @ adjoint).reshape(b, e, e, d, d).transpose(0, 3, 1, 4, 2).reshape(b, d * e, d * e)
-        top = np.linalg.eigh(m)[1][..., -1]
-        # the output is quadratic in x, so its value at x / |x| is ||out||_1 / |x|^2;
-        # the phase of x' makes <x, x'> >= 0
-        overlap = np.vecdot(top, x)
-        overlap[overlap == 0] = 1.0
-        return np.sum(size, axis=-1) / np.vecdot(x, x).real, top * (overlap / np.abs(overlap))[:, None]
+
+        def move(rows) -> np.ndarray:
+            lam, vecs, mag, xs = evals[rows], evecs[rows], size[rows], x[rows]
+            r = len(xs)
+            # numpy's matrix_rank tolerance: S is 0, not a rounding sign, on the kernel;
+            # eigh sorts the eigenvalues, so the largest |lambda| is at one end
+            signs = np.sign(lam)
+            signs[mag <= kernel_tol * np.maximum(mag[:, :1], mag[:, -1:])] = 0.0
+            sign = (vecs * signs[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+            # M applies the adjoint map to each ancilla block of S
+            blocks = sign.reshape(r, d, e, d, e).transpose(0, 2, 4, 1, 3).reshape(r, e * e, d * d)
+            m = (blocks @ adjoint).reshape(r, e, e, d, d).transpose(0, 3, 1, 4, 2).reshape(r, d * e, d * e)
+            top = np.linalg.eigh(m)[1][..., -1]
+            # the phase of x' makes <x, x'> >= 0
+            overlap = np.vecdot(top, xs)
+            overlap[overlap == 0] = 1.0
+            return top * (overlap / np.abs(overlap))[:, None]
+
+        # the output is quadratic in x, so its value at x / |x| is ||out||_1 / |x|^2
+        return np.sum(size, axis=-1) / np.vecdot(x, x).real, move
 
     return step
 

@@ -1,17 +1,18 @@
 """Multi-start see-saw maximization, every start stepped in lockstep, with SQUAREM extrapolation.
 
 The caller supplies the step and a stack of start inputs, one per row: the
-step takes a stack of inputs and returns their values and the next inputs.
-A see-saw step gains only linearly, so maximize runs SQUAREM cycles
-(Varadhan & Roland, Scand. J. Stat. 35, 2008): two steps, then one
-extrapolated input, kept only when it is at least as good as the second
-step's input. Each start stops on its own test, so with a step that works
-row by row a start's trajectory depends only on its start input, and adding
-rows never changes the ones already there. decode_pure_state turns each of
-pe_unentangled's random draws into a start state: it maps a real vector to
-a normalized state vector. decode_p, which maps any real vector to a
-positive matrix with Tr[P^2] = 1, has no caller in the library; it is kept
-only for the benchmark's tracer.
+step takes a stack of inputs and returns their values first, then a function
+that gives the next inputs of the rows maximize asks for, which are only the
+rows whose next input it keeps. A see-saw step gains only linearly, so
+maximize runs SQUAREM cycles (Varadhan & Roland, Scand. J. Stat. 35, 2008):
+two steps, then one extrapolated input, kept only when it is at least as
+good as the second step's input. Each start stops on its own test, so with
+a step that works row by row a start's trajectory depends only on its start
+input, and adding rows never changes the ones already there.
+decode_pure_state turns each of pe_unentangled's random draws into a start
+state: it maps a real vector to a normalized state vector. decode_p, which
+maps any real vector to a positive matrix with Tr[P^2] = 1, has no caller
+in the library; it is kept only for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -56,25 +57,28 @@ class MaximizeResult(NamedTuple):
     summary: MaximizeSummary
 
 
-def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts) -> MaximizeResult:
+def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, Callable]], starts) -> MaximizeResult:
     """Best value over runs of `step` from each row of `starts`, all advanced together.
 
-    step(x) takes a stack of input rows and returns (values at x, next
-    inputs). Start i begins at x0 = starts[i] and runs SQUAREM cycles: with
-    x1 = step(x0) and x2 = step(x1), r = x1 - x0, v = x2 - 2 x1 + x0 and
+    step(x) takes a stack of input rows and returns (values at x, move);
+    move(rows) returns the next inputs of the selected rows of x, rows being a
+    boolean mask over x or slice(None) for all of them. maximize calls move at
+    most once a step, and only for the starts that go on from x: after a plain
+    step the starts still going, after an extrapolated one those that are both
+    kept and going. Start i begins at x0 = starts[i] and runs SQUAREM cycles:
+    with x1 = step(x0) and x2 = step(x1), r = x1 - x0, v = x2 - 2 x1 + x0 and
     a = -max(1, |r| / |v|), it evaluates x0 - 2 a r + a^2 v. The next cycle
-    starts there if its value is at least the value at x1; otherwise it
-    starts at x1, so x2 is evaluated next. A start keeps the best input it
-    evaluated, and stops once an evaluation gains no more than FTOL over its
-    best (converged), at a NaN value (not converged) or after MAX_STEPS step
-    calls; a rejected extrapolated input, NaN included, does not stop it.
-    The first two step calls evaluate only the starts and their steps, so a
-    start that stops there never extrapolates. The result is the
-    lowest-index start within FTOL of the best value, so a rounding-level
-    tie never moves it off an earlier row. starts must be a nonempty 2-D
-    stack (DimensionMismatch otherwise); it is copied, never written, so a
-    read-only stack is fine. Raises OptimizerFailure only if no start
-    reaches a finite value.
+    starts there if its value is at least the value at x1; otherwise it starts
+    at x1, so x2 is evaluated next. A start keeps the best input it evaluated,
+    and stops once an evaluation gains no more than FTOL over its best
+    (converged), at a NaN value (not converged) or after MAX_STEPS step calls;
+    a rejected extrapolated input, NaN included, does not stop it. The first
+    two step calls evaluate only the starts and their steps, so a start that
+    stops there never extrapolates. The result is the lowest-index start
+    within FTOL of the best value, so a rounding-level tie never moves it off
+    an earlier row. starts must be a nonempty 2-D stack (DimensionMismatch
+    otherwise); it is copied, never written, so a read-only stack is fine.
+    Raises OptimizerFailure only if no start reaches a finite value.
     """
     x0 = np.array(starts)  # each active start's cycle base
     if x0.ndim != 2 or not x0.size:
@@ -87,30 +91,38 @@ def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], starts
     x1 = x2 = None
     steps = n_evaluations = 0
     while active.size and steps < MAX_STEPS:
+        extrapolated = x2 is not None
         # the starts, then x1 = step(x0), then the extrapolated input, then x1 again, ...
-        x = x0 if x1 is None else x1 if x2 is None else _extrapolate(x0, x1, x2)
-        values, moved = step(x)
+        x = x0 if x1 is None else _extrapolate(x0, x1, x2) if extrapolated else x1
+        values, move = step(x)
         steps += 1
         n_evaluations += active.size
         gain = values - peak
         better = gain > 0  # False for NaN
         peak, peak_x = np.where(better, values, peak), np.where(better[:, None], x, peak_x)
-        going = gain > FTOL
-        if x1 is None:
-            x1 = moved
-        elif x2 is None:
-            x2 = moved
-        else:  # x was extrapolated: at least as good as x1 is kept, else x1 is the next base
+        # the starts that go on from x, all of them kept, take x's move as their next input
+        going = fresh = gain > FTOL
+        if extrapolated:  # at least as good as x1 is kept, else x1 is the next base and x2 its next input
             kept = gain >= 0
-            going |= ~kept
-            x0, x1, x2 = np.where(kept[:, None], x, x1), np.where(kept[:, None], moved, x2), None
+            going = fresh | ~kept
+            x0, x1, x2 = np.where(kept[:, None], x, x1), x2, None
+        moved = move(slice(None) if fresh.all() else fresh) if fresh.any() else None
         if not going.all():  # the other starts stop here, converged unless their value was NaN
             stop = ~going
             done = active[stop]
             best[done], argmax[done], converged[done] = peak[stop], peak_x[stop], gain[stop] <= FTOL
-            active, x0, x1, peak, peak_x = active[going], x0[going], x1[going], peak[going], peak_x[going]
-            if x2 is not None:
-                x2 = x2[going]
+            active, x0, peak, peak_x, fresh = active[going], x0[going], peak[going], peak_x[going], fresh[going]
+            if x1 is not None:
+                x1 = x1[going]
+        if x1 is None:
+            x1 = moved
+        elif not extrapolated:
+            x2 = moved
+        elif fresh.all():
+            x1 = moved
+        elif moved is not None:  # x1 holds x2's rows; the kept starts take their moves instead
+            x1 = x1.copy()
+            x1[fresh] = moved
     best[active], argmax[active] = peak, peak_x  # the starts MAX_STEPS cut off, not converged
 
     finite = np.isfinite(best)

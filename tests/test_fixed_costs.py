@@ -4,8 +4,9 @@ Counts, not times. A DiscriminationProblem derives Delta (one
 unnormalized_choi per operation) and the see-saw's joined Kraus array,
 weights and adjoint map (one einsum) on first use and keeps them read-only,
 whichever of pe_entangled, pe_unentangled, bound_max_entangled or `opdisc
-general` asks. helstrom checks each argument once, and pauli_delta_summary
-checks Python floats without numpy.
+general` asks. helstrom checks each argument once, pauli_delta_summary
+checks Python floats without numpy, and the see-saw takes its second eigh
+only for the starts whose next input maximize keeps.
 
 The checks that moved are compared with their former versions, kept below as
 references: every row of test_validation.py's tables and a hypothesis
@@ -30,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opdisc
+import parity
 import test_validation as tables
 from opdisc import (
     DiscriminationProblem,
@@ -51,7 +53,7 @@ from opdisc.cli import main, operation_to_spec
 from opdisc.config import INPUT_TOL, PROBABILITY_TOL
 from opdisc.linalg import check_count, check_prior, is_hermitian, require_finite, require_matrix
 
-from helpers import random_density, random_kraus_operation
+from helpers import probe_problem, random_density, random_kraus_operation
 
 MODULES = ("linalg", "channels", "discrimination", "oracle", "optimizer", "cli")
 ADJOINT = "k,kip,kjq->ijpq"
@@ -239,6 +241,49 @@ def test_builders_never_check_again_what_they_built(monkeypatch, build, complete
     build()
     assert unitarity == []
     assert len(completeness) == completeness_sums
+
+
+def _count_eigh(monkeypatch):
+    """The list gets the number of matrices each np.linalg.eigh call takes: its stack's rows, or 1."""
+    eigh = np.linalg.eigh
+    rows = []
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a) if np.ndim(a) == 3 else 1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return rows
+
+
+def _identity_vs_depolarizing_unentangled():
+    depolarizing = opdisc.weyl_channel(3, [1 / 9] * 9).as_operation()
+    return pe_unentangled(DiscriminationProblem(opdisc.make_operation([np.eye(3)]), depolarizing, 0.5), num_starts=32)
+
+
+def _fault_entangled():
+    """pe_entangled on the benchmark's fault.d4 pair, built by the numeric workload as tests/parity.py builds it."""
+    (op,) = [op for op in parity.numeric(opdisc) if op.name == "pe_entangled fault.d4"]
+    return op.call()
+
+
+@pytest.mark.parametrize(
+    "run, evaluations, calls, rows",
+    [
+        pytest.param(_identity_vs_depolarizing_unentangled, 64, 3, 96, id="unentangled-identity-vs-depolarizing-3"),
+        pytest.param(lambda: pe_entangled(probe_problem(3, 2)), 28, 56, 56, id="entangled-probe-3.2"),
+        pytest.param(_fault_entangled, 76, 142, 142, id="entangled-fault.d4"),
+    ],
+)
+def test_the_seesaw_moves_only_the_starts_it_keeps(monkeypatch, run, evaluations, calls, rows):
+    """Former route: every step computed every row's next input, with the sign operator, M and a
+    second stacked eigh, and maximize dropped the moves of the starts that stopped and of the
+    rejected extrapolations: 4 eigh calls and 128 rows, 58 calls and 154 calls, the same evaluations.
+    pe_entangled's count includes its certificate's two eigh calls. The last two rows pin the
+    trajectories of the numpy build that recorded tests/data/parity.jsonl, as that record does."""
+    taken = _count_eigh(monkeypatch)
+    assert run().diagnostics.n_evaluations == evaluations
+    assert (len(taken), sum(taken)) == (calls, rows)
 
 
 # --- the former checks, as references ---

@@ -25,7 +25,7 @@ from opdisc import discrimination, optimizer
 from opdisc.discrimination import _seesaw_step, _unentangled_starts
 from opdisc.optimizer import decode_p, decode_pure_state, maximize
 
-from helpers import random_kraus_operation, random_qubit_problem
+from helpers import probe_problem, random_kraus_operation, random_qubit_problem
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -122,6 +122,17 @@ def test_decode_pure_state_matches_the_reference_bit_for_bit(d):
 
 # --- maximize ---
 
+def _eager(step):
+    """maximize's step protocol around a step that returns every row's next input with its values."""
+
+    def lazy(x):
+        values, moved = step(x)
+        return values, lambda rows: moved[rows]
+
+    return lazy
+
+
+@_eager
 def _halving(x):
     # ascent step for -|x|^2: halve the input
     return -np.sum(x * x, axis=1), x / 2
@@ -148,6 +159,7 @@ def test_maximize_concave_bowl():
 def test_maximize_prefers_seed_point_on_tie():
     target = np.array([0.3, -0.7])
 
+    @_eager
     def toward_target(x):
         return -np.sum((x - target) ** 2, axis=1), (x + target) / 2
 
@@ -166,6 +178,7 @@ def test_maximize_reports_seed_start_when_a_later_one_edges_ahead_by_rounding(mo
     monkeypatch.setattr(optimizer, "MAX_STEPS", 2)
     best = 1 / 18
 
+    @_eager
     def step(x):
         # column 0 marks random starts, column 1 counts steps; the seed start
         # sits at `best` from its first step, random starts end one ulp above
@@ -182,14 +195,14 @@ def test_maximize_reports_seed_start_when_a_later_one_edges_ahead_by_rounding(mo
 
 def test_maximize_raises_when_every_start_fails():
     with pytest.raises(OptimizerFailure):
-        maximize(lambda x: (np.full(len(x), np.nan), x), np.zeros((3, 2)))
+        maximize(_eager(lambda x: (np.full(len(x), np.nan), x)), np.zeros((3, 2)))
 
 
 def test_maximize_records_partial_failures():
     # the first start sits in the broken region; the others never get there
     def broken_far_out(x):
-        values, moved = _halving(x)
-        return np.where(np.max(np.abs(x), axis=1) >= 2.0, np.nan, values), moved
+        values, move = _halving(x)
+        return np.where(np.max(np.abs(x), axis=1) >= 2.0, np.nan, values), move
 
     res = maximize(broken_far_out, np.vstack([[5.0, 5.0], _uniform(5, 2, seed=1)]))
     assert res.summary.failed_starts == (0,)
@@ -206,8 +219,8 @@ def test_maximize_halving_reaches_0_within_one_cycle(monkeypatch):
 
 def test_maximize_goes_on_from_x2_when_the_extrapolated_point_fails():
     def halving_undefined_at_0(x):
-        values, moved = _halving(x)
-        return np.where(np.any(x, axis=1), values, np.nan), moved
+        values, move = _halving(x)
+        return np.where(np.any(x, axis=1), values, np.nan), move
 
     res = maximize(halving_undefined_at_0, np.array([[1.0, -2.0]]))
     # every extrapolated point is 0, where the step fails, so only plain steps move the start
@@ -219,8 +232,8 @@ def test_maximize_goes_on_from_x2_when_the_extrapolated_point_fails():
 
 def test_maximize_stops_a_start_whose_plain_step_returns_nan_unconverged():
     def halving_undefined_near_0(x):
-        values, moved = _halving(x)
-        return np.where(np.sum(x**2, axis=1) < 0.05, np.nan, values), moved
+        values, move = _halving(x)
+        return np.where(np.sum(x**2, axis=1) < 0.05, np.nan, values), move
 
     res = maximize(halving_undefined_near_0, np.array([[1.0, -2.0]]))
     # every extrapolated input is 0, and rejected; the first plain step inside |x|^2 < 0.05 stops the start
@@ -246,16 +259,19 @@ def test_maximize_refuses_a_malformed_start_stack_by_name(starts):
 
 
 def _former_maximize(step, starts):
-    """maximize's loop as it was before its whole-stack shortcuts: masks and compaction on every step."""
+    """maximize's loop as it was before its whole-stack shortcuts: masks and compaction on every step,
+    and every row's next input computed, whether or not the loop keeps it."""
     x0 = np.array(starts)
     best = np.full(len(x0), -np.inf)
     argmax, converged, active = x0.copy(), np.zeros(len(x0), dtype=bool), np.arange(len(x0))
     x1 = x2 = None
-    steps = 0
+    steps = n_evaluations = 0
     while active.size and steps < optimizer.MAX_STEPS:
         x = x0 if x1 is None else x1 if x2 is None else optimizer._extrapolate(x0, x1, x2)
-        values, moved = step(x)
+        values, move = step(x)
+        moved = move(np.ones(len(x), dtype=bool))
         steps += 1
+        n_evaluations += active.size
         gain = values - best[active]
         better = gain > 0
         best[active[better]] = values[better]
@@ -273,35 +289,47 @@ def _former_maximize(step, starts):
         active, x0, x1 = active[going], x0[going], x1[going]
         if x2 is not None:
             x2 = x2[going]
-    return best, argmax, converged
+    return best, argmax, converged, n_evaluations
 
 
 def _former_cases():
-    """Each (d, ancilla) at the default MAX_STEPS and at 1, 2, 3 and 5 step calls, with and without NaN rows."""
+    """Each (d, ancilla) at the default MAX_STEPS and at 1, 2, 3 and 5 step calls, with and without NaN rows,
+    then three probe pairs at 32 starts, whose starts stop at many different steps, extrapolated ones among them."""
     for nan_rows in (False, True):
+        nan = "-nan" if nan_rows else ""
         for max_steps in (None, 1, 2, 3, 5):
             for d, ancilla in [(2, 2), (3, 1), (3, 3), (4, 1)]:
-                tail = ("" if max_steps is None else f"-steps{max_steps}") + ("-nan" if nan_rows else "")
-                yield pytest.param(d, ancilla, max_steps, nan_rows, id=f"{d}-{ancilla}{tail}")
+                tail = ("" if max_steps is None else f"-steps{max_steps}") + nan
+                yield pytest.param(d, ancilla, None, max_steps, nan_rows, id=f"{d}-{ancilla}{tail}")
+        for d, pair, ancilla in [(3, 1, 1), (4, 1, 1), (3, 2, 3)]:
+            yield pytest.param(d, ancilla, pair, None, nan_rows, id=f"probe{d}.{pair}-{ancilla}{nan}")
 
 
-@pytest.mark.parametrize("d, ancilla, max_steps, nan_rows", _former_cases())
-def test_maximize_matches_the_former_masked_bookkeeping_bit_for_bit(d, ancilla, max_steps, nan_rows, monkeypatch):
+@pytest.mark.parametrize("d, ancilla, pair, max_steps, nan_rows", _former_cases())
+def test_maximize_matches_the_former_masked_bookkeeping_bit_for_bit(
+    d, ancilla, pair, max_steps, nan_rows, monkeypatch
+):
     if max_steps is not None:
         monkeypatch.setattr(optimizer, "MAX_STEPS", max_steps)
-    rng = np.random.default_rng(70 + d * ancilla)
-    prob = DiscriminationProblem(random_kraus_operation(d, 2, rng), random_kraus_operation(d, 3, rng), 0.45)
+    if pair is None:
+        rng = np.random.default_rng(70 + d * ancilla)
+        prob = DiscriminationProblem(random_kraus_operation(d, 2, rng), random_kraus_operation(d, 3, rng), 0.45)
+        stacks = (_unit_rows(1, d * ancilla, d), _unit_rows(12, d * ancilla, d))
+    else:
+        prob = probe_problem(d, pair)
+        stacks = (_unentangled_starts(d, 32, 0) if ancilla == 1 else _unit_rows(32, d * ancilla, d),)
     seesaw = _seesaw_step(prob, ancilla=ancilla)
 
     def step(x):
         # with nan_rows, every third row of each stack from row 1 on fails, so starts fail at different steps
-        values, moved = seesaw(x)
-        return np.where(nan_rows & (np.arange(len(x)) % 3 == 1), np.nan, values), moved
+        values, move = seesaw(x)
+        return np.where(nan_rows & (np.arange(len(x)) % 3 == 1), np.nan, values), move
 
-    for starts in (_unit_rows(1, d * ancilla, d), _unit_rows(12, d * ancilla, d)):
+    for starts in stacks:
         res = maximize(step, starts)
-        best, argmax, converged = _former_maximize(step, starts)
+        best, argmax, converged, n_evaluations = _former_maximize(step, starts)
         assert res.summary.start_values == tuple(best.tolist())
+        assert res.summary.n_evaluations == n_evaluations
         assert res.summary.failed_starts == tuple(np.flatnonzero(~np.isfinite(best)).tolist())
         assert res.argmax.tobytes() == argmax[res.summary.best_start].tobytes()
         assert res.summary.converged == converged[res.summary.best_start]
@@ -331,13 +359,75 @@ def test_maximize_unentangled_objective_worked_example():
 def test_seesaw_step_is_scale_free_and_phase_aligned():
     step = _seesaw_step(random_qubit_problem(np.random.default_rng(12)), ancilla=2)
     x = _unit_rows(6, 4, 4)
-    values, moved = step(x)
-    scaled_values, scaled_moved = step(3.0 * np.exp(0.7j) * x)
+    values, move = step(x)
+    scaled_values, scaled_move = step(3.0 * np.exp(0.7j) * x)
+    moved, scaled_moved = move(slice(None)), scaled_move(slice(None))
     np.testing.assert_allclose(scaled_values, values, rtol=1e-12)
     # each next input is turned so that <x, x'> is real and nonnegative
     for rows, out in ((x, moved), (3.0 * np.exp(0.7j) * x, scaled_moved)):
         overlap = np.sum(rows.conj() * out, axis=1)
         assert np.all(overlap.real > 0) and np.max(np.abs(overlap.imag)) < 1e-12
+
+
+def _former_seesaw_step(prob, ancilla):
+    """The see-saw step as it was: one product per (row, Kraus operator), and every row's next input, eagerly."""
+    kraus, weights, adjoint = prob._seesaw
+    n, d, _ = kraus.shape
+    e = ancilla
+    kernel_tol = d * e * np.finfo(float).eps
+
+    def step(x):
+        b = len(x)
+        y = (kraus @ x.reshape(b, 1, d, e)).reshape(b, n, d * e)
+        out = (y.transpose(0, 2, 1) * weights) @ y.conj()
+        evals, evecs = np.linalg.eigh(out)
+        size = np.abs(evals)
+        signs = np.sign(evals)
+        signs[size <= kernel_tol * np.maximum(size[:, :1], size[:, -1:])] = 0.0
+        sign = (evecs * signs[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+        blocks = sign.reshape(b, d, e, d, e).transpose(0, 2, 4, 1, 3).reshape(b, e * e, d * d)
+        m = (blocks @ adjoint).reshape(b, e, e, d, d).transpose(0, 3, 1, 4, 2).reshape(b, d * e, d * e)
+        top = np.linalg.eigh(m)[1][..., -1]
+        overlap = np.vecdot(top, x)
+        overlap[overlap == 0] = 1.0
+        return np.sum(size, axis=-1) / np.vecdot(x, x).real, top * (overlap / np.abs(overlap))[:, None]
+
+    return step
+
+
+# (d, ancilla) of each product: the entangled search at d = 2, both searches at d = 3 and 4
+STEP_SHAPES = [(2, 2), (3, 1), (3, 3), (4, 1), (4, 4)]
+
+
+@pytest.mark.parametrize("rows", [1, 32])
+@pytest.mark.parametrize("d, ancilla", STEP_SHAPES)
+def test_the_stacked_kraus_product_matches_the_per_operator_product_bit_for_bit(d, ancilla, rows):
+    """One n d x d product per row gives each row's Kraus products, values and next inputs with the
+    former per-operator products' bits. One product over the whole stack does not: at ancilla 1 it
+    differed by up to 5e-16."""
+    for pair in range(8):
+        prob = probe_problem(d, pair)
+        x = _unit_rows(rows, d * ancilla, 100 * d + pair)
+        values, move = _seesaw_step(prob, ancilla=ancilla)(x)
+        former_values, former_moved = _former_seesaw_step(prob, ancilla)(x)
+        assert values.tobytes() == former_values.tobytes()
+        assert move(slice(None)).tobytes() == former_moved.tobytes()
+
+
+@pytest.mark.parametrize("d, ancilla", STEP_SHAPES)
+def test_moving_selected_rows_gives_the_bits_of_moving_all(d, ancilla):
+    """move(mask) is move(all)[mask], and the former eager step's next inputs, for random masks."""
+    rng = np.random.default_rng(40 + d * ancilla)
+    for pair in range(4):
+        prob = probe_problem(d, pair)
+        x = _unit_rows(32, d * ancilla, 200 * d + pair)
+        _, move = _seesaw_step(prob, ancilla=ancilla)(x)
+        moved = move(slice(None))
+        assert moved.tobytes() == _former_seesaw_step(prob, ancilla)(x)[1].tobytes()
+        assert move(np.ones(32, dtype=bool)).tobytes() == moved.tobytes()
+        masks = rng.random((6, 32)) < [[0.1], [0.3], [0.5], [0.7], [0.9], [0.97]]
+        for mask in [np.eye(1, 32, pair, dtype=bool)[0], *masks]:
+            assert move(mask).tobytes() == moved[mask].tobytes()
 
 
 def test_a_rank_one_seed_stays_a_product_input():
