@@ -3,15 +3,12 @@
 Three subcommands:
 
 * ``pauli``    closed forms for two qubit Pauli channels given as weight vectors.
-* ``general``  two channels from spec files; closed forms when both are
-               recognized as mixtures of one orthogonal unitary family,
-               the see-saw optimizer otherwise, pe_entangled from the
-               maximally entangled input alone; pe_unentangled is solved
-               exactly at d = 2 and by the multi-start optimizer at d >= 3;
-               lower_bound is the closed form or pe_entangled's certified
-               dual bound. A product input is an entangled input too, so
-               pe_entangled prints at most pe_unentangled, and lower_bound
-               at most pe_entangled.
+* ``general``  two channels from spec files, answered by
+               discrimination.discriminate: closed forms when both are
+               recognized as Pauli mixtures or as mixtures of one
+               orthogonal unitary family, the see-saw optimizer otherwise.
+               It prints discriminate's report, so pe_entangled prints at
+               most pe_unentangled, and lower_bound at most pe_entangled.
 * ``oracle``   naive brute-force reference values for two channels (d <= 4).
 
 Channel spec files are JSON documents:
@@ -50,14 +47,7 @@ from .channels import (
     weyl_channel,
 )
 from .config import CERTIFIED_GAP, FTOL, INPUT_TOL
-from .discrimination import (
-    _SEED_BITS,
-    bound_max_entangled,
-    pauli_delta_summary,
-    pe_entangled,
-    pe_random_unitary_exact,
-    pe_unentangled,
-)
+from .discrimination import _DEFAULT_STARTS, _SEED_BITS, discriminate, pauli_delta_summary
 from .errors import OpdiscError, OptimizerFailure
 from .linalg import check_count, check_prior, is_unitary, require_finite
 from .oracle import brute_force_entangled, brute_force_unentangled
@@ -234,44 +224,26 @@ def _read_pair(args: argparse.Namespace) -> tuple[ParsedChannel, ParsedChannel, 
 def cmd_general(args: argparse.Namespace) -> dict:
     """Discrimination report for two channels given as spec files."""
     ch1, ch2, prob = _read_pair(args)
-    results = {}
-    if ch1.pauli_q is not None and ch2.pauli_q is not None:
-        summary = pauli_delta_summary(ch1.pauli_q, ch2.pauli_q, prob.p1)
-        method = "closed-form-pauli"
-        ent, unent = summary.pe_entangled, summary.pe_unentangled
-        lower = ent
-    else:
-        if ch1.family is not None and ch2.family is not None:
-            method = "closed-form-orthogonal"
-            ent = lower = pe_random_unitary_exact(ch1.family, ch2.family, prob.p1)
-        else:
-            method = "numeric"
-            result_e = pe_entangled(prob)
-            ent, lower = result_e.pe_entangled, result_e.lower_bound
-            results["entangled"] = result_e
-        # exact at d = 2, the multi-start optimizer above
-        result_u = pe_unentangled(prob, num_starts=args.starts, seed=args.seed)
-        unent = result_u.pe_unentangled
-        results["unentangled"] = result_u
-    # a product input is an entangled input too, so pe_unentangled's error is also reached with entanglement
-    ent = min(ent, unent)
-    lower = min(lower, ent)
+    # a route hint holds only when both channels carry it
+    pauli = (ch1.pauli_q, ch2.pauli_q) if ch1.pauli_q is not None and ch2.pauli_q is not None else None
+    family = (ch1.family, ch2.family) if ch1.family is not None and ch2.family is not None else None
+    report = discriminate(prob, pauli=pauli, family=family, num_starts=args.starts, seed=args.seed)
     # only the strategies whose optimizer ran carry diagnostics
-    ran = {name: r.diagnostics for name, r in results.items() if r.diagnostics is not None}
+    ran = {name: r.diagnostics for name, r in report.results.items() if r.diagnostics is not None}
 
     doc = {
-        "pe_entangled": _fmt(ent),
-        "pe_unentangled": _fmt(unent),
-        "upper_bound": _fmt(bound_max_entangled(prob)),
-        "lower_bound": _fmt(lower),
-        "method": method,
+        "pe_entangled": _fmt(report.pe_entangled),
+        "pe_unentangled": _fmt(report.pe_unentangled),
+        "upper_bound": _fmt(report.upper_bound),
+        "lower_bound": _fmt(report.lower_bound),
+        "method": report.method,
         "optimizer": {
             "starts": int(args.starts),
             "starts_run": {name: diag.n_starts for name, diag in ran.items()},
             "seed": int(args.seed),
             "converged": all(diag.converged for diag in ran.values()),
         },
-        "tolerances": _tolerances_doc(optimized=bool(ran), certified=method == "numeric"),
+        "tolerances": _tolerances_doc(optimized=bool(ran), certified=report.method == "numeric"),
     }
     if args.dump_spec:
         doc["channel1_spec"] = operation_to_spec(ch1.operation)
@@ -316,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     general.add_argument(
         "--starts",
         type=_count_arg(1),
-        default=32,
+        default=_DEFAULT_STARTS,
         help="pe_unentangled's optimizer starts at d >= 3 (d = 2 is solved exactly); pe_entangled "
         "has no settings and always runs its one start, the maximally entangled input",
     )

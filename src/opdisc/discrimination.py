@@ -21,6 +21,10 @@ diamond-norm SDP. pe_unentangled is exact at d = 2, where it solves the
 maximum over the Bloch sphere directly, and an uncertified multi-start
 value at d >= 3.
 
+discriminate answers both for one problem, by a closed form when the
+caller's hints allow one and by the two searches otherwise, and reports
+pe_entangled at most pe_unentangled.
+
 DiscriminationProblem and helstrom's TwoOutcomePovm come from channels. The
 brute-force oracle that checks these values is never imported here, nor does
 it import this module.
@@ -50,9 +54,9 @@ from .linalg import _eig_hermitian, check_count, check_prior, dagger, require_ma
 from .optimizer import MaximizeSummary, decode_pure_state, maximize
 
 __all__ = [
-    "DiscriminationResult", "PauliDiscriminationSummary", "helstrom", "delta_operator", "bound_max_entangled",
-    "pe_entangled", "pe_unentangled", "is_orthogonal_unitary_family", "pe_random_unitary_exact",
-    "pe_random_unitary_bounds", "pauli_delta_summary",
+    "DiscriminationResult", "PauliDiscriminationSummary", "Report", "helstrom", "delta_operator",
+    "bound_max_entangled", "pe_entangled", "pe_unentangled", "is_orthogonal_unitary_family",
+    "pe_random_unitary_exact", "pe_random_unitary_bounds", "pauli_delta_summary", "discriminate",
 ]
 
 # Weight of I/d mixed into the input's reduced state before the dual
@@ -74,6 +78,9 @@ _START_STACKS = 4
 # pe_unentangled's seed is below 2**_SEED_BITS: random start i is keyed (seed << _SEED_BITS) + i.
 _SEED_BITS = 64
 
+# pe_unentangled's start count at d >= 3 when the caller names none.
+_DEFAULT_STARTS = 32
+
 
 def _error(norm) -> float:
     """The error 1/2 (1 - norm) of a trace norm `norm`, clamped at 0 against rounding."""
@@ -90,7 +97,8 @@ class DiscriminationResult:
     on the true optimum; bound_max_entangled(prob) is the upper bound, the
     error at the maximally entangled input. pe_unentangled is exact at d = 2
     and an uncertified multi-start value at d >= 3. diagnostics is set only
-    when an optimizer ran: on pe_entangled, and on pe_unentangled at d >= 3.
+    when an optimizer ran: on pe_entangled, and on pe_unentangled at d >= 3;
+    at p1 in {0, 1} neither runs, and diagnostics is None on both.
     """
 
     pe_entangled: float | None = None
@@ -99,6 +107,26 @@ class DiscriminationResult:
     optimal_xi: np.ndarray | None = None
     optimal_pure_input: np.ndarray | None = None
     diagnostics: MaximizeSummary | None = None
+
+
+@dataclass(frozen=True)
+class Report:
+    """What discriminate finds for one problem: its route, both errors and the bracket.
+
+    method is closed-form-pauli, closed-form-orthogonal or numeric.
+    pe_entangled is at most pe_unentangled, and lower_bound at most
+    pe_entangled; upper_bound is bound_max_entangled. results holds the
+    DiscriminationResult of each numeric strategy that ran, keyed entangled /
+    unentangled: none on the Pauli route, unentangled alone on the
+    orthogonal one.
+    """
+
+    method: str
+    pe_entangled: float
+    pe_unentangled: float
+    lower_bound: float
+    upper_bound: float
+    results: dict[str, DiscriminationResult]
 
 
 @dataclass(frozen=True)
@@ -361,7 +389,7 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     The value is not capped by pe_unentangled: see-saw rounding can leave it
     above the unentangled value of the same problem, as on
     probe_problem(3, 64, base=5000) of tests/helpers.py, 1.005e-12 against
-    3.28e-13. Only opdisc general prints the minimum of the two.
+    3.28e-13. discriminate takes the minimum of the two.
     """
     require_type(prob, DiscriminationProblem, "prob")
     d = prob.op1.dim
@@ -391,7 +419,9 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     )
 
 
-def pe_unentangled(prob: DiscriminationProblem, *, num_starts: int = 32, seed: int = 0) -> DiscriminationResult:
+def pe_unentangled(
+    prob: DiscriminationProblem, *, num_starts: int = _DEFAULT_STARTS, seed: int = 0
+) -> DiscriminationResult:
     """Minimal error with a single pure input state (no ancilla): exact at d = 2, multi-start above.
 
     Convexity makes pure inputs sufficient. At d = 2 both channels act
@@ -516,3 +546,42 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
         entanglement_needed=product < 0,
     )
 
+
+def discriminate(prob: DiscriminationProblem, *, pauli=None, family=None, num_starts=_DEFAULT_STARTS, seed=0) -> Report:
+    """Both errors of prob and their bracket, by the route its hints allow: the report opdisc general prints.
+
+    pauli is the pair of qubit weight vectors over {I, x, y, z} of prob's
+    two channels, family the pair of RandomUnitaryChannels they mix; both
+    hints are trusted to describe prob's channels, not checked against them.
+    With pauli, pauli_delta_summary gives both errors (closed-form-pauli).
+    Otherwise pe_unentangled runs with num_starts and seed, which it checks,
+    and the entangled error is pe_random_unitary_exact with family
+    (closed-form-orthogonal) or pe_entangled and its certified lower bound
+    (numeric). On the closed-form routes lower_bound is the closed form
+    itself. pe_entangled is reported as min(pe_entangled, pe_unentangled),
+    and lower_bound at most that.
+    """
+    require_type(prob, DiscriminationProblem, "prob")
+    results = {}
+    if pauli is not None:
+        summary = pauli_delta_summary(*pauli, prob.p1)
+        method = "closed-form-pauli"
+        ent, unent = summary.pe_entangled, summary.pe_unentangled
+        lower = ent
+    else:
+        if family is not None:
+            method = "closed-form-orthogonal"
+            ent = lower = pe_random_unitary_exact(*family, prob.p1)
+        else:
+            method = "numeric"
+            result_e = pe_entangled(prob)
+            ent, lower = result_e.pe_entangled, result_e.lower_bound
+            results["entangled"] = result_e
+        # exact at d = 2, the multi-start optimizer above
+        result_u = pe_unentangled(prob, num_starts=num_starts, seed=seed)
+        unent = result_u.pe_unentangled
+        results["unentangled"] = result_u
+    # a product input is an entangled input too, so pe_unentangled's error is also reached with entanglement
+    ent = min(ent, unent)
+    lower = min(lower, ent)
+    return Report(method, ent, unent, lower, bound_max_entangled(prob), results)

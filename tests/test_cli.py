@@ -191,6 +191,10 @@ def test_general_never_prints_pe_entangled_above_pe_unentangled(tmp_path):
     assert doc["method"] == "numeric"
     assert doc["pe_entangled"] == doc["pe_unentangled"] == "3.278488592e-13"
     assert float(doc["lower_bound"]) <= float(doc["pe_entangled"])
+    # the library's report takes the same minimum
+    report = opdisc.discriminate(prob)
+    assert report.pe_entangled == report.pe_unentangled
+    assert report.lower_bound <= report.pe_entangled
 
 
 def test_general_starts_below_the_seed_count_leave_pe_entangled_alone(tmp_path):
@@ -248,6 +252,33 @@ def test_general_qubit_weyl_pair_runs_no_optimizer(tmp_path):
     assert abs(float(doc["pe_entangled"]) - summary.pe_entangled) < 1e-9
 
 
+# the tour's three general pairs, one per route, as demos/06_cli_tour.sh runs them
+TOUR_PAIRS = [
+    ("identity_qubit", "depolarizing_qubit", "closed-form-pauli", {"hermiticity": "1e-09"}),
+    ("identity_qutrit", "depolarizing_qutrit", "closed-form-orthogonal", {"hermiticity": "1e-09"}),
+    ("hadamard", "xyz_mix_qubit", "numeric", {"hermiticity": "1e-09", "certified_gap": "1e-06"}),
+]
+
+
+@pytest.mark.parametrize("p1", ["0", "1"])
+@pytest.mark.parametrize("name1, name2, method, tolerances", TOUR_PAIRS)
+def test_general_at_a_degenerate_prior_prints_zeros_and_runs_no_optimizer(name1, name2, method, tolerances, p1):
+    """One channel is certain: every route keeps its method, prints zero errors and runs no search."""
+    files = ["--file1", str(DEMO_CHANNELS / f"{name1}.json"), "--file2", str(DEMO_CHANNELS / f"{name2}.json")]
+    doc = run_json(["general", *files, "--p1", p1, "--starts", "8"])
+    # at p1 = 0 the qutrit pair's trace norm of Delta over d comes out 1 ulp below 1
+    upper = "5.551115123e-17" if (name1, p1) == ("identity_qutrit", "0") else "0"
+    assert doc == {
+        "pe_entangled": "0",
+        "pe_unentangled": "0",
+        "upper_bound": upper,
+        "lower_bound": "0",
+        "method": method,
+        "optimizer": {"starts": 8, "starts_run": {}, "seed": 0, "converged": True},
+        "tolerances": tolerances,
+    }
+
+
 def test_general_reports_dimension_mismatch(tmp_path):
     f1 = write_spec(tmp_path / "d2.json", {"dim": 2, "kind": "pauli", "q": [1, 0, 0, 0]})
     f2 = write_spec(tmp_path / "d3.json", {"dim": 3, "kind": "depolarizing"})
@@ -260,7 +291,7 @@ def test_general_exits_3_when_the_optimizer_fails(monkeypatch):
     def fail(*args, **kwargs):
         raise opdisc.OptimizerFailure("no start reached a finite value")
 
-    monkeypatch.setattr(opdisc.cli, "pe_unentangled", fail)
+    monkeypatch.setattr(opdisc.discrimination, "pe_unentangled", fail)
     code, out, err = run_cli(["general", *ID_VS_HADAMARD])
     assert code == 3 and out == ""
     assert err == "error: no start reached a finite value\n"

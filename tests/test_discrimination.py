@@ -19,11 +19,13 @@ from opdisc import (
     OptimizerFailure,
     PAULI_MATRICES,
     RandomUnitaryChannel,
+    Report,
     apply_extended,
     bound_max_entangled,
     brute_force_entangled,
     brute_force_unentangled,
     delta_operator,
+    discriminate,
     helstrom,
     is_orthogonal_unitary_family,
     make_operation,
@@ -199,6 +201,18 @@ AS_OPERATION = "; convert it with .as_operation()"
         pytest.param(
             bound_max_entangled, (KRAUS_ID,), "prob must be a DiscriminationProblem, got QuantumOperation",
             id="bound_max_entangled-kraus",
+        ),
+        # discriminate checks prob before any route's solver sees it
+        pytest.param(
+            lambda prob: discriminate(prob, pauli=(Q_ID, Q_DEP)), ((KRAUS_ID, KRAUS_ID, 0.5),),
+            "prob must be a DiscriminationProblem, got tuple", id="discriminate-pauli-tuple",
+        ),
+        pytest.param(
+            lambda prob: discriminate(prob, family=(WEYL_ID, WEYL_ID)), (KRAUS_ID,),
+            "prob must be a DiscriminationProblem, got QuantumOperation", id="discriminate-family-kraus",
+        ),
+        pytest.param(
+            discriminate, (None,), "prob must be a DiscriminationProblem, got NoneType", id="discriminate-None",
         ),
         pytest.param(
             delta_operator, (KRAUS_ID,), "prob must be a DiscriminationProblem, got QuantumOperation",
@@ -1070,6 +1084,55 @@ def _top_level_names(module) -> set[str]:
     return names
 
 
+def _tour_pair(route, p1):
+    """The problem and route hints of demos/06_cli_tour.sh's general pair that takes `route`."""
+    if route == "closed-form-pauli":
+        prob = DiscriminationProblem(pauli_channel(Q_ID), pauli_channel(Q_DEP), p1)
+        return prob, {"pauli": (Q_ID, Q_DEP)}
+    if route == "closed-form-orthogonal":
+        family = (weyl_channel(3, [1.0] + [0.0] * 8), weyl_channel(3, [1 / 9] * 9))
+        return DiscriminationProblem(family[0].as_operation(), family[1].as_operation(), p1), {"family": family}
+    hadamard = make_operation([np.array([[1, 1], [1, -1]]) / np.sqrt(2)])
+    return DiscriminationProblem(hadamard, pauli_channel(Q_XYZ), p1), {}
+
+
+# each route, and the numeric strategies it runs
+TOUR_ROUTES = {
+    "closed-form-pauli": [],
+    "closed-form-orthogonal": ["unentangled"],
+    "numeric": ["entangled", "unentangled"],
+}
+
+
+@pytest.mark.parametrize("route", TOUR_ROUTES)
+def test_discriminate_takes_the_route_its_hints_allow(route):
+    ran = TOUR_ROUTES[route]
+    prob, hints = _tour_pair(route, 0.5)
+    report = discriminate(prob, **hints, num_starts=FAST)
+    assert isinstance(report, Report)
+    assert report.method == route
+    assert list(report.results) == ran
+    assert report.lower_bound <= report.pe_entangled <= report.pe_unentangled
+    assert report.upper_bound == bound_max_entangled(prob)
+    if "unentangled" in ran:
+        assert report.pe_unentangled == pe_unentangled(prob, num_starts=FAST).pe_unentangled
+    if "entangled" in ran:
+        assert report.results["entangled"].pe_entangled == pe_entangled(prob).pe_entangled
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.method = "numeric"
+
+
+@pytest.mark.parametrize("p1", [0.0, 1.0])
+@pytest.mark.parametrize("route", TOUR_ROUTES)
+def test_discriminate_at_a_degenerate_prior_reports_zeros_and_no_search(route, p1):
+    prob, hints = _tour_pair(route, p1)
+    report = discriminate(prob, **hints)
+    assert report.method == route
+    assert report.pe_entangled == report.pe_unentangled == report.lower_bound == 0.0
+    assert list(report.results) == TOUR_ROUTES[route]
+    assert all(result.diagnostics is None for result in report.results.values())
+
+
 def test_public_names_resolve_once_and_omit_the_removed_wrappers():
     assert len(opdisc.__all__) == len(set(opdisc.__all__))
     assert all(hasattr(opdisc, name) for name in opdisc.__all__)
@@ -1090,10 +1153,10 @@ def test_public_names_resolve_once_and_omit_the_removed_wrappers():
     # the search and its decoders live in opdisc.optimizer, where the benchmark's tracer patches them
     moved = ("maximize", "MaximizeResult", "decode_p", "decode_pure_state")
     assert all(hasattr(opdisc.optimizer, name) for name in moved)
-    assert len(opdisc.__all__) == 46
+    assert len(opdisc.__all__) == 48
     # each module declares its own public names once, and the package exports exactly their union
     modules = [opdisc.errors, opdisc.linalg, opdisc.channels, opdisc.optimizer, opdisc.discrimination, opdisc.oracle]
-    assert [len(m.__all__) for m in modules] == [13, 7, 11, 1, 11, 3]
+    assert [len(m.__all__) for m in modules] == [13, 7, 11, 1, 13, 3]
     assert opdisc.__all__ == [name for m in modules for name in m.__all__]
     star = {}
     exec("from opdisc import *", star)
