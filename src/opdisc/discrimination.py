@@ -183,9 +183,11 @@ def bound_max_entangled(prob: DiscriminationProblem) -> float:
 
     An upper bound on pe_entangled, since the optimum minimizes over all
     bipartite inputs. It is tight (and the bound is the exact value) for
-    channels mixing one orthogonal unitary family.
+    channels mixing one orthogonal unitary family. At p1 in {0, 1} it is
+    exactly 0, as pe_entangled is.
     """
-    return _error(trace_norm(delta_operator(prob)) / prob.op1.dim)
+    delta = delta_operator(prob)
+    return 0.0 if _degenerate_prior(prob.p1) else _error(trace_norm(delta) / prob.op1.dim)
 
 
 @lru_cache(maxsize=_START_STACKS)
@@ -330,9 +332,21 @@ def _seesaw_step(prob: DiscriminationProblem, ancilla: int):
     return step
 
 
-def _degenerate_prior(prob: DiscriminationProblem) -> bool:
-    # one channel is certain, so guessing it never errs
-    return prob.p1 == 0.0 or prob.p1 == 1.0
+def _degenerate_prior(p1: float) -> bool:
+    """True at a checked prior p1 in {0, 1}: one channel is certain, so guessing it never errs.
+
+    Every error and bound returns exactly 0 there, not the rounding residue of its formula.
+    """
+    return p1 == 0.0 or p1 == 1.0
+
+
+def _check_search_settings(num_starts, seed) -> tuple[int, int]:
+    """pe_unentangled's num_starts and seed, checked: an integer >= 1 and an integer in [0, 2**64)."""
+    num_starts = check_count(num_starts, "num_starts", 1)
+    seed = check_count(seed, "seed", 0)
+    if seed >= 2**_SEED_BITS:
+        raise ValueError(f"seed must be below 2**{_SEED_BITS}, got {seed!r}")
+    return num_starts, seed
 
 
 def _dual_lower_bound(prob: DiscriminationProblem, sigma: np.ndarray) -> float:
@@ -393,7 +407,7 @@ def pe_entangled(prob: DiscriminationProblem) -> DiscriminationResult:
     """
     require_type(prob, DiscriminationProblem, "prob")
     d = prob.op1.dim
-    if _degenerate_prior(prob):
+    if _degenerate_prior(prob.p1):
         return DiscriminationResult(
             pe_entangled=0.0,
             lower_bound=0.0,
@@ -439,12 +453,9 @@ def pe_unentangled(
     every d.
     """
     require_type(prob, DiscriminationProblem, "prob")
-    num_starts = check_count(num_starts, "num_starts", 1)
-    seed = check_count(seed, "seed", 0)
-    if seed >= 2**_SEED_BITS:
-        raise ValueError(f"seed must be below 2**{_SEED_BITS}, got {seed!r}")
+    num_starts, seed = _check_search_settings(num_starts, seed)
     d = prob.op1.dim
-    if _degenerate_prior(prob):
+    if _degenerate_prior(prob.p1):
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
         return DiscriminationResult(pe_unentangled=0.0, optimal_pure_input=psi)
@@ -482,7 +493,7 @@ def _check_same_family(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel) -> 
 
 
 def _weight_differences(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel, p1: float) -> np.ndarray:
-    p1 = check_prior(p1)
+    """r = p1 q1 - p2 q2 for a checked prior p1."""
     return p1 * ch1.weights - (1.0 - p1) * ch2.weights
 
 
@@ -491,12 +502,13 @@ def pe_random_unitary_exact(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel
 
     Requires both channels to mix the same list of unitaries (entrywise) and
     the list to be orthogonal; any maximally entangled input attains the
-    optimum, so no ancilla search is needed.
+    optimum, so no ancilla search is needed. At p1 in {0, 1} it is exactly 0.
     """
     _check_same_family(ch1, ch2)
     if not is_orthogonal_unitary_family(ch1):
         raise NotOrthogonal("the shared unitary family is not orthogonal")
-    return _error(np.sum(np.abs(_weight_differences(ch1, ch2, p1))))
+    p1 = check_prior(p1)
+    return 0.0 if _degenerate_prior(p1) else _error(np.sum(np.abs(_weight_differences(ch1, ch2, p1))))
 
 
 def pe_random_unitary_bounds(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChannel, p1: float) -> tuple[float, float]:
@@ -504,9 +516,13 @@ def pe_random_unitary_bounds(ch1: RandomUnitaryChannel, ch2: RandomUnitaryChanne
 
     lower = 1/2 (1 - sum |r_n|); upper = 1/2 (1 - ||Delta||_1 / d), the value
     at a maximally entangled input. They coincide when the family is
-    orthogonal; orthogonality is not required here.
+    orthogonal; orthogonality is not required here. At p1 in {0, 1} both are
+    exactly 0.
     """
     _check_same_family(ch1, ch2)
+    p1 = check_prior(p1)
+    if _degenerate_prior(p1):
+        return 0.0, 0.0
     r = _weight_differences(ch1, ch2, p1)
     # |U_n>>, one row per n; the channel holds its unitaries validated
     v = ch1.unitaries.reshape(len(r), -1)
@@ -553,15 +569,17 @@ def discriminate(prob: DiscriminationProblem, *, pauli=None, family=None, num_st
     pauli is the pair of qubit weight vectors over {I, x, y, z} of prob's
     two channels, family the pair of RandomUnitaryChannels they mix; both
     hints are trusted to describe prob's channels, not checked against them.
-    With pauli, pauli_delta_summary gives both errors (closed-form-pauli).
-    Otherwise pe_unentangled runs with num_starts and seed, which it checks,
-    and the entangled error is pe_random_unitary_exact with family
+    num_starts and seed are checked as pe_unentangled checks them, on every
+    route. With pauli, pauli_delta_summary gives both errors
+    (closed-form-pauli). Otherwise pe_unentangled runs with num_starts and
+    seed, and the entangled error is pe_random_unitary_exact with family
     (closed-form-orthogonal) or pe_entangled and its certified lower bound
     (numeric). On the closed-form routes lower_bound is the closed form
     itself. pe_entangled is reported as min(pe_entangled, pe_unentangled),
     and lower_bound at most that.
     """
     require_type(prob, DiscriminationProblem, "prob")
+    num_starts, seed = _check_search_settings(num_starts, seed)
     results = {}
     if pauli is not None:
         summary = pauli_delta_summary(*pauli, prob.p1)

@@ -107,11 +107,14 @@ def test_pauli_perfect_discrimination():
     assert doc["entanglement_needed"] is True
 
 
-def test_pauli_identical_channels():
-    doc = run_json(["pauli", "--q1", Q_DEP, "--q2", Q_DEP, "--p1", "0.3"])
+@pytest.mark.parametrize("q", [Q_DEP, "0.7,0.1,0.1,0.1"])
+def test_pauli_identical_channels(q):
+    doc = run_json(["pauli", "--q1", q, "--q2", q, "--p1", "0.3"])
     assert doc["pe_entangled"] == "0.3"
     assert doc["pe_unentangled"] == "0.3"
     assert doc["entanglement_needed"] is False
+    # two equal channels tie all three axes: the first, z, is the one named
+    assert doc["optimal_unentangled_axis"] == "z"
 
 
 def test_pauli_dump_spec_appends_kraus_documents():
@@ -221,19 +224,32 @@ def test_general_numeric_qutrit_identity_vs_depolarizing_converges(tmp_path):
     }
 
 
-def test_general_closed_form_orthogonal_qutrit(tmp_path):
-    f1 = write_spec(tmp_path / "id3.json", {"dim": 3, "kind": "weyl", "q": [1.0] + [0.0] * 8})
-    f2 = write_spec(tmp_path / "dep3.json", {"dim": 3, "kind": "depolarizing"})
-    doc = run_json(["general", "--file1", f1, "--file2", f2, "--starts", "8"])
+# identity vs depolarizing on qudits at general's default starts: (dim, the oracle's flags, pe_entangled,
+# pe_unentangled). Every output difference of the qutrit pair has a same-sign double eigenvalue, where
+# the oracle's closed-form 3 x 3 trace norm loses digits unless they cancel; a d = 4 pair takes the
+# entangled oracle through the Choi matrix and a 16 x 16 eigvalsh. Both oracle values must print as
+# the library's.
+ORTHOGONAL_QUDIT_PAIRS = [
+    pytest.param(3, ["--grid", "12", "--samples", "40"], "0.05555555556", "0.1666666667", id="qutrit"),
+    pytest.param(4, ["--grid", "4", "--samples", "40"], "0.03125", "0.125", id="ququart"),
+]
+
+
+@pytest.mark.parametrize("dim, oracle_flags, ent, unent", ORTHOGONAL_QUDIT_PAIRS)
+def test_general_closed_form_orthogonal_qudits(tmp_path, dim, oracle_flags, ent, unent):
+    f1 = write_spec(tmp_path / "id.json", {"dim": dim, "kind": "weyl", "q": [1.0] + [0.0] * (dim * dim - 1)})
+    f2 = write_spec(tmp_path / "dep.json", {"dim": dim, "kind": "depolarizing"})
+    files = ["--file1", f1, "--file2", f2]
+    doc = run_json(["general", *files])
     assert list(doc) == GENERAL_KEYS
     assert list(doc["optimizer"]) == OPTIMIZER_KEYS
     assert doc["method"] == "closed-form-orthogonal"
-    assert doc["pe_entangled"] == "0.05555555556"
-    assert doc["lower_bound"] == "0.05555555556"
-    assert float(doc["pe_unentangled"]) >= float(doc["pe_entangled"]) - 1e-9
-    assert doc["optimizer"]["starts_run"] == {"unentangled": 8}
+    assert [doc[key] for key in ("pe_entangled", "pe_unentangled", "lower_bound")] == [ent, unent, ent]
+    assert doc["optimizer"]["starts_run"] == {"unentangled": 32}
     # only pe_unentangled ran, so no certified gap was aimed for
     assert doc["tolerances"] == {"hermiticity": "1e-09", "optimizer": "1e-12"}
+    doc = run_json(["oracle", *files, *oracle_flags])
+    assert [doc["oracle_pe_entangled"], doc["oracle_pe_unentangled"]] == [ent, unent]
 
 
 def test_general_qubit_weyl_pair_runs_no_optimizer(tmp_path):
@@ -266,12 +282,10 @@ def test_general_at_a_degenerate_prior_prints_zeros_and_runs_no_optimizer(name1,
     """One channel is certain: every route keeps its method, prints zero errors and runs no search."""
     files = ["--file1", str(DEMO_CHANNELS / f"{name1}.json"), "--file2", str(DEMO_CHANNELS / f"{name2}.json")]
     doc = run_json(["general", *files, "--p1", p1, "--starts", "8"])
-    # at p1 = 0 the qutrit pair's trace norm of Delta over d comes out 1 ulp below 1
-    upper = "5.551115123e-17" if (name1, p1) == ("identity_qutrit", "0") else "0"
     assert doc == {
         "pe_entangled": "0",
         "pe_unentangled": "0",
-        "upper_bound": upper,
+        "upper_bound": "0",
         "lower_bound": "0",
         "method": method,
         "optimizer": {"starts": 8, "starts_run": {}, "seed": 0, "converged": True},
@@ -352,6 +366,7 @@ def test_dump_spec_round_trips_through_parser(tmp_path):
 def test_perfect_discrimination_prints_no_negative_probability():
     """Rounding used to print upper_bound -1.1e-16, lower_bound -1.2e-15 and oracle -2.2e-16 here."""
     doc = run_json(["general", *ID_VS_HADAMARD])
+    assert doc["method"] == "numeric"
     assert [doc[key] for key in ("pe_entangled", "upper_bound", "lower_bound")] == ["0", "0", "0"]
     assert float(doc["pe_unentangled"]) >= 0.0
     doc = run_json(["oracle", *ID_VS_HADAMARD, "--grid", "8", "--samples", "8"])
