@@ -536,6 +536,8 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
     1/2 (1 - sum |r_i|); the best product input is an eigenstate of sigma_z,
     sigma_x or sigma_y, whichever maximizes the matching bracket (ties broken
     in that order); entanglement strictly helps exactly when r0 r1 r2 r3 < 0.
+    At p1 in {0, 1} both errors are exactly 0; r, m and the other fields are
+    still those of the formulas.
     """
     a0, a1, a2, a3 = check_probability_vector(q1, 4)
     b0, b1, b2, b3 = check_probability_vector(q2, 4)
@@ -551,13 +553,14 @@ def pauli_delta_summary(q1, q2, p1: float) -> PauliDiscriminationSummary:
         m, axis = x, "x"
     if (y := abs(r0 + r2) + abs(r1 + r3)) > m:
         m, axis = y, "y"
+    certain = _degenerate_prior(p1)
     return _checked(
         PauliDiscriminationSummary,
         r=(r0, r1, r2, r3),
         det_sign=(product > 0) - (product < 0),
         m=m,
-        pe_entangled=_error(abs(r0) + abs(r1) + abs(r2) + abs(r3)),
-        pe_unentangled=_error(m),
+        pe_entangled=0.0 if certain else _error(abs(r0) + abs(r1) + abs(r2) + abs(r3)),
+        pe_unentangled=0.0 if certain else _error(m),
         optimal_unentangled_axis=axis,
         entanglement_needed=product < 0,
     )

@@ -8,7 +8,11 @@ maximize runs SQUAREM cycles (Varadhan & Roland, Scand. J. Stat. 35, 2008):
 two steps, then one extrapolated input, kept only when it is at least as
 good as the second step's input. Each start stops on its own test, so with
 a step that works row by row a start's trajectory depends only on its start
-input, and adding rows never changes the ones already there.
+input, and adding rows never changes the ones already there. A stack of one
+row, such as pe_entangled's, runs through a loop of its own that keeps the
+best value, the gain, the stop tests and SQUAREM's step length in Python
+floats instead of length-1 arrays; it makes the same step calls and returns
+the same bits as the stacked loop.
 decode_pure_state turns each of pe_unentangled's random draws into a start
 state: it maps a real vector to a normalized state vector. decode_p, which
 maps any real vector to a positive matrix with Tr[P^2] = 1, has no caller
@@ -17,6 +21,7 @@ in the library; it is kept only for the benchmark's tracer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -78,12 +83,16 @@ def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, Callable]], starts) 
     within FTOL of the best value, so a rounding-level tie never moves it off
     an earlier row. starts must be a nonempty 2-D stack (DimensionMismatch
     otherwise); it is copied, never written, so a read-only stack is fine.
-    Raises OptimizerFailure only if no start reaches a finite value.
+    A one-row stack goes to _maximize_one, the same loop on Python floats;
+    more rows step together through masks and compaction. Raises
+    OptimizerFailure only if no start reaches a finite value.
     """
     x0 = np.array(starts)  # each active start's cycle base
     if x0.ndim != 2 or not x0.size:
         raise DimensionMismatch(f"starts must be a nonempty 2-D stack, one start per row, got shape {x0.shape}")
     x0 = x0.astype(np.result_type(x0, float), copy=False)  # steps move integer rows off the integers
+    if len(x0) == 1:
+        return _maximize_one(step, x0)
     n_starts = len(x0)
     best, argmax, converged = np.empty(n_starts), np.empty_like(x0), np.zeros(n_starts, dtype=bool)
     active = np.arange(n_starts)
@@ -138,6 +147,60 @@ def maximize(step: Callable[[np.ndarray], tuple[np.ndarray, Callable]], starts) 
         failed_starts=tuple(int(i) for i in np.flatnonzero(~finite)),
     )
     return MaximizeResult(value=float(best[top]), argmax=argmax[top], summary=summary)
+
+
+def _maximize_one(step, x0: np.ndarray) -> MaximizeResult:
+    """maximize on a one-row stack x0: the same step calls and results as the stacked loop, bit for bit.
+
+    The best value, the gain and the keep and stop tests are Python floats
+    and bools: on length-1 arrays numpy's per-call overhead outweighs the
+    arithmetic. The inputs stay 1 x n arrays, so step and move see what the
+    stacked loop gives them.
+    """
+    peak, peak_x = -math.inf, x0  # the best value and input so far
+    x1 = x2 = None
+    converged = False
+    steps = 0
+    while steps < MAX_STEPS:
+        extrapolated = x2 is not None
+        x = x0 if x1 is None else _extrapolate_one(x0, x1, x2) if extrapolated else x1
+        values, move = step(x)
+        steps += 1
+        value = float(values[0])
+        gain = value - peak
+        if gain > 0:  # False for NaN
+            peak, peak_x = value, x
+        if gain > FTOL:  # x's move is the next input: x1 after the start, x2 after x1, x1 after a kept x
+            if x1 is None:
+                x1 = move(slice(None))
+            elif extrapolated:
+                x0, x1, x2 = x, move(slice(None)), None
+            else:
+                x2 = move(slice(None))
+        elif extrapolated and not gain >= 0:  # rejected, NaN included: x1 is the next base, x2 its next input
+            x0, x1, x2 = x1, x2, None
+        else:  # converged, unless the value was NaN
+            converged = gain <= FTOL
+            break
+    if not math.isfinite(peak):
+        raise OptimizerFailure("no start reached a finite value")
+    summary = MaximizeSummary(
+        n_starts=1, best_start=0, converged=converged, n_evaluations=steps, start_values=(peak,), failed_starts=()
+    )
+    return MaximizeResult(value=peak, argmax=peak_x[0], summary=summary)
+
+
+def _extrapolate_one(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """_extrapolate on a one-row stack, with the step length a a Python float: the same bits.
+
+    As np.maximum does there, a NaN ratio |r|^2 / |v|^2 gives a NaN a.
+    """
+    r = x1 - x0
+    v = x2 - x1 - r
+    rr, vv = float(np.vecdot(r, r)[0].real), float(np.vecdot(v, v)[0].real)
+    ratio = rr / vv if vv > 0 else 1.0
+    a = -1.0 if ratio <= 1.0 else -math.sqrt(ratio)
+    return x0 - 2 * a * r + a * a * v
 
 
 def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:

@@ -26,8 +26,9 @@ and exits 1 if any line differs. LAPACK rounding alone can move bits, and
 near a plateau even printed digits, between numpy or BLAS builds, so the
 record holds for the build that wrote it. The run takes a few seconds, so
 Tier-1 (tests/test_parity_subset.py) checks only the printed digits of the
-numeric and structured lines and of the seed-1 cli lines, and leaves the bits
-and the probe to this script.
+probe's pe_entangled lines, of the numeric and structured lines and of the
+seed-1 cli lines, and leaves the bits, the diagnostics and the probe's
+pe_unentangled lines to this script.
 """
 
 from __future__ import annotations
@@ -122,14 +123,18 @@ def cli_lines(seeds: tuple[int, ...] = CLI_SEEDS) -> list[dict]:
     return lines
 
 
-def record() -> list[dict]:
+def probe_lines(functions: tuple[str, ...] = ("pe_entangled", "pe_unentangled")) -> list[dict]:
+    """The lines of the probe: each of `functions` on each probe pair in turn."""
     lines = []
     for d, count in PROBE:
         for s in range(count):
             prob = probe_problem(d, s)
-            lines.append(_line(f"probe d={d} s={s} pe_entangled", opdisc.pe_entangled(prob)))
-            lines.append(_line(f"probe d={d} s={s} pe_unentangled", opdisc.pe_unentangled(prob)))
-    return lines + benchmark_lines() + cli_lines()
+            lines.extend(_line(f"probe d={d} s={s} {name}", getattr(opdisc, name)(prob)) for name in functions)
+    return lines
+
+
+def record() -> list[dict]:
+    return probe_lines() + benchmark_lines() + cli_lines()
 
 
 def differences(old: list[dict], new: list[dict]) -> list[str]:

@@ -117,6 +117,25 @@ def test_pauli_identical_channels(q):
     assert doc["optimal_unentangled_axis"] == "z"
 
 
+# weights on which the Pauli closed form once printed a rounding residue at a certain prior
+RESIDUE_Q1 = "0.1506355303915499,0.043301720479387865,0.7546224421616841,0.05144030696737835"
+RESIDUE_Q2 = "0.03890505753049839,0.6069692396459395,0.16816262038349347,0.18596308244006873"
+
+
+@pytest.mark.parametrize("q1, q2, p1", [(RESIDUE_Q1, RESIDUE_Q2, "0"), (RESIDUE_Q2, RESIDUE_Q1, "1")])
+def test_pauli_at_a_degenerate_prior_prints_zero_errors(tmp_path, q1, q2, p1):
+    """pauli printed 1.110223025e-16 and 5.551115123e-17 here, and general the latter as a lower_bound
+    above its upper_bound of 0."""
+    doc = run_json(["pauli", "--q1", q1, "--q2", q2, "--p1", p1])
+    assert (doc["pe_entangled"], doc["pe_unentangled"], doc["entanglement_needed"]) == ("0", "0", False)
+    files = []
+    for name, q in (("q1.json", q1), ("q2.json", q2)):
+        files.append(write_spec(tmp_path / name, {"dim": 2, "kind": "pauli", "q": [float(w) for w in q.split(",")]}))
+    doc = run_json(["general", "--file1", files[0], "--file2", files[1], "--p1", p1])
+    assert doc["method"] == "closed-form-pauli"
+    assert [doc[key] for key in ("pe_entangled", "pe_unentangled", "upper_bound", "lower_bound")] == ["0"] * 4
+
+
 def test_pauli_dump_spec_appends_kraus_documents():
     doc = run_json(["pauli", "--q1", Q_ID, "--q2", Q_DEP, "--dump-spec"])
     assert list(doc) == PAULI_KEYS + ["channel1_spec", "channel2_spec"]

@@ -886,13 +886,20 @@ def _weyl_pairs():
             yield weyl_channel(d, random_prob_vector(d * d, rng)), weyl_channel(d, random_prob_vector(d * d, rng))
 
 
+# Pauli weights whose summary held a residue at p1 = 0, 1.1e-16 entangled and 5.6e-17 unentangled: the
+# weights opdisc pauli rescales to sum 1 from tests/test_cli.py's RESIDUE_Q1 and RESIDUE_Q2 decimals
+RESIDUE_Q1 = (0.15063553039154987, 0.04330172047938786, 0.7546224421616838, 0.051440306967378335)
+RESIDUE_Q2 = (0.03890505753049838, 0.6069692396459394, 0.16816262038349344, 0.1859630824400687)
+
+
 @pytest.mark.parametrize("p1", [0.0, 1.0])
 def test_closed_form_and_bounds_are_exactly_0_at_a_degenerate_prior(p1):
     """One channel is certain, as in pe_entangled and pe_unentangled: no rounding residue is returned.
 
     The formulas left residues up to 2.8e-16 on 81 of these 122 pairs and priors; identity vs
     depolarizing at d = 3 and p1 = 0 gave 5.55e-17 from bound_max_entangled and 1.67e-16 from the
-    bounds' upper end.
+    bounds' upper end. The last rows are the Pauli closed form on weights that left a residue at
+    p1 = 0, and on the same weights swapped, which leave it at p1 = 1.
     """
     residues = []
     for ch1, ch2 in _weyl_pairs():
@@ -900,6 +907,10 @@ def test_closed_form_and_bounds_are_exactly_0_at_a_degenerate_prior(p1):
         got = (bound_max_entangled(prob), pe_random_unitary_exact(ch1, ch2, p1), *pe_random_unitary_bounds(ch1, ch2, p1))
         if got != (0.0, 0.0, 0.0, 0.0):
             residues.append((ch1.dim, got))
+    for q1, q2 in [(RESIDUE_Q1, RESIDUE_Q2), (RESIDUE_Q2, RESIDUE_Q1)]:
+        summary = pauli_delta_summary(q1, q2, p1)
+        if (summary.pe_entangled, summary.pe_unentangled) != (0.0, 0.0):
+            residues.append(("pauli", summary.pe_entangled, summary.pe_unentangled))
     assert residues == []
 
 
@@ -992,9 +1003,11 @@ def test_pauli_closed_forms_match_numeric():
         assert abs(pe_unentangled(prob, num_starts=FAST).pe_unentangled - s.pe_unentangled) < 1e-6
 
 
-def _former_pauli_summary(r):
-    """pauli_delta_summary as it was, from r = p1 q1 - p2 q2 taken as an array expression."""
+def _former_pauli_summary(r, p1):
+    """pauli_delta_summary as it was, from r = p1 q1 - p2 q2 taken as an array expression, except that
+    both errors are 0.0 at p1 in {0, 1}, where the formulas could leave a rounding residue."""
     r0, r1, r2, r3 = r
+    certain = p1 in (0.0, 1.0)
     product = r0 * r1 * r2 * r3
     candidates = (abs(r0 + r3) + abs(r1 + r2), abs(r0 + r1) + abs(r2 + r3), abs(r0 + r2) + abs(r1 + r3))
     best = 0
@@ -1005,8 +1018,8 @@ def _former_pauli_summary(r):
         r=(r0, r1, r2, r3),
         det_sign=(product > 0) - (product < 0),
         m=candidates[best],
-        pe_entangled=max(0.0, 0.5 * (1.0 - (abs(r0) + abs(r1) + abs(r2) + abs(r3)))),
-        pe_unentangled=max(0.0, 0.5 * (1.0 - candidates[best])),
+        pe_entangled=0.0 if certain else max(0.0, 0.5 * (1.0 - (abs(r0) + abs(r1) + abs(r2) + abs(r3)))),
+        pe_unentangled=0.0 if certain else max(0.0, 0.5 * (1.0 - candidates[best])),
         optimal_unentangled_axis=("z", "x", "y")[best],
         entanglement_needed=product < 0,
     )
@@ -1031,7 +1044,7 @@ def test_pauli_summary_on_python_floats_matches_the_former_numpy_route():
     p1 = np.where(rng.integers(4, size=n) < 3, rng.choice([0.0, 0.5, 1.0], size=n), rng.uniform(size=n))
     # the former p1 * q1 - (1.0 - p1) * q2, one row at a time: elementwise, the same IEEE operations
     r = (p1[:, None] * q1 - (1.0 - p1)[:, None] * q2).tolist()
-    expected = [_former_pauli_summary(former) for former in r]
+    expected = [_former_pauli_summary(former, p) for former, p in zip(r, p1.tolist())]
     for form in (list, lambda rows: rows.tolist(), lambda rows: list(map(tuple, rows.tolist()))):
         for a, b, p, want in zip(form(q1), form(q2), p1.tolist(), expected):
             summary = pauli_delta_summary(a, b, p)

@@ -286,6 +286,21 @@ def test_the_seesaw_moves_only_the_starts_it_keeps(monkeypatch, run, evaluations
     assert (len(taken), sum(taken)) == (calls, rows)
 
 
+def test_the_one_start_search_keeps_its_bookkeeping_out_of_numpy(monkeypatch):
+    """Former route: maximize ran pe_entangled's one start through the stacked loop, whose masks,
+    best values and inputs were length-1 arrays: 189 np.where calls over fault.d4's 76 evaluations."""
+    where = np.where
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args))
+        return where(*args, **kwargs)
+
+    monkeypatch.setattr(np, "where", counted)
+    assert _fault_entangled().diagnostics.n_evaluations == 76
+    assert calls == []
+
+
 # --- the former checks, as references ---
 
 

@@ -138,6 +138,16 @@ def _halving(x):
     return -np.sum(x * x, axis=1), x / 2
 
 
+_POSITIVE = (lambda b: b @ b.T + np.eye(6))(np.random.default_rng(7).uniform(-1.0, 1.0, size=(6, 6)))
+
+
+@_eager
+def _power_step(x):
+    # ascent step for the Rayleigh quotient of a fixed positive matrix: one power iteration
+    y = x @ _POSITIVE
+    return np.vecdot(x, y) / np.vecdot(x, x), y / np.linalg.norm(y, axis=1, keepdims=True)
+
+
 def _uniform(rows, n, seed=0):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, n))
 
@@ -326,13 +336,70 @@ def test_maximize_matches_the_former_masked_bookkeeping_bit_for_bit(
         return np.where(nan_rows & (np.arange(len(x)) % 3 == 1), np.nan, values), move
 
     for starts in stacks:
-        res = maximize(step, starts)
-        best, argmax, converged, n_evaluations = _former_maximize(step, starts)
-        assert res.summary.start_values == tuple(best.tolist())
-        assert res.summary.n_evaluations == n_evaluations
-        assert res.summary.failed_starts == tuple(np.flatnonzero(~np.isfinite(best)).tolist())
-        assert res.argmax.tobytes() == argmax[res.summary.best_start].tobytes()
-        assert res.summary.converged == converged[res.summary.best_start]
+        _assert_same_as_former(maximize(step, starts), _former_maximize(step, starts))
+
+
+def _assert_same_as_former(res, former):
+    best, argmax, converged, n_evaluations = former
+    assert res.summary.start_values == tuple(best.tolist())
+    assert res.summary.n_evaluations == n_evaluations
+    assert res.summary.failed_starts == tuple(np.flatnonzero(~np.isfinite(best)).tolist())
+    assert res.argmax.tobytes() == argmax[res.summary.best_start].tobytes()
+    assert res.summary.converged == converged[res.summary.best_start]
+
+
+def _one_row_cases():
+    """The default MAX_STEPS and 1, 2, 3 and 5 step calls; a NaN value at one call, 1 to 6, at the default;
+    an integer start row."""
+    for max_steps in (None, 1, 2, 3, 5):
+        yield pytest.param(max_steps, None, complex, id="default" if max_steps is None else f"steps{max_steps}")
+    for nan_call in range(1, 7):
+        kind = "plain" if nan_call in (1, 2, 4, 6) else "extrapolated"
+        yield pytest.param(None, nan_call, complex, id=f"nan-at-call{nan_call}-{kind}")
+    yield pytest.param(None, None, int, id="integer-start")
+
+
+@pytest.mark.parametrize("max_steps, nan_call, dtype", _one_row_cases())
+def test_maximize_on_one_row_matches_the_former_masked_bookkeeping_bit_for_bit(max_steps, nan_call, dtype, monkeypatch):
+    """A one-row stack takes maximize's Python-float loop. The start is pe_entangled's, |phi+> at ancilla d
+    on probe_problem(4, 3), whose search runs 76 evaluations. Every extrapolated input there is kept, so
+    calls 1, 2, 4 and 6 evaluate plain steps and calls 3 and 5 extrapolated ones: a NaN stops the start
+    on the first and is rejected on the second, after which x2 is evaluated. A NaN at call 1 leaves no
+    finite value. The integer start row goes through the real power step, which the former loop, given
+    the row as floats, also runs in floats."""
+    if max_steps is not None:
+        monkeypatch.setattr(optimizer, "MAX_STEPS", max_steps)
+    if dtype is int:
+        seesaw, start = _power_step, np.array([[1, 0, 2, 0, -1, 3]])
+    else:
+        d = 4
+        seesaw = _seesaw_step(probe_problem(d, 3), ancilla=d)
+        start = np.zeros((1, d * d), dtype=complex)
+        start[0, :: d + 1] = 1 / np.sqrt(d)
+
+    def counted():
+        calls = 0
+
+        def step(x):
+            nonlocal calls
+            calls += 1
+            values, move = seesaw(x)
+            return (np.full(len(x), np.nan) if calls == nan_call else values), move
+
+        return step
+
+    former = _former_maximize(counted(), start.astype(np.result_type(start, float)))
+    if nan_call == 1:
+        assert former[0].tolist() == [-np.inf]
+        with pytest.raises(OptimizerFailure):
+            maximize(counted(), start)
+        return
+    res = maximize(counted(), start)
+    _assert_same_as_former(res, former)
+    if dtype is int:
+        assert res.argmax.dtype == float and res.summary.n_evaluations > 3
+    elif max_steps is None and nan_call is None:
+        assert res.summary.n_evaluations == 76
 
 
 # --- the two discrimination see-saw steps on the known worked example ---
